@@ -1,11 +1,12 @@
 """Per-layer metrics of a traced phase, each named after its module.
 
 Times, calls and counts are per operation of the traced window (one
-sweep for local-cold, one client operation for the served workloads,
+sweep for local-cold, one client operation for served-read,
 one launch for fleet-launch), so a run that completes more operations
 does not read as a slower layer.  Every workload reports every name;
-a layer the workload does not reach reads 0.  The README maps each
-metric to the end-to-end metric and workload it should move.
+a layer the workload does not reach reads 0.  The names, units and
+directions are BENCHMARK.json's ``per_layer`` list; the README maps
+each metric to the end-to-end metric and workload it should move.
 """
 
 from __future__ import annotations
@@ -13,54 +14,6 @@ from __future__ import annotations
 import statistics
 
 from spans import summarize
-
-#: (name, unit, better) -- the order BENCHMARK.json lists them in.
-PER_LAYER = [
-    ("spec.build_ms", "ms/op", "lower"),
-    ("spec.hash_ms", "ms/op", "lower"),
-    ("spec.hash_calls", "count/op", "lower"),
-    ("lowered.lower_ms", "ms/op", "lower"),
-    ("lowered.lower_calls", "count/op", "lower"),
-    ("lowered.kernel_ms", "ms/op", "lower"),
-    ("lowered.kernel_points", "count/op", "higher"),
-    ("evaluate.self_ms", "ms/op", "lower"),
-    ("evaluate.scalar_ms", "ms/op", "lower"),
-    ("evaluate.lowered_hit_ratio", "ratio", "higher"),
-    ("engine.self_ms", "ms/op", "lower"),
-    ("engine.memo_points", "count/op", "higher"),
-    ("engine.store_points", "count/op", "higher"),
-    ("engine.evaluated_points", "count/op", "higher"),
-    ("store.append_ms", "ms/op", "lower"),
-    ("store.appends", "count/op", "higher"),
-    ("store.records_for_ms", "ms/op", "lower"),
-    ("store.page_ms", "ms/op", "lower"),
-    ("store.bytes_written", "B/op", "lower"),
-    ("queries.run_ms", "ms/op", "lower"),
-    ("server.submit_ms", "ms/op", "lower"),
-    ("server.stream_ms", "ms/op", "lower"),
-    ("server.page_ms", "ms/op", "lower"),
-    ("server.self_ms", "ms/op", "lower"),
-    ("jobs.queue_wait_ms", "ms/op", "lower"),
-    ("jobs.evaluate_ms", "ms/op", "lower"),
-    ("cache.hit_ratio", "ratio", "higher"),
-    ("cache.evictions", "count/op", "lower"),
-    ("cache.invalidations", "count/op", "lower"),
-    ("journal.write_ms", "ms/op", "lower"),
-    ("journal.writes", "count/op", "lower"),
-    ("client.call_ms.submit_job", "ms/op", "lower"),
-    ("client.call_ms.stream_job", "ms/op", "lower"),
-    ("client.call_ms.page", "ms/op", "lower"),
-    ("client.call_ms.query", "ms/op", "lower"),
-    ("wire.overhead_ms", "ms/op", "lower"),
-    ("fleet.lease_wait_ms", "ms/op", "lower"),
-    ("fleet.worker_eval_ms", "ms/op", "lower"),
-    ("fleet.upload_ms", "ms/op", "lower"),
-    ("fleet.ack_ms", "ms/op", "lower"),
-    ("fleet.requeues", "count/op", "lower"),
-    ("proc.start_s", "s", "lower"),
-    ("other.self_ms", "ms/op", "lower"),
-    ("trace.overhead_pct", "%", "lower"),
-]
 
 _CLIENT_CALLS = ("submit_job", "stream_job", "page", "query")
 _FLEET_PHASES = {
@@ -76,7 +29,7 @@ def _family(snapshot: dict, kind: str, name: str) -> list[dict]:
 
 
 def compute(trace: dict, overhead_pct: float) -> dict[str, float]:
-    """Every per-layer metric from one traced phase's raw inputs."""
+    """Every per-layer metric, by name, from one traced phase's raw inputs."""
     window = tuple(trace["window"])
     ops = max(1, trace["ops"])
     bench = summarize(trace["bench"], window)
@@ -92,7 +45,10 @@ def compute(trace: dict, overhead_pct: float) -> dict[str, float]:
     def counted(name: str) -> float:
         return sum(s["counts"].get(name, 0) for s in summaries) / ops
 
-    values = {name: 0.0 for name, _, _ in PER_LAYER}
+    # Sums over samples that a workload may not produce start at 0.
+    accumulated = ("jobs.queue_wait_ms", "jobs.evaluate_ms", "journal.write_ms")
+    accumulated += ("journal.writes", "fleet.requeues", "wire.overhead_ms")
+    values = {name: 0.0 for name in accumulated + tuple(_FLEET_PHASES)}
     values.update(
         {
             "spec.build_ms": self_ms("spec.build"),

@@ -28,7 +28,6 @@ from workloads import STORED_SWEEPS  # noqa: E402
 STREAMS = {
     "local": (LARGE_MEMORIES, 80),
     "stored": (SMALL_MEMORIES, STORED_SWEEPS),
-    "mixed": (SMALL_MEMORIES, 40),
     "fleet": (SMALL_MEMORIES, 16),
 }
 

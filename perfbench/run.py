@@ -7,17 +7,18 @@ Run from the root of a source checkout; the program is imported from
 
     local-cold    library run_sweep into a growing JSONL store, all cold
     served-read   two clients reading a SQLite store larger than the cache
-    served-mixed  one client writing cold sweeps, one reading beside it
     fleet-launch  repro dse-launch --fleet 2, one cold sweep at a time
-    all           each of the above in turn
+    all           each of the above in turn, each in its own process
 
 ``--seed`` defaults to 1; 104729 is the held-out seed, pinned like the
 default but never used while tuning.  With ``--trace 0`` the run prints
 the end-to-end metrics; with ``--trace 1`` it runs the workload twice
 for half the time each, untraced then traced, and prints the per-layer
-metrics.  Every record received is checked (``oracle.py``).  The last
-line a workload prints is one JSON object: ``correct``, ``attempted``,
-``failed`` and ``metrics``.
+metrics.  Which metrics, and their units, is read from the
+``end_to_end`` and ``per_layer`` lists of ``BENCHMARK.json``.  Every
+record received is checked (``oracle.py``).  The last line a workload
+prints is one JSON object: ``correct``, ``attempted``, ``failed`` and
+``metrics``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -37,18 +39,29 @@ ROOT = HERE.parent
 
 DEFAULT_SEED = 1
 HELD_OUT_SEED = 104729
-WORKLOADS = ("local-cold", "served-read", "served-mixed", "fleet-launch")
+WORKLOADS = ("local-cold", "served-read", "fleet-launch")
 
-#: The end-to-end metrics every workload reports: (name, unit).
-END_TO_END = [
+#: Rows of the per-run table, printed when the workload has samples:
+#: (sample name, unit).  ``error_rate`` follows them.
+TABLE = [
     ("setup_s", "s"),
-    ("sweep_p50_ms", "ms"),
-    ("records_per_s", "records/s"),
-    ("peak_rss_mb", "MB"),
+    ("cold_sweep_ms", "ms"),
+    ("warm_sweep_ms", "ms"),
+    ("first_record_ms", "ms"),
+    ("page_ms", "ms"),
+    ("query_ms", "ms"),
+    ("cold_points_per_s", "points/s"),
     ("store_bytes_per_record", "B"),
+    ("peak_rss_mb", "MB"),
 ]
 
 P90_MIN_SAMPLES = 100
+
+
+def _catalogue(kind: str) -> dict[str, str]:
+    """``BENCHMARK.json``'s ``end_to_end`` or ``per_layer``: name -> unit."""
+    with open(ROOT / "BENCHMARK.json") as handle:
+        return {metric["name"]: metric["unit"] for metric in json.load(handle)[kind]}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -65,38 +78,14 @@ def _p90(values: list[float]) -> float | None:
     return statistics.quantiles(values, n=10)[-1]
 
 
-def _named_rows(workload: str, samples: dict, attempted: int, failed: int):
-    """The report's metrics that apply to this workload, as rows of
-    (name, unit, samples) -- plus scalar rows with a single value."""
-    local = workload in ("local-cold", "fleet-launch")
-    cold_key = "sweep_ms" if local else "cold_sweep_ms"
-    writes = workload == "served-mixed"
-    first_key = "cold_first_record_ms" if writes else "warm_first_record_ms"
-    rows = [("setup_s", "s", samples.get("setup_s", []))]
-    for kind, key in (("cold", cold_key), ("warm", "warm_sweep_ms")):
-        values = samples.get(key, [])
-        if values:
-            rows.append((f"{kind}_sweep_ms", "ms", values))
-    for name, key, unit in (
-        ("first_record_ms", first_key, "ms"),
-        ("page_ms", "page_ms", "ms"),
-        ("query_ms", "query_ms", "ms"),
-        ("cold_points_per_s", "cold_points_per_s", "points/s"),
-        ("store_bytes_per_record", "store_bytes_per_record", "B"),
-        ("peak_rss_mb", "peak_rss_mb", "MB"),
-    ):
-        if samples.get(key):
-            rows.append((name, unit, samples[key]))
-    rows.append(("error_rate", "fraction", [failed / attempted if attempted else 0.0]))
-    return rows
-
-
 def _print_report(workload: str, seed: int, outcome, metrics: dict, units: dict):
     print(f"workload {workload}, seed {seed}")
     header = ("metric", "unit", "n", "median", "q1", "q3", "p90")
     print("{:28} {:>10} {:>5} {:>12} {:>12} {:>12} {:>12}".format(*header))
-    rows = _named_rows(workload, outcome.samples, outcome.attempted, outcome.failed)
-    for name, unit, values in rows:
+    attempted = outcome.attempted
+    error_rate = outcome.failed / attempted if attempted else 0.0
+    rows = [(n, u, outcome.samples[n]) for n, u in TABLE if outcome.samples.get(n)]
+    for name, unit, values in rows + [("error_rate", "fraction", [error_rate])]:
         q1, median, q3 = _quartiles(values)
         p90 = _p90(values)
         p90_text = f"{p90:12.4f}" if p90 is not None else f"{'-':>12}"
@@ -127,12 +116,13 @@ def _run(workload: str, seed: int, seconds: float, trace: bool, tmp: Path, child
         return Phase(seed, length, path, children, tracer)
 
     if not trace:
+        units = _catalogue("end_to_end")
         outcome = fn(phase("run", seconds))
         metrics = dict(outcome.metrics)
         metrics["setup_s"] = statistics.median(outcome.samples["setup_s"])
-        reported = {name: metrics[name] for name, _ in END_TO_END}
-        return outcome, reported, dict(END_TO_END)
+        return outcome, {name: metrics[name] for name in units}, units
 
+    units = _catalogue("per_layer")
     base = fn(phase("untraced", seconds / 2))
     tracer = spans.Tracer()
     spans.install(tracer)
@@ -149,7 +139,7 @@ def _run(workload: str, seed: int, seconds: float, trace: bool, tmp: Path, child
         problems=base.problems + outcome.problems,
         errors=base.errors + outcome.errors,
     )
-    return combined, metrics, {name: unit for name, unit, _ in layers.PER_LAYER}
+    return combined, {name: metrics[name] for name in units}, units
 
 
 def _measure(workload: str, seed: int, seconds: float, trace: bool) -> int:
@@ -198,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -206,11 +196,19 @@ def main(argv: list[str] | None = None) -> int:
         missing = ROOT / "src" / "repro"
         print(f"perfbench: nothing to measure: {missing} is missing", file=sys.stderr)
         return 2
+    if args.workload == "all":
+        # One process per workload, so no memo, cache, span wrapper or
+        # peak-RSS mark carries over from one workload to the next.
+        options = ["--seed", str(args.seed), "--seconds", str(args.seconds)]
+        options += ["--trace", str(args.trace)]
+        codes = [
+            subprocess.call([sys.executable, __file__, "--workload", name, *options])
+            for name in WORKLOADS
+        ]
+        return max(codes)
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
-    names = WORKLOADS if args.workload == "all" else (args.workload,)
-    trace = bool(args.trace)
-    return max([_measure(name, args.seed, args.seconds, trace) for name in names])
+    return _measure(args.workload, args.seed, args.seconds, bool(args.trace))
 
 
 if __name__ == "__main__":
