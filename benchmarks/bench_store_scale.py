@@ -4,11 +4,11 @@ Acceptance bench for the store-scale work: fill a SQLite store with
 ``N_RECORDS`` (100k in CI) DSE-shaped records through the batched
 ingest path, then compare the two ways a client can dump the store:
 
-* the legacy full load (``service.records()``): one response that
-  materializes every survivor in server memory before the first byte;
+* the full load (``service.records()``, what queries reduce over):
+  every survivor materialized in server memory at once;
 * the paginated walk (``service.record_page_stream`` behind
   ``GET /records?after=&limit=``): keyset pages of ``PAGE_LIMIT``
-  records, never holding more than one page.
+  records as stored NDJSON bytes, never holding more than one page.
 
 Two gates pin the tier:
 
@@ -116,14 +116,14 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
     assert full_count == N_RECORDS
 
     def paginated_walk():
+        # Pages arrive as NDJSON byte blocks (one line per record), then
+        # the {"count", "next"} terminal.
         count, after = 0, None
         while True:
-            terminal = None
-            for item in service.record_page_stream(after=after, limit=PAGE_LIMIT):
-                if "count" in item and "hash" not in item:
-                    terminal = item
-                else:
-                    count += 1
+            *blocks, terminal = service.record_page_stream(
+                after=after, limit=PAGE_LIMIT
+            )
+            count += sum(block.count(b"\n") for block in blocks)
             if terminal["next"] is None:
                 return count
             after = terminal["next"]
@@ -136,9 +136,10 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
 
     benchmark(first_page)
     start = time.perf_counter()
-    page = first_page()
+    *blocks, terminal = first_page()
     first_page_seconds = time.perf_counter() - start
-    assert len(page) == PAGE_LIMIT + 1  # records + terminal
+    assert terminal["count"] == PAGE_LIMIT
+    assert sum(block.count(b"\n") for block in blocks) == PAGE_LIMIT
 
     memory_factor = full_peak / max(1, page_peak)
     latency_factor = full_seconds / max(1e-9, first_page_seconds)

@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_RECORD_CACHE,
         metavar="N",
-        help="cache up to N resolved records (and their served pages) "
+        help="cache the query snapshot while it fits N records, "
         "between store changes; 0 disables the cache",
     )
     server.add_argument("--no-vectorize", action="store_true")

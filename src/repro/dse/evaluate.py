@@ -32,6 +32,7 @@ from ..obs.metrics import get_registry
 from ..sim import performance as _performance
 from ..sim.lowered import LoweredNetwork, evaluate_lowered_many, lower_network
 from ..sim.simulator import simulate_network
+from . import policies as _policies
 from . import spec as _spec
 from .spec import SweepPoint, cached_network
 
@@ -72,6 +73,7 @@ def clear_caches() -> None:
     lowered_for.cache_clear()
     _spec._cached_network.cache_clear()
     _spec._resolve_policy.cache_clear()
+    _policies._string_policy_name.cache_clear()
     _platforms._throughput_multiplier.cache_clear()
     _platforms._mac_energy_pj.cache_clear()
     _platforms._multiplier_table.cache_clear()

@@ -27,6 +27,7 @@ the lowered-IR vectorized fast path bit-identically to the scalar path.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -204,10 +205,7 @@ def policy_name(ref) -> str:
     if isinstance(ref, PolicySpec):
         return ref.name
     if isinstance(ref, str):
-        name = ref.lower()
-        if name.startswith(PERLAYER_PREFIX):
-            return PolicySpec.from_name(name).name
-        return name
+        return _string_policy_name(ref)
     if isinstance(ref, Mapping):
         return PolicySpec.from_dict(ref).name
     if isinstance(ref, Sequence):
@@ -216,6 +214,16 @@ def policy_name(ref) -> str:
         f"cannot interpret {ref!r} as a bitwidth policy; pass a name, "
         f"a PolicySpec, a policy dict, or a per-layer sequence"
     )
+
+
+@functools.lru_cache(maxsize=4096)
+def _string_policy_name(ref: str) -> str:
+    # Memoized: every sweep point canonicalizes its policy name, and a
+    # per-layer name re-parses through PolicySpec each time otherwise.
+    name = ref.lower()
+    if name.startswith(PERLAYER_PREFIX):
+        return PolicySpec.from_name(name).name
+    return name
 
 
 # ----------------------------------------------------------------------

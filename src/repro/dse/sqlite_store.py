@@ -292,17 +292,29 @@ class SQLiteStore(ResultStoreBase):
         limit: int | None = None,
         version: int | None = None,
     ) -> Iterator[dict]:
-        """Keyset page straight off the primary-key index.
+        """Keyset page straight off the primary-key index."""
+        for _, blob in self.iter_page_json(after, limit, version):
+            yield json.loads(blob)
+
+    def iter_page_json(
+        self,
+        after: str | None = None,
+        limit: int | None = None,
+        version: int | None = None,
+    ) -> Iterator[tuple[str, str]]:
+        """Keyset page of ``(hash, stored JSON text)``, never decoded.
 
         ``hash`` is the WITHOUT ROWID primary key, so ``WHERE hash > ?
         ORDER BY hash LIMIT ?`` walks the index from the cursor and
         stops after one page -- no sort, no full scan, memory O(1).
+        The ``record`` column already holds ``json.dumps(record,
+        sort_keys=True)`` (see :func:`_row`), so it is returned as is.
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
         if not self.exists():
             return
-        sql = "SELECT record FROM records"
+        sql = "SELECT hash, record FROM records"
         clauses: list[str] = []
         params: list = []
         if after is not None:
@@ -318,8 +330,7 @@ class SQLiteStore(ResultStoreBase):
             sql += " LIMIT ?"
             params.append(limit)
         with self._guard(), closing(self._connect()) as db:
-            for (blob,) in db.execute(sql, params):
-                yield json.loads(blob)
+            yield from db.execute(sql, params)
 
     def hashes(self, version: int | None = None) -> set[str]:
         if not self.exists():

@@ -205,6 +205,23 @@ class ResultStoreBase:
             if limit is not None and count >= limit:
                 return
 
+    def iter_page_json(
+        self,
+        after: str | None = None,
+        limit: int | None = None,
+        version: int | None = None,
+    ) -> Iterator[tuple[str, str]]:
+        """:meth:`iter_page` as ``(hash, JSON text)`` pairs.
+
+        The text is ``json.dumps(record, sort_keys=True)`` -- the form
+        every writer stores and the NDJSON wire line, so a server can
+        send it without re-encoding.  This default encodes each record
+        of :meth:`iter_page`; SQLite overrides it to hand back the
+        stored column text without decoding it at all.
+        """
+        for record in self.iter_page(after=after, limit=limit, version=version):
+            yield record["hash"], json.dumps(record, sort_keys=True)
+
     def change_token(self) -> tuple | None:
         """An opaque value that changes whenever the contents may have.
 

@@ -1,29 +1,25 @@
-"""A bounded LRU record cache for the sweep service.
+"""The sweep service's query snapshot: a bounded record cache.
 
-The service used to cache ``GET /records`` as one unbounded
-``(change_token, list)`` pair -- fine at 10^4 records, lethal at 10^7:
-every query re-materialized the full record list and the cache pinned
-it forever.  :class:`RecordCache` bounds that memory and serves the
-paginated read path too:
+Queries (``POST /query/...``) reduce over every current-version record,
+so the service caches that survivor list once and re-serves it until
+the store changes:
 
-* a **complete snapshot** (the full current-version survivor list) is
-  cached only while it fits ``capacity`` -- larger stores fall back to
-  streaming reads, which is exactly when clients should be paginating;
-* **pages** streamed by ``GET /records?after=&limit=`` are written
-  through into an LRU of individual records plus a small page index,
-  so many clients paging the same unchanged store hit memory instead
-  of re-scanning the store;
+* the **complete snapshot** (the full current-version survivor list,
+  hash-sorted) is cached only while it fits ``capacity`` records --
+  larger stores fall back to streaming reads per query;
 * any store change (tracked by the store's change token) or local
-  write invalidates everything at once.
+  write invalidates it at once.
+
+Pages (``GET /records?after=&limit=``) never come from here: they
+stream the store's stored JSON text straight off its keyset index, so
+a page costs no cache memory however many distinct cursors clients
+walk.
 
 Entries never outlive their token: the cache trusts the service to
 call :meth:`sync` with the current token before every read.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from collections import OrderedDict
 
 from ..obs.metrics import get_registry
 
@@ -32,22 +28,16 @@ __all__ = ["RecordCache", "DEFAULT_RECORD_CACHE"]
 #: Default capacity (records) for the service cache; ``0`` disables.
 DEFAULT_RECORD_CACHE = 100_000
 
-#: Page-index entries kept (keys only -- the records live in the LRU).
-_MAX_PAGES = 1024
-
 # The instance attributes (hits/misses/...) keep feeding ``/stats``;
 # these registry twins feed ``/metrics`` so a scraper sees cache
 # behavior without polling JSON.  Process-wide totals across every
 # RecordCache instance, which in a server is exactly one.
 _METRICS = get_registry()
 _HITS = _METRICS.counter(
-    "repro_record_cache_hits_total", "Record cache hits (snapshot or page)."
+    "repro_record_cache_hits_total", "Record cache snapshot hits."
 )
 _MISSES = _METRICS.counter(
     "repro_record_cache_misses_total", "Record cache misses."
-)
-_EVICTIONS = _METRICS.counter(
-    "repro_record_cache_evictions_total", "Records evicted by the LRU bound."
 )
 _INVALIDATIONS = _METRICS.counter(
     "repro_record_cache_invalidations_total",
@@ -56,39 +46,28 @@ _INVALIDATIONS = _METRICS.counter(
 
 
 class RecordCache:
-    """LRU of records keyed by hash, with snapshot + page serving."""
+    """The complete current-version snapshot, while it fits ``capacity``."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("record cache capacity must be >= 1")
         self.capacity = capacity
-        self._records: OrderedDict[str, dict] = OrderedDict()
-        # (after, limit) -> (keys, next_cursor); validated against the
-        # LRU at read time, so eviction needs no reverse index.
-        self._pages: OrderedDict[tuple, tuple[list[str], str | None]] = (
-            OrderedDict()
-        )
         self._complete: list[dict] | None = None
-        self._complete_keys: list[str] | None = None
         self._token: tuple | None = None
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.invalidations = 0
 
     # -- lifecycle ------------------------------------------------------
     def clear(self) -> None:
-        if self._records or self._pages or self._complete is not None:
+        if self._complete is not None:
             self.invalidations += 1
             _INVALIDATIONS.inc()
-        self._records.clear()
-        self._pages.clear()
         self._complete = None
-        self._complete_keys = None
         self._token = None
 
     def sync(self, token: tuple | None) -> None:
-        """Drop everything unless ``token`` matches the cached one.
+        """Drop the snapshot unless ``token`` matches the cached one.
 
         A ``None`` token (no store yet, or the token read failed) can
         never be validated, so it clears too -- stale records must not
@@ -98,7 +77,7 @@ class RecordCache:
             self.clear()
             self._token = token
 
-    # -- complete snapshots ---------------------------------------------
+    # -- the complete snapshot ------------------------------------------
     def snapshot(self) -> list[dict] | None:
         """The cached full survivor list (the same object every call)."""
         if self._complete is None:
@@ -114,81 +93,16 @@ class RecordCache:
         if len(records) > self.capacity:
             return False
         self._complete = records
-        self._complete_keys = None  # built lazily on first page hit
-        self._records.clear()
-        self._pages.clear()
-        for record in records:
-            self._records[record["hash"]] = record
         return True
-
-    # -- pages ----------------------------------------------------------
-    def page(
-        self, after: str | None, limit: int
-    ) -> tuple[list[dict], str | None] | None:
-        """A cached ``(page, next_cursor)``, or ``None`` on miss."""
-        if self._complete is not None:
-            if self._complete_keys is None:
-                # The snapshot is already hash-sorted by contract.
-                self._complete_keys = [r["hash"] for r in self._complete]
-            start = 0
-            if after is not None:
-                start = bisect_right(self._complete_keys, after)
-            page = self._complete[start : start + limit]
-            self.hits += 1
-            _HITS.inc()
-            return page, (page[-1]["hash"] if len(page) == limit else None)
-        entry = self._pages.get((after, limit))
-        if entry is not None:
-            keys, next_cursor = entry
-            page = []
-            for key in keys:
-                record = self._records.get(key)
-                if record is None:  # a member was evicted: stale page
-                    break
-                page.append(record)
-            if len(page) == len(keys):
-                for key in keys:
-                    self._records.move_to_end(key)
-                self._pages.move_to_end((after, limit))
-                self.hits += 1
-                _HITS.inc()
-                return page, next_cursor
-            del self._pages[(after, limit)]
-        self.misses += 1
-        _MISSES.inc()
-        return None
-
-    def store_page(
-        self, after: str | None, limit: int, page: list[dict],
-        next_cursor: str | None,
-    ) -> None:
-        """Write a streamed page through into the LRU + page index."""
-        if self._complete is not None or len(page) > self.capacity:
-            return
-        for record in page:
-            self._records[record["hash"]] = record
-            self._records.move_to_end(record["hash"])
-        while len(self._records) > self.capacity:
-            self._records.popitem(last=False)
-            self.evictions += 1
-            _EVICTIONS.inc()
-        self._pages[(after, limit)] = (
-            [record["hash"] for record in page],
-            next_cursor,
-        )
-        self._pages.move_to_end((after, limit))
-        while len(self._pages) > _MAX_PAGES:
-            self._pages.popitem(last=False)
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:
+        complete = self._complete
         return {
             "capacity": self.capacity,
-            "records": len(self._records),
-            "pages": len(self._pages),
-            "complete": self._complete is not None,
+            "records": 0 if complete is None else len(complete),
+            "complete": complete is not None,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "invalidations": self.invalidations,
         }

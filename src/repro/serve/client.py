@@ -168,20 +168,33 @@ class ServeClient:
         """
         if idempotent is None:
             idempotent = payload is None
-        attempt = 0
+        failures = 0
         while True:
             try:
                 return self._open_once(path, payload)
             except ServeError as error:
-                throttled = error.code == 429
-                retryable = throttled or (idempotent and error.transient)
-                if not retryable or attempt >= self.retries:
-                    raise
-                delay = self.backoff * (2**attempt)
-                if throttled and error.retry_after:
-                    delay = max(delay, error.retry_after)
-                time.sleep(delay)
-                attempt += 1
+                failures = self._retry(error, failures, idempotent)
+
+    def _retry(
+        self, error: ServeError, failures: int, idempotent: bool = True
+    ) -> int:
+        """The client's one retry policy: back off, or re-raise ``error``.
+
+        ``failures`` counts the retries already spent in a row; the
+        budget is ``retries``.  Transient failures retry only when
+        ``idempotent``; a 429 retries on any request, waiting at least
+        its ``Retry-After``.  Returns the new failure count -- callers
+        that make progress (a stream yielding records) reset theirs.
+        """
+        throttled = error.code == 429
+        retryable = throttled or (idempotent and error.transient)
+        if not retryable or failures >= self.retries:
+            raise error
+        delay = self.backoff * (2**failures)
+        if throttled and error.retry_after:
+            delay = max(delay, error.retry_after)
+        time.sleep(delay)
+        return failures + 1
 
     def _json(
         self, path: str, payload=None, idempotent: bool | None = None
@@ -253,62 +266,45 @@ class ServeClient:
                     f"/metrics: invalid or truncated response: {error}"
                 ) from None
 
-    def records(
-        self, page_size: int | None = DEFAULT_PAGE_RECORDS
-    ) -> list[dict]:
+    def records(self, page_size: int = DEFAULT_PAGE_RECORDS) -> list[dict]:
         """Every current-version record the server holds, in hash order.
 
         Pages through ``GET /records?after=&limit=`` transparently --
         each request (and the server's memory) is bounded by
         ``page_size``, and a transient mid-page failure re-fetches only
-        that page (keyset cursors make the re-read idempotent).  A
-        server that predates pagination answers the first page with a
-        legacy full dump; that is detected and returned as-is.
-        ``page_size=None`` forces the legacy single-request dump.
+        that page (keyset cursors make the re-read idempotent).
 
         Streams are close-delimited, so every page requires its
         terminal ``count`` line: a connection dropped mid-stream
         retries, then raises -- never a silently truncated list.
         """
-        if page_size is not None and page_size < 1:
+        if page_size < 1:
             raise ValueError("page_size must be >= 1")
-        if page_size is None:
-            page, _, _ = self._records_page(None, None)
-            return page
         records: list[dict] = []
         after: str | None = None
         while True:
-            page, next_cursor, paginated = self._records_page(
-                after, page_size
-            )
+            page, after = self._records_page(after, page_size)
             records.extend(page)
-            if not paginated or next_cursor is None:
+            if after is None:
                 return records
-            after = next_cursor
 
     def _records_page(
-        self, after: str | None, limit: int | None
-    ) -> tuple[list[dict], str | None, bool]:
-        """One ``/records`` request; ``(records, next, paginated)``.
+        self, after: str | None, limit: int
+    ) -> tuple[list[dict], str | None]:
+        """One ``/records`` page request; ``(records, next cursor)``.
 
-        ``paginated`` is False when the server answered with the
-        legacy full dump (no ``next`` in the terminal) -- either no
-        parameters were sent, or the server predates pagination.
         Transient failures (dropped connection, missing terminal)
-        retry the same page up to ``retries`` times.
+        retry the same page under :meth:`_retry`.
         """
-        path = "/records"
-        if limit is not None:
-            path += f"?limit={limit}"
-            if after is not None:
-                path += f"&after={quote(after, safe='')}"
+        path = f"/records?limit={limit}"
+        if after is not None:
+            path += f"&after={quote(after, safe='')}"
         failures = 0
         while True:
             try:
                 page: list[dict] = []
                 count: int | None = None
                 next_cursor: str | None = None
-                paginated = False
                 for item in self._ndjson(path):
                     if "hash" in item:
                         page.append(item)
@@ -317,19 +313,15 @@ class ServeClient:
                     elif "count" in item:
                         count = item["count"]
                         next_cursor = item.get("next")
-                        paginated = "next" in item
                 if count is None or count != len(page):
                     raise ServeError(
                         f"/records stream truncated: got {len(page)} "
                         f"records, terminal count {count}",
                         transient=True,
                     )
-                return page, next_cursor, paginated
+                return page, next_cursor
             except ServeError as error:
-                if not error.transient or failures >= self.retries:
-                    raise
-                failures += 1
-                time.sleep(self.backoff * (2 ** (failures - 1)))
+                failures = self._retry(error, failures)
 
     # -- the job API ---------------------------------------------------
     def submit_job(
@@ -408,10 +400,7 @@ class ServeClient:
                     elif "error" in item:
                         raise ServeError(f"job {job_id}: {item['error']}")
             except ServeError as error:
-                if not error.transient or failures >= self.retries:
-                    raise
-                failures += 1
-                time.sleep(self.backoff * (2 ** (failures - 1)))
+                failures = self._retry(error, failures)
                 continue
             if self.last_summary is None:
                 # Streams are close-delimited; no terminal line means

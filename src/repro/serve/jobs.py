@@ -43,6 +43,7 @@ import queue
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from ..dse.spec import SweepSpec
@@ -263,16 +264,18 @@ class Job:
 
     def stream(
         self, after: int = 0, keepalive: float = STREAM_KEEPALIVE_SECONDS
-    ) -> Iterator[dict | None]:
+    ) -> Iterator[list[dict] | None]:
         """Yield completed records from index ``after`` until terminal.
 
-        Blocks between records; yields ``None`` after ``keepalive``
-        seconds of silence so a transport can touch its socket (and
-        notice a vanished client) while the job is still working.  The
-        terminal state is *not* yielded -- the caller reads
-        ``job.state`` after the iterator ends, at which point every
-        record is guaranteed delivered (records never land after a
-        terminal state).
+        Each wake-up yields every record that landed since the last one
+        as one non-empty list (completion order), so a transport can
+        write them in one go.  Blocks between batches; yields ``None``
+        after ``keepalive`` seconds of silence so a transport can touch
+        its socket (and notice a vanished client) while the job is
+        still working.  The terminal state is *not* yielded -- the
+        caller reads ``job.state`` after the iterator ends, at which
+        point every record is guaranteed delivered (records never land
+        after a terminal state).
         """
         cursor = max(0, after)
         while True:
@@ -286,7 +289,8 @@ class Job:
             if not batch and not finished:
                 yield None  # keepalive tick
                 continue
-            yield from batch
+            if batch:
+                yield batch
             cursor += len(batch)
             if finished:
                 return
@@ -360,31 +364,44 @@ class IngestJob(Job):
 
 
 class StagedWrites(ResultStoreBase):
-    """A store view that reads shared state but stages its appends.
+    """A sweep job's view of the shared store: shared reads, counted writes.
 
-    Handed to :func:`~repro.dse.engine.iter_sweep` in place of a
-    JSONL-backed shared store: warm lookups (``records_for``) resolve
-    against the shared store so cache hits still hit, while the
-    streaming appender lands every completed record in a private
-    per-job staging store.  The job runner merges the staging file into
-    the shared store -- under the service's store lock, through the
-    normal version-aware resolution -- exactly once, after the job
-    stops running, so concurrent jobs can never interleave (or tear)
-    lines in the shared file.
+    Handed to :func:`~repro.dse.engine.iter_sweep` in place of the
+    shared store: warm lookups (``records_for``) resolve against the
+    shared store so cache hits still hit, while the streaming appender
+    lands every completed record in ``staging`` when there is one -- a
+    private per-job JSONL store the job runner merges into a JSONL
+    shared store under the service's store lock, exactly once after the
+    job stops, so concurrent jobs never interleave (or tear) lines in
+    the shared file -- or straight in the shared store otherwise
+    (SQLite's conditional upsert makes concurrent appenders safe).
+    :attr:`persisted` counts the records written either way, so the
+    runner drops read caches only after a job that wrote.
     """
 
     backend = "staged"
 
-    def __init__(self, shared: ResultStoreBase, staging: ResultStoreBase):
+    def __init__(
+        self, shared: ResultStoreBase, staging: ResultStoreBase | None = None
+    ):
         super().__init__(shared.path)
         self.shared = shared
         self.staging = staging
+        self.persisted = 0
 
     def records_for(self, hashes, version=None):
         return self.shared.records_for(hashes, version=version)
 
-    def appender(self):
-        return self.staging.appender()
+    @contextmanager
+    def appender(self) -> Iterator[Callable[[dict], None]]:
+        target = self.shared if self.staging is None else self.staging
+        with target.appender() as write:
+
+            def persist(record: dict) -> None:
+                write(record)
+                self.persisted += 1
+
+            yield persist
 
 
 class JobManager:

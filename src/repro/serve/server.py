@@ -29,13 +29,15 @@ Endpoints
     Store metadata (backend, records, bytes) + memo size + job counts
     + aggregated job phase timings.
 ``GET /records``
-    With ``?after=HASH&limit=N``: one keyset page of current-version
+    ``?after=HASH&limit=N``: one keyset page of current-version
     records in hash order, ending with ``{"count": n, "next": cursor}``
-    -- the server holds one page, never the store, so million-record
-    dumps stream in bounded memory (``ServeClient.records()`` follows
-    pages transparently).  Without parameters: the legacy full dump,
-    every current-version record, streamed as NDJSON, ending with a
-    ``{"count": n}`` terminal line (truncation detection).
+    (both parameters optional: no ``after`` starts at the smallest
+    hash, no ``limit`` means :data:`DEFAULT_PAGE_LIMIT`).  The server
+    holds one page, never the store, so million-record dumps stream in
+    bounded memory (``ServeClient.records()`` follows pages
+    transparently).  Each line is the store's own JSON text for the
+    record, written in blocks of :data:`BLOCK_RECORDS` lines without
+    being decoded or re-encoded.
 ``POST /sweep``
     Body ``{"spec": {...}, "workers"?: n, "vectorize"?: bool,
     "priority"?: n, "fleet"?: true | {"chunks": n}}`` where ``spec``
@@ -95,6 +97,7 @@ table on long-lived servers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -172,6 +175,12 @@ DEFAULT_JOB_RETENTION = 1000
 #: never strains server or client memory.
 DEFAULT_PAGE_LIMIT = 5_000
 
+#: Records per NDJSON write on ``/records`` pages and job record
+#: streams (~100 KB of DSE records): one socket write and flush per
+#: block instead of per record, while a block stays small next to a
+#: page.
+BLOCK_RECORDS = 128
+
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]+)(/records|/cancel)?$")
 _WORKER_PATH = re.compile(r"^/workers/([0-9a-f]+)/(heartbeat|lease|ack)$")
 
@@ -220,6 +229,18 @@ def _endpoint_label(path: str) -> str:
     if path.startswith("/query/"):
         return "/query/{name}"
     return "other"
+
+
+def _chunks(items, size: int) -> Iterator[list]:
+    """Consecutive lists of up to ``size`` items."""
+    iterator = iter(items)
+    while chunk := list(itertools.islice(iterator, size)):
+        yield chunk
+
+
+def _ndjson_block(texts) -> bytes:
+    """JSON texts as one NDJSON byte block, one line per text."""
+    return ("\n".join(texts) + "\n").encode()
 
 
 class DrainingError(RuntimeError):
@@ -280,7 +301,7 @@ class SweepService:
         # Sweep jobs never take it: SQLite jobs go through the upsert,
         # JSONL jobs write to private staging stores.
         self._store_lock = threading.Lock()
-        # Bounded LRU for records/pages (``record_cache`` entries; 0 or
+        # The query snapshot, bounded to ``record_cache`` records (0 or
         # None disables), synced against the store's change token.
         self.record_cache = (
             RecordCache(record_cache) if record_cache else None
@@ -367,7 +388,7 @@ class SweepService:
         if self.record_cache is not None:
             registry.gauge(
                 "repro_record_cache_records",
-                "Records held by the bounded record/page cache.",
+                "Records held by the record cache's query snapshot.",
             ).set(self.record_cache.stats().get("records", 0))
         registry.gauge(
             "repro_draining", "1 while the server is draining, else 0."
@@ -614,8 +635,8 @@ class SweepService:
         back-to-back queries over an unchanged store that fits the
         cache parse it once; any write -- a job, an ingest, an
         external process -- moves the token and invalidates.  Stores
-        past the cache capacity are re-read per call: at that size
-        clients should page (``GET /records?after=&limit=``).
+        past the cache capacity are re-read per call.  Pages
+        (:meth:`record_page_stream`) never come through here.
         """
         if self.store is None:
             # Snapshot first: concurrent job threads append to the
@@ -643,64 +664,46 @@ class SweepService:
 
     def record_page_stream(
         self, after: str | None = None, limit: int | None = None
-    ) -> Iterator[dict]:
-        """One keyset page of current-version records, then a terminal
-        ``{"count": n, "next": cursor}`` object.
+    ) -> Iterator[bytes | dict]:
+        """One keyset page of current-version records as NDJSON blocks.
 
-        ``next`` is the cursor for the following page, or ``None``
-        when this page already reached the end of the store.  Pages
-        stream straight off the backend's ``iter_page`` -- the server
-        never materializes more than one page -- and are written
-        through the record cache, so concurrent clients paging the
-        same unchanged store are served from memory.
+        Yields the page's lines in hash order as ``bytes`` blocks of at
+        most :data:`BLOCK_RECORDS` records, then a terminal ``{"count":
+        n, "next": cursor}`` object; ``next`` is the cursor for the
+        following page, or ``None`` when this page already reached the
+        end of the store.  Store pages come off the backend's keyset
+        index as JSON text (``iter_page_json``; SQLite hands back its
+        stored column, never decoded), which is byte-for-byte the wire
+        line.  Pages are never cached, and the server never holds more
+        than one.
         """
         limit = DEFAULT_PAGE_LIMIT if limit is None else limit
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if self.store is None:
-            memo = [
-                record
-                for record in list(_MEMO.values())
-                if record.get("version") == EVAL_VERSION
-                and record.get("hash")
-            ]
-            memo.sort(key=lambda record: record["hash"])
-            page = [
-                record
-                for record in memo
-                if after is None or record["hash"] > after
-            ][:limit]
-            yield from page
-            yield self._page_terminal(page, limit)
-            return
-        cache = self.record_cache
-        key = self._store_token() if cache is not None else None
-        if cache is not None:
-            cache.sync(key)
-            if key is not None:
-                hit = cache.page(after, limit)
-                if hit is not None:
-                    page, next_cursor = hit
-                    yield from page
-                    yield {"count": len(page), "next": next_cursor}
-                    return
-        page = []
-        for record in self.store.iter_page(
-            after=after, limit=limit, version=EVAL_VERSION
-        ):
-            page.append(record)
-            yield record
-        terminal = self._page_terminal(page, limit)
-        if cache is not None and key is not None:
-            cache.store_page(after, limit, page, terminal["next"])
-        yield terminal
-
-    @staticmethod
-    def _page_terminal(page: list[dict], limit: int) -> dict:
+            memo = sorted(
+                (
+                    record
+                    for record in list(_MEMO.values())
+                    if record.get("version") == EVAL_VERSION
+                    and record.get("hash")
+                    and (after is None or record["hash"] > after)
+                ),
+                key=lambda record: record["hash"],
+            )[:limit]
+            lines = ((r["hash"], json.dumps(r, sort_keys=True)) for r in memo)
+        else:
+            lines = self.store.iter_page_json(
+                after=after, limit=limit, version=EVAL_VERSION
+            )
+        count, last = 0, None
+        for block in _chunks(lines, BLOCK_RECORDS):
+            count += len(block)
+            last = block[-1][0]
+            yield _ndjson_block(text for _, text in block)
         # A short page proves the dump is complete; a full one needs
         # one more (possibly empty) request to prove it.
-        next_cursor = page[-1]["hash"] if len(page) == limit else None
-        return {"count": len(page), "next": next_cursor}
+        yield {"count": count, "next": last if count == limit else None}
 
     def query(self, name: str, params: Mapping | None = None) -> list[dict]:
         return run_query(self.records(), name, params)
@@ -902,13 +905,17 @@ class SweepService:
         conditional upsert makes concurrent appenders safe); JSONL jobs
         stage privately and merge under the store lock when they stop,
         whatever the reason -- completed records are always kept, the
-        way an interrupted local run keeps its partials.
+        way an interrupted local run keeps its partials.  Read caches
+        are dropped only when the job wrote: a fully warm re-submit
+        leaves the query snapshot and ``/stats`` cache intact.
         """
         staging: ResultStore | None = None
-        store: ResultStoreBase | None = self.store
-        if store is not None and store.backend == "jsonl":
-            staging = self._staging_store(job)
-            store = StagedWrites(store, staging)
+        store: StagedWrites | None = None
+        if self.store is not None:
+            if self.store.backend == "jsonl":
+                staging = self._staging_store(job)
+            store = StagedWrites(self.store, staging)
+        merged = 0
         error: str | None = None
         try:
             for sweep_record in iter_sweep(
@@ -930,7 +937,8 @@ class SweepService:
                 staging.path.unlink(missing_ok=True)
                 if self.journal is not None and merged:
                     self.journal.record_merged(job.id, merged)
-            self._invalidate_caches()
+            if merged or (store is not None and store.persisted):
+                self._invalidate_caches()
         if error is not None:
             job.finish(FAILED, error=error)
         elif job.cancel_requested():
@@ -955,17 +963,26 @@ class SweepService:
 
     def job_record_stream(
         self, job: Job, after: int = 0
-    ) -> Iterator[dict | None]:
+    ) -> Iterator[bytes | dict | None]:
         """The ``GET /jobs/{id}/records`` NDJSON stream.
 
         Records from index ``after`` in completion order (live while
         the job runs; ``None`` keepalive ticks let the transport probe
         the socket), then exactly one terminal line so a client can
-        tell completion from a torn connection.
+        tell completion from a torn connection.  Each batch of records
+        the job has gathered goes out encoded as NDJSON ``bytes``
+        blocks of at most :data:`BLOCK_RECORDS` records.
         """
         if after < 0:
             raise ValueError("after must be >= 0")
-        yield from job.stream(after=after)
+        for batch in job.stream(after=after):
+            if batch is None:
+                yield None
+                continue
+            for block in _chunks(batch, BLOCK_RECORDS):
+                yield _ndjson_block(
+                    json.dumps(record, sort_keys=True) for record in block
+                )
         if job.state == DONE:
             yield {"summary": self.job_summary(job)}
         elif job.state == FAILED:
@@ -1125,15 +1142,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_ndjson(self, items) -> None:
-        """Stream dicts as NDJSON, one flushed line per item.
+        """Stream NDJSON, one write and flush per item.
 
-        Streams are close-delimited (HTTP/1.0), so every streamed
-        endpoint ends with a terminal object (``summary``/``error``/
-        ``cancelled`` for job streams, ``count`` for /records) that
-        clients require -- a truncated connection is then
-        distinguishable from a complete response.  A ``None`` item is
-        a keepalive: a blank line (NDJSON readers skip it) whose write
-        detects a vanished client while the stream is otherwise idle.
+        A ``bytes`` item is a pre-encoded block of NDJSON lines, sent
+        as is; a dict is encoded as one line.  Streams are
+        close-delimited (HTTP/1.0), so every streamed endpoint ends
+        with a terminal object (``summary``/``error``/``cancelled`` for
+        job streams, ``count`` for /records) that clients require -- a
+        truncated connection is then distinguishable from a complete
+        response.  A ``None`` item is a keepalive: a blank line (NDJSON
+        readers skip it) whose write detects a vanished client while
+        the stream is otherwise idle.
         """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
@@ -1142,6 +1161,8 @@ class _Handler(BaseHTTPRequestHandler):
             for item in items:
                 if item is None:
                     self.wfile.write(b"\n")
+                elif isinstance(item, bytes):
+                    self.wfile.write(item)
                 else:
                     self.wfile.write(
                         (json.dumps(item, sort_keys=True) + "\n").encode()
@@ -1218,22 +1239,14 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(self.service.stats())
             elif path == "/records":
                 after, limit = self._page_params(parts.query)
-                if after is None and limit is None:
-                    # Legacy full dump: every record, ``count`` terminal.
-                    records = self.service.records()
-                    terminal: list[dict] = [{"count": len(records)}]
-                    self._send_ndjson(iter(records + terminal))
-                else:
-                    # Materialize the one bounded page before sending
-                    # headers: store failures become clean 400/503
-                    # statuses, and the server never holds more than
-                    # ``limit`` records.
-                    page = list(
-                        self.service.record_page_stream(
-                            after=after, limit=limit
-                        )
-                    )
-                    self._send_ndjson(iter(page))
+                # Materialize the one bounded page before sending
+                # headers: store failures become clean 400/503
+                # statuses, and the server never holds more than
+                # ``limit`` records.
+                page = list(
+                    self.service.record_page_stream(after=after, limit=limit)
+                )
+                self._send_ndjson(iter(page))
             elif path == "/jobs":
                 self._send_json(
                     {"jobs": [job.status() for job in self.service.jobs.jobs()]}
@@ -1499,7 +1512,7 @@ def serve(
     detection; ``max_queue_depth`` bounds accepted-but-unstarted jobs
     (beyond it submissions 429 with ``Retry-After``); ``job_retention``
     / ``job_ttl`` evict old terminal jobs from memory and journal;
-    ``record_cache`` bounds the in-memory record/page cache in records
+    ``record_cache`` bounds the in-memory query snapshot in records
     (``repro serve --record-cache``, 0 disables).
     ``ready``, when given, receives the :class:`SweepServer` right
     before the loop starts -- the hook tests and embedders use to reach

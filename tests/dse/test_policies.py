@@ -121,6 +121,21 @@ class TestPolicyName:
         with pytest.raises(TypeError):
             policy_name(42)
 
+    def test_string_names_are_memoized_until_clear_caches(self):
+        from repro.dse import clear_caches
+        from repro.dse.policies import _string_policy_name
+
+        clear_caches()
+        assert policy_name("perlayer-08x8-4x04") == "perlayer-8x8-4x4"
+        assert policy_name("perlayer-08x8-4x04") == "perlayer-8x8-4x4"
+        assert _string_policy_name.cache_info().hits == 1
+        # Invalid names still raise every time (errors are not cached).
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                policy_name("perlayer-8x9")
+        clear_caches()
+        assert _string_policy_name.cache_info().currsize == 0
+
 
 class TestResolvePolicy:
     def test_perlayer_names_resolve_anywhere(self):

@@ -134,6 +134,20 @@ class TestPageContract:
         assert [r["hash"] for r in _page(store, version=2)] == ["a", "b", "c"]
         assert _page(store, version=1) == []  # the stale b line is dead
 
+    def test_page_json_is_the_encoded_page(self, make_store):
+        # The serving path's raw read: each record's wire text, exactly
+        # what json.dumps(sort_keys=True) makes of the decoded page.
+        store = make_store()
+        _fill(store, 12)
+        odd = {"hash": "k9999", "version": 1, "label": "naïve – 電卓", "n": 2**70}
+        store.append([_record("k0005", -0.0), _record("k0006", 1e-300), odd])
+        pairs = list(store.iter_page_json(after="k0002", limit=20, version=1))
+        page = _page(store, after="k0002", limit=20, version=1)
+        assert pairs == [(r["hash"], json.dumps(r, sort_keys=True)) for r in page]
+        assert pairs[-1][1] == json.dumps(odd, sort_keys=True)
+        with pytest.raises(ValueError, match="limit"):
+            list(store.iter_page_json(limit=0))
+
     def test_pages_are_bit_identical_across_backends(self, backend, tmp_path):
         # The serialized page stream must not depend on the backend.
         stores = {

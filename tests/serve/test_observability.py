@@ -82,8 +82,8 @@ class TestMetricsEndpoint:
     def test_scrape_covers_every_instrumented_layer(self, client):
         job = client.submit_job(GRID)["job"]
         _wait_job(client, job)
-        client.records()  # record cache: first read misses and fills,
-        client.records()  # the second hits the cached snapshot
+        client.pareto()  # record cache: the first query misses and fills,
+        client.pareto()  # the second hits the cached snapshot
         text = client.metrics()
         assert text.startswith("# HELP")
         samples = parse_prometheus_text(text)

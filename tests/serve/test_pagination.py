@@ -1,19 +1,23 @@
-"""Server-side pagination of ``GET /records`` + the bounded record cache.
+"""Server-side pagination of ``GET /records`` + the query snapshot cache.
 
 Store-level keyset-pagination semantics (cursor exactness, concurrent
 upserts, version filtering) live in ``tests/dse/test_store_pagination``;
 this file covers the HTTP protocol on top -- the page terminal, client
-page-following, legacy fallbacks -- and the :class:`RecordCache` that
-serves repeated reads from memory.
+page-following, the stored-bytes pass-through of pages and job streams
+-- and the :class:`RecordCache` snapshot that serves repeated queries
+from memory.
 """
 
+import json
 import threading
+import urllib.request
 
 import pytest
 
 from repro.dse import EVAL_VERSION, clear_memo
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService
 from repro.serve.cache import RecordCache
+from repro.serve.server import BLOCK_RECORDS
 
 GRID = {
     "grid": {
@@ -21,6 +25,15 @@ GRID = {
         "platforms": ["bpvec"],
         "memories": ["ddr4"],
     }
+}
+
+#: A record whose wire form exercises the encoder's edge cases.
+ODD_RECORD = {
+    "hash": "f" * 64,
+    "version": EVAL_VERSION,
+    "label": "naïve – 電卓   \"quoted\"",
+    "metrics": {"neg_zero": -0.0, "tiny": 1e-300, "huge": 1.5e300},
+    "count": 2**70,
 }
 
 
@@ -31,6 +44,26 @@ def _records(n, version=EVAL_VERSION):
     ]
 
 
+def _line(item) -> bytes:
+    return (json.dumps(item, sort_keys=True) + "\n").encode()
+
+
+def _decode(stream):
+    """A ``record_page_stream``'s records and terminal, decoded."""
+    items = list(stream)
+    terminal = items.pop()
+    assert all(isinstance(block, bytes) for block in items)
+    records = [
+        json.loads(line) for block in items for line in block.splitlines()
+    ]
+    return records, terminal
+
+
+def _get_raw(url: str) -> bytes:
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.read()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_memo():
     clear_memo()
@@ -38,22 +71,43 @@ def _fresh_memo():
     clear_memo()
 
 
-@pytest.fixture
-def live_server(tmp_path):
-    server = SweepServer(SweepService(store=tmp_path / "served.sqlite"))
+def _start(service):
+    server = SweepServer(service)
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
     )
     thread.start()
-    yield server
+    return server, thread
+
+
+def _stop(server, thread):
     server.shutdown()
     server.server_close()
+    server.service.close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def live_server(tmp_path):
+    server, thread = _start(SweepService(store=tmp_path / "served.sqlite"))
+    yield server
+    _stop(server, thread)
 
 
 @pytest.fixture
 def client(live_server):
     return ServeClient(live_server.url)
+
+
+@pytest.fixture(params=[".sqlite", ".jsonl"])
+def any_server(request, tmp_path):
+    """A live server over each store backend that stores JSON text."""
+    server, thread = _start(
+        SweepService(store=tmp_path / f"served{request.param}")
+    )
+    yield server
+    _stop(server, thread)
 
 
 class TestPageProtocol:
@@ -80,14 +134,14 @@ class TestPageProtocol:
         first = _records(2)[0]["hash"]
         raw = list(client._ndjson(f"/records?after={first}&limit=5"))
         assert [r["hash"] for r in raw[:-1]] == [_records(2)[1]["hash"]]
-        # after= alone still selects the paginated protocol.
         raw = list(client._ndjson(f"/records?after={first}"))
         assert "next" in raw[-1]
 
-    def test_legacy_dump_is_unchanged(self, client):
+    def test_bare_records_serves_the_first_default_page(self, client):
         client.post_records(_records(2))
         raw = list(client._ndjson("/records"))
-        assert raw[-1] == {"count": 2}  # no "next": pre-pagination shape
+        assert raw[-1] == {"count": 2, "next": None}
+        assert raw[:-1] == _records(2)
 
     def test_bad_limit_is_a_400(self, client):
         for query in ("limit=0", "limit=-3", "limit=nope"):
@@ -101,12 +155,67 @@ class TestPageProtocol:
         assert len(hashes) == 30
 
 
+class TestStoredBytesPassThrough:
+    """Pages and job streams are the stored JSON text, byte for byte."""
+
+    def test_page_bytes_are_the_stored_lines(self, any_server):
+        client = ServeClient(any_server.url)
+        records = _records(BLOCK_RECORDS + 40) + [ODD_RECORD]
+        client.post_records(records)
+        # A page spanning a block boundary, then the short last page.
+        limit = BLOCK_RECORDS + 10
+        raw = _get_raw(f"{any_server.url}/records?limit={limit}")
+        page = records[:limit]
+        assert raw == b"".join(map(_line, page)) + _line(
+            {"count": limit, "next": page[-1]["hash"]}
+        )
+        after = page[-1]["hash"]
+        raw = _get_raw(f"{any_server.url}/records?limit={limit}&after={after}")
+        rest = records[limit:]
+        assert raw == b"".join(map(_line, rest)) + _line(
+            {"count": len(rest), "next": None}
+        )
+        assert client.records() == [json.loads(_line(r)) for r in records]
+
+    def test_job_stream_bytes_are_the_record_lines(self, any_server):
+        client = ServeClient(any_server.url)
+        job_id = client.submit_job(GRID)["job"]
+        records = list(client.stream_job(job_id))
+        summary = client.last_summary
+        raw = _get_raw(f"{any_server.url}/jobs/{job_id}/records")
+        job = any_server.service.job(job_id)
+        assert raw == b"".join(map(_line, job.records)) + _line(
+            {"summary": summary}
+        )
+        assert records == job.records
+        raw = _get_raw(f"{any_server.url}/jobs/{job_id}/records?after=1")
+        assert raw == _line(job.records[1]) + _line({"summary": summary})
+
+    def test_job_stream_splits_big_batches_into_blocks(self, tmp_path):
+        from repro.serve import Job
+
+        service = SweepService(store=tmp_path / "s.sqlite")
+        job = Job(spec=None)
+        for record in _records(2 * BLOCK_RECORDS + 1):
+            job.append(record, "store")
+        job.finish("done")
+        items = list(service.job_record_stream(job))
+        blocks, terminal = items[:-1], items[-1]
+        assert [block.count(b"\n") for block in blocks] == [
+            BLOCK_RECORDS,
+            BLOCK_RECORDS,
+            1,
+        ]
+        assert b"".join(blocks) == b"".join(map(_line, job.records))
+        assert "summary" in terminal
+
+
 class TestClientPaging:
-    def test_paged_walk_matches_legacy_dump(self, client):
+    def test_paged_walk_matches_the_store(self, client, live_server):
         client.post_records(_records(25))
         paged = client.records(page_size=7)
-        legacy = client.records(page_size=None)
-        assert paged == legacy
+        stored = live_server.service.store.load()
+        assert paged == [stored[key] for key in sorted(stored)]
         assert len(paged) == 25
 
     def test_page_size_bounds_each_request(self, client, monkeypatch):
@@ -126,20 +235,6 @@ class TestClientPaging:
             f"/records?limit=4&after={_records(10)[3]['hash']}",
             f"/records?limit=4&after={_records(10)[7]['hash']}",
         ]
-
-    def test_legacy_server_fallback(self, client, monkeypatch):
-        # A pre-pagination server ignores the params and answers with a
-        # full dump whose terminal lacks "next"; the client must return
-        # it as-is instead of looping on a cursor that never comes.
-        dump = _records(5)
-        monkeypatch.setattr(
-            ServeClient,
-            "_ndjson",
-            lambda self, path, payload=None: iter(
-                dump + [{"count": len(dump)}]
-            ),
-        )
-        assert client.records(page_size=2) == dump
 
     def test_batched_ingest_chunks_uploads(self, client, live_server):
         reply = client.post_records(_records(10), batch_size=4)
@@ -167,8 +262,9 @@ class TestStorelessPagination:
         assert len(full) == 2
         walk, after = [], None
         while True:
-            page = list(service.record_page_stream(after=after, limit=1))
-            terminal = page.pop()
+            page, terminal = _decode(
+                service.record_page_stream(after=after, limit=1)
+            )
             walk.extend(page)
             if terminal["next"] is None:
                 break
@@ -206,40 +302,13 @@ class TestRecordCacheUnit:
         cache.fill(records)
         assert cache.snapshot() is records
 
-    def test_complete_snapshot_serves_any_page(self):
-        cache = RecordCache(10)
-        records = _records(5)
-        cache.fill(records)
-        page, cursor = cache.page(None, 2)
-        assert page == records[:2] and cursor == records[1]["hash"]
-        page, cursor = cache.page(records[2]["hash"], 2)
-        assert page == records[3:5] and cursor == records[4]["hash"]
-        page, cursor = cache.page(records[4]["hash"], 2)
-        assert page == [] and cursor is None
-
-    def test_store_page_round_trip(self):
-        cache = RecordCache(10)
-        records = _records(3)
-        assert cache.page(None, 3) is None  # miss
-        cache.store_page(None, 3, records, None)
-        assert cache.page(None, 3) == (records, None)
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_eviction_invalidates_pages_that_lost_members(self):
-        cache = RecordCache(3)
-        first, second = _records(6)[:3], _records(6)[3:]
-        cache.store_page(None, 3, first, first[-1]["hash"])
-        cache.store_page(first[-1]["hash"], 3, second, None)
-        assert cache.stats()["evictions"] == 3  # first page pushed out
-        assert cache.page(None, 3) is None  # stale page dropped
-        assert cache.page(first[-1]["hash"], 3) == (second, None)
-
-    def test_oversized_page_is_not_cached(self):
-        cache = RecordCache(2)
-        cache.store_page(None, 5, _records(5), None)
-        assert cache.stats()["records"] == 0
-        assert cache.page(None, 5) is None
+    def test_oversized_page_is_not_cached(self, tmp_path):
+        # No page is cached, whatever its size: pages read the store.
+        service = SweepService(store=tmp_path / "s.sqlite", record_cache=2)
+        service.ingest(_records(5))
+        records, terminal = _decode(service.record_page_stream(limit=5))
+        assert len(records) == 5 and terminal["next"] == records[-1]["hash"]
+        assert service.record_cache.stats()["records"] == 0
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -252,39 +321,43 @@ class TestServiceCacheIntegration:
         assert cache_stats["capacity"] > 0
         assert cache_stats["complete"] is False
 
-    def test_repeat_pages_come_from_the_cache(self, tmp_path):
-        service = SweepService(
-            store=tmp_path / "s.sqlite", record_cache=3
-        )  # too small for a complete snapshot of 10 records
+    def test_pages_always_read_the_store(self, tmp_path):
+        service = SweepService(store=tmp_path / "s.sqlite", record_cache=100)
         service.ingest(_records(10))
+        assert len(service.records()) == 10  # a complete snapshot
         calls = []
-        original = service.store.iter_page
+        original = service.store.iter_page_json
 
         def spy(**kwargs):
             calls.append(kwargs)
             return original(**kwargs)
 
-        service.store.iter_page = spy
-        first = list(service.record_page_stream(limit=2))
-        assert len(calls) == 1
-        again = list(service.record_page_stream(limit=2))
-        assert len(calls) == 1  # served from cache
+        service.store.iter_page_json = spy
+        first = _decode(service.record_page_stream(limit=2))
+        again = _decode(service.record_page_stream(limit=2))
         assert again == first
+        assert len(calls) == 2  # the snapshot never serves pages
+        stats = service.record_cache.stats()
+        assert stats["records"] == 10 and stats["hits"] == 0
 
     def test_local_write_invalidates_pages(self, tmp_path):
         service = SweepService(store=tmp_path / "s.sqlite", record_cache=3)
         service.ingest(_records(4))
-        list(service.record_page_stream(limit=2))
-        service.ingest(
-            [{"hash": "00" * 32, "version": EVAL_VERSION + 1, "metrics": {}}]
-        )
+        before, _ = _decode(service.record_page_stream(limit=2))
+        assert before[0]["version"] == EVAL_VERSION
+        newer = {"hash": "00" * 32, "version": EVAL_VERSION + 1, "metrics": {}}
+        service.ingest([newer])
+        # The page right after the write reflects it: nothing cached
+        # the old one (the upgraded record leaves the current version).
+        after, _ = _decode(service.record_page_stream(limit=2))
+        assert after == _records(4)[1:3]
         assert service.record_cache.stats()["records"] == 0
 
     def test_disabled_cache_still_pages(self, tmp_path):
         service = SweepService(store=tmp_path / "s.sqlite", record_cache=None)
         assert service.record_cache is None
         service.ingest(_records(5))
-        page = list(service.record_page_stream(limit=3))
-        assert page[-1]["next"] == page[-2]["hash"]
+        page, terminal = _decode(service.record_page_stream(limit=3))
+        assert terminal["next"] == page[-1]["hash"]
         assert len(service.records()) == 5
         assert service.stats()["record_cache"] is None

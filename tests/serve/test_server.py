@@ -185,7 +185,7 @@ class TestRecordsEndpoints:
         def locked(*args, **kwargs):
             raise OSError("sqlite store locked")
 
-        for primitive in ("load", "iter_records", "iter_page"):
+        for primitive in ("load", "iter_records", "iter_page", "iter_page_json"):
             monkeypatch.setattr(live_server.service.store, primitive, locked)
         with pytest.raises(ServeError, match="503"):
             client.records()
@@ -252,7 +252,7 @@ class TestTruncationDetection:
     def test_get_records_ends_with_a_count_line(self, client):
         client.sweep(GRID)
         raw = list(client._ndjson("/records"))
-        assert raw[-1] == {"count": 2}
+        assert raw[-1] == {"count": 2, "next": None}
         assert client.records() == raw[:-1]
 
     def test_truncated_sweep_stream_raises(self, monkeypatch):
@@ -309,6 +309,36 @@ class TestRecordsCache:
         fresh = service.records()
         assert len(fresh) == 3 and len(loads) == 1
         assert service.records() is fresh and len(loads) == 1
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_warm_job_keeps_the_query_snapshot(self, tmp_path, suffix):
+        service = SweepService(store=tmp_path / f"s{suffix}")
+        _run_job(service, {"spec": GRID})  # cold: evaluates and writes
+        service.query("pareto")  # fills the snapshot
+        before = service.record_cache.stats()
+        _run_job(service, {"spec": GRID})  # warm: memo hits, writes nothing
+        assert service.record_cache.stats()["invalidations"] == (
+            before["invalidations"]
+        )
+        service.query("pareto")
+        assert service.record_cache.stats()["hits"] == before["hits"] + 1
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_job_that_evaluates_invalidates(self, tmp_path, suffix):
+        service = SweepService(store=tmp_path / f"s{suffix}")
+        _run_job(service, {"spec": GRID})
+        service.query("pareto")
+        before = service.record_cache.stats()["invalidations"]
+        cold = {
+            "grid": {
+                "workloads": ["AlexNet"],
+                "platforms": ["bpvec"],
+                "memories": ["ddr4"],
+            }
+        }
+        _run_job(service, {"spec": cold})
+        assert service.record_cache.stats()["invalidations"] == before + 1
+        assert len(service.query("top-k", {"k": 10})) == 3
 
     def test_store_stats_cached_until_the_store_changes(self, tmp_path):
         service = SweepService(store=tmp_path / "s.jsonl")
