@@ -169,8 +169,9 @@ def iter_sweep(
     stored: dict[str, dict] = {}
     if store is not None:
         # Only the sweep's own hashes, only at the current version: the
-        # JSONL backend answers from a full load, the SQLite backend
-        # from an indexed point lookup -- a huge warm store costs time
+        # JSONL backend scans the file but decodes only lines that may
+        # hold one of them, the SQLite backend answers from an indexed
+        # point lookup -- a huge warm SQLite store costs time
         # proportional to the sweep, not the store.
         unique = list(dict.fromkeys(point.config_hash() for point in points))
         stored = store.records_for(unique, version=EVAL_VERSION)

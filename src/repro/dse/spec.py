@@ -210,6 +210,65 @@ def _flat_spec_dict(spec) -> dict:
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
+def _spec_json(spec) -> str:
+    """A hardware spec's canonical JSON, memoized on the (frozen) spec.
+
+    The exact fragment :meth:`SweepPoint.config_hash` embeds for this
+    spec -- ``_flat_spec_dict`` dumped with sorted keys and compact
+    separators.  Points that share a spec object serialize it once.
+    """
+    cached = spec.__dict__.get("_canonical_json")
+    if cached is None:
+        cached = json.dumps(
+            _flat_spec_dict(spec), sort_keys=True, separators=(",", ":")
+        )
+        object.__setattr__(spec, "_canonical_json", cached)
+    return cached
+
+
+#: Field types whose ``repr`` pins both type and value (``1`` vs
+#: ``1.0``, ``0.0`` vs ``-0.0``), so a field dict made only of them can
+#: key the per-call spelling cache by its reprs.
+_EXACT_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+class _Resolver:
+    """Resolve each distinct hardware spelling once per spec build.
+
+    A sweep repeats a handful of platforms and memories across every
+    point; resolving each spelling once makes those points share one
+    spec object, so its memoized JSON (:func:`_spec_json`) is built
+    once.  Field dicts key on their field reprs, so spellings that
+    compare equal but hash differently (``1`` vs ``1.0``, ``0.0`` vs
+    ``-0.0``) stay distinct specs.  A dict already seen is found by
+    identity first; holding it keeps its id unique.  Names and spec
+    objects pass straight through: registry specs are shared already.
+    One instance lives for one build, so nothing needs clearing.
+    """
+
+    def __init__(self, resolve: Callable[[object], object]):
+        self._resolve = resolve
+        self._by_id: dict[int, tuple[Mapping, object]] = {}
+        self._by_value: dict[tuple, object] = {}
+
+    def __call__(self, ref):
+        if not isinstance(ref, Mapping):
+            return self._resolve(ref)
+        seen = self._by_id.get(id(ref))
+        if seen is not None:
+            return seen[1]
+        values = tuple(ref.values())
+        if _EXACT_TYPES.issuperset(map(type, values)):
+            key = (tuple(ref), tuple(map(repr, values)))
+            spec = self._by_value.get(key)
+            if spec is None:
+                spec = self._by_value[key] = self._resolve(ref)
+        else:
+            spec = self._resolve(ref)
+        self._by_id[id(ref)] = (ref, spec)
+        return spec
+
+
 _HASH_BITS = 256  # SHA-256 config hashes
 
 
@@ -302,10 +361,31 @@ class SweepPoint:
         return cfg
 
     def config_hash(self) -> str:
-        """SHA-256 of the canonical config; memoized (points are frozen)."""
+        """SHA-256 of the canonical config; memoized (points are frozen).
+
+        The hashed blob is ``json.dumps(self.config(), sort_keys=True,
+        separators=(",", ":"))``, spelled out here in sorted key order
+        so the hardware specs contribute their memoized fragments
+        instead of being re-serialized for every point.
+        """
         cached = self.__dict__.get("_config_hash")
         if cached is None:
-            blob = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
+            dumps = json.dumps
+            if self.gpu is not None:
+                blob = (
+                    f'{{"batch":{dumps(self.batch)},"gpu":{_spec_json(self.gpu)},'
+                    f'"kind":"gpu","policy":{dumps(self.policy.lower())},'
+                    f'"precision":{dumps(self.gpu_precision)},'
+                    f'"workload":{dumps(self.workload)}}}'
+                )
+            else:
+                blob = (
+                    f'{{"batch":{dumps(self.batch)},"kind":"asic",'
+                    f'"memory":{_spec_json(self.memory)},'
+                    f'"platform":{_spec_json(self.platform)},'
+                    f'"policy":{dumps(self.policy.lower())},'
+                    f'"workload":{dumps(self.workload)}}}'
+                )
             cached = hashlib.sha256(blob.encode()).hexdigest()
             object.__setattr__(self, "_config_hash", cached)
         return cached
@@ -407,6 +487,8 @@ class SweepSpec:
         gpu_precisions: Sequence[int] = (8,),
     ) -> "SweepSpec":
         """Expand a grid over the named axes into explicit points."""
+        platform, memory = _Resolver(resolve_platform), _Resolver(resolve_memory)
+        gpu_spec = _Resolver(resolve_gpu)
         points = []
         for cell in expand_grid(
             {
@@ -419,8 +501,8 @@ class SweepSpec:
                 for mem in memories:
                     points.append(
                         SweepPoint(
-                            platform=resolve_platform(plat),
-                            memory=resolve_memory(mem),
+                            platform=platform(plat),
+                            memory=memory(mem),
                             **cell,
                         )
                     )
@@ -428,7 +510,7 @@ class SweepSpec:
                 for precision in gpu_precisions:
                     points.append(
                         SweepPoint(
-                            gpu=resolve_gpu(gpu), gpu_precision=precision, **cell
+                            gpu=gpu_spec(gpu), gpu_precision=precision, **cell
                         )
                     )
         return cls(points=tuple(points))
@@ -450,8 +532,13 @@ class SweepSpec:
         Either ``{"grid": {...axes...}}`` or ``{"points": [{...}, ...]}``.
         """
         if "points" in data:
+            platform, memory = _Resolver(resolve_platform), _Resolver(resolve_memory)
+            gpu = _Resolver(resolve_gpu)
             return cls(
-                points=tuple(cls._point_from_dict(p) for p in data["points"])
+                points=tuple(
+                    cls._point_from_dict(p, platform, memory, gpu)
+                    for p in data["points"]
+                )
             )
         if "grid" in data:
             grid = dict(data["grid"])
@@ -471,16 +558,18 @@ class SweepSpec:
         raise ValueError('sweep spec needs either a "grid" or a "points" key')
 
     @staticmethod
-    def _point_from_dict(data: Mapping) -> SweepPoint:
+    def _point_from_dict(
+        data: Mapping, platform: _Resolver, memory: _Resolver, gpu: _Resolver
+    ) -> SweepPoint:
         kwargs: dict = {
             "workload": data["workload"],
             "policy": data.get("policy", "homogeneous-8bit"),
             "batch": data.get("batch"),
         }
         if "gpu" in data:
-            kwargs["gpu"] = resolve_gpu(data["gpu"])
+            kwargs["gpu"] = gpu(data["gpu"])
             kwargs["gpu_precision"] = data.get("precision", 8)
         else:
-            kwargs["platform"] = resolve_platform(data["platform"])
-            kwargs["memory"] = resolve_memory(data["memory"])
+            kwargs["platform"] = platform(data["platform"])
+            kwargs["memory"] = memory(data["memory"])
         return SweepPoint(**kwargs)

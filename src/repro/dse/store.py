@@ -9,7 +9,8 @@ backends implement the :class:`ResultStoreBase` interface:
 * :class:`ResultStore` -- the append-only JSONL file.  One JSON record
   per line; appends are crash-safe in the usual JSONL sense (a torn
   final line is skipped with a warning on load), duplicate hashes
-  resolve at load time, :meth:`~ResultStoreBase.compact` rewrites the
+  resolve at load time, point lookups decode only the lines that may
+  hold a wanted hash, :meth:`~ResultStoreBase.compact` rewrites the
   file keeping only survivors (optionally gzip-compressed, detected by
   magic bytes on every operation).
 * :class:`~repro.dse.sqlite_store.SQLiteStore` -- one row per hash in a
@@ -42,7 +43,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Container, Iterable, Iterator, Mapping
 
 __all__ = [
     "ResultStore",
@@ -70,6 +71,48 @@ class StoreWarning(UserWarning):
 def _supersedes(new: dict, old: dict) -> bool:
     """Version-aware last-write-wins: newer-or-equal version replaces."""
     return new.get("version", 0) >= old.get("version", 0)
+
+
+def _resolve(lines: Iterable[dict]) -> dict[str, dict]:
+    """Record lines in file order, resolved to ``{hash: survivor}``."""
+    records: dict[str, dict] = {}
+    for record in lines:
+        key = record["hash"]
+        if key not in records or _supersedes(record, records[key]):
+            records[key] = record
+    return records
+
+
+_HASH_KEY = b'"hash"'
+_HASH_MARKER = b'"hash": "'
+
+
+def _plain_hash(raw: bytes) -> str | None:
+    """The ``hash`` of a stored JSONL line, read without decoding it.
+
+    Only answers when the bytes leave no doubt: the line ends in ``}``,
+    holds no backslash (so every ``"`` delimits a string and no key or
+    value is escaped), and has exactly one ``"hash"`` token, followed
+    by ``": "`` -- the spelling every writer emits with
+    ``json.dumps(record, sort_keys=True)``.  The answer is then the
+    hash :func:`json.loads` would give the line, if it has one at all.
+    Anything else (compact or hand-written lines, nested or repeated
+    ``"hash"`` keys, escapes, undecodable bytes) returns ``None``, and
+    the caller must decode the line.
+    """
+    if not raw.endswith(b"}") or b"\\" in raw or raw.count(_HASH_KEY) != 1:
+        return None
+    start = raw.find(_HASH_MARKER)
+    if start < 0:
+        return None
+    start += len(_HASH_MARKER)
+    end = raw.find(b'"', start)
+    if end < 0:
+        return None
+    try:
+        return raw[start:end].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 def _keyed(record, path) -> bool:
@@ -137,9 +180,10 @@ class ResultStoreBase:
 
         ``version`` restricts hits to records at exactly that
         ``EVAL_VERSION`` -- the engine's warm path, which only wants
-        records it will not re-evaluate anyway.  The JSONL backend must
-        parse the whole file to answer; the SQLite backend answers from
-        an indexed point lookup.
+        records it will not re-evaluate anyway.  The JSONL backend
+        still reads the whole file but decodes only the lines that may
+        hold a wanted hash; the SQLite backend answers from an indexed
+        point lookup.
         """
         # Missing versions count as 0, matching _supersedes and the
         # SQLite column default -- the backends must agree on
@@ -345,13 +389,19 @@ class ResultStore(ResultStoreBase):
             return gzip_module.open(self.path, "at", encoding="utf-8")
         return self.path.open("a", encoding="utf-8")
 
-    def iter_lines(self) -> Iterator[dict]:
+    def iter_lines(self, only: Container[str] | None = None) -> Iterator[dict]:
         """Every parseable record line in file order (no dedup).
 
         A line that fails to parse -- the torn tail of a
         crash-interrupted append, or a mid-file corruption -- is skipped
         with a :class:`StoreWarning` instead of aborting the load, so a
         crashed run's store keeps serving everything that landed.
+
+        ``only`` lets a lookup pass over lines it cannot want: a line
+        whose hash :func:`_plain_hash` reads without decoding, and that
+        is not in ``only``, is skipped unparsed.  Every other line is
+        decoded as usual, so all lines for a wanted hash are yielded
+        (and may yield records for other hashes too).
         """
         if not self.path.exists():
             return
@@ -361,6 +411,10 @@ class ResultStore(ResultStoreBase):
                     raw = raw.strip()
                     if not raw:
                         continue
+                    if only is not None:
+                        key = _plain_hash(raw)
+                        if key is not None and key not in only:
+                            continue
                     try:
                         record = json.loads(raw)
                     except (json.JSONDecodeError, UnicodeDecodeError):
@@ -391,12 +445,21 @@ class ResultStore(ResultStoreBase):
         beats every earlier line survives, so a stale-``EVAL_VERSION``
         re-append never shadows a current record.
         """
-        records: dict[str, dict] = {}
-        for record in self.iter_lines():
-            key = record["hash"]
-            if key not in records or _supersedes(record, records[key]):
-                records[key] = record
-        return records
+        return _resolve(self.iter_lines())
+
+    def records_for(
+        self, hashes: Iterable[str], version: int | None = None
+    ) -> dict[str, dict]:
+        """:meth:`ResultStoreBase.records_for`, decoding only the lines
+        that may hold a wanted hash, then resolving exactly as
+        :meth:`load` does."""
+        wanted = set(hashes)
+        return {
+            key: record
+            for key, record in _resolve(self.iter_lines(only=wanted)).items()
+            if key in wanted
+            and (version is None or record.get("version", 0) == version)
+        }
 
     def append(self, records: Iterable[dict]) -> int:
         """Append records; returns how many changed the resolved view.
@@ -492,16 +555,9 @@ class ResultStore(ResultStoreBase):
             if (after is None or key > after)
             and (version is None or survivor == version)
         )[:limit]
-        wanted = set(page_keys)
-        if not wanted:
+        if not page_keys:
             return
-        page: dict[str, dict] = {}
-        for record in self.iter_lines():
-            key = record["hash"]
-            if key in wanted and (
-                key not in page or _supersedes(record, page[key])
-            ):
-                page[key] = record
+        page = _resolve(self.iter_lines(only=set(page_keys)))
         for key in page_keys:
             yield page[key]
 

@@ -121,6 +121,15 @@ _CHUNK_PHASE_SECONDS = _METRICS.histogram(
 #: what an ack body carries.
 _WORKER_PHASES = ("worker-eval", "upload")
 
+#: Series in each :class:`FleetWorker`'s private registry.  The worker
+#: registers them and the coordinator reads them back out of heartbeat
+#: snapshots (:func:`_summarize_worker_metrics`), so both sides share
+#: these names.
+WORKER_CHUNKS_TOTAL = "repro_worker_chunks_total"
+WORKER_POINTS_TOTAL = "repro_worker_points_total"
+WORKER_EVAL_SECONDS = "repro_worker_eval_seconds"
+WORKER_UPLOAD_SECONDS = "repro_worker_upload_seconds"
+
 
 def _observe_worker_timings(timings: dict | None) -> None:
     """Feed a worker's ack-carried phase timings into the histogram."""
@@ -154,14 +163,10 @@ def _summarize_worker_metrics(snapshot: dict) -> dict | None:
         )
 
     return {
-        "points_total": total("counters", "repro_worker_points_total", "value"),
-        "chunks_total": total("counters", "repro_worker_chunks_total", "value"),
-        "eval_seconds_sum": total(
-            "histograms", "repro_worker_eval_seconds", "sum"
-        ),
-        "upload_seconds_sum": total(
-            "histograms", "repro_worker_upload_seconds", "sum"
-        ),
+        "points_total": total("counters", WORKER_POINTS_TOTAL, "value"),
+        "chunks_total": total("counters", WORKER_CHUNKS_TOTAL, "value"),
+        "eval_seconds_sum": total("histograms", WORKER_EVAL_SECONDS, "sum"),
+        "upload_seconds_sum": total("histograms", WORKER_UPLOAD_SECONDS, "sum"),
     }
 
 
@@ -720,20 +725,20 @@ class FleetWorker:
         # worker must not double-count into the server's own series.
         self.metrics = MetricsRegistry()
         self._chunks_metric = self.metrics.counter(
-            "repro_worker_chunks_total",
+            WORKER_CHUNKS_TOTAL,
             "Chunks this worker finished, by result.",
             labelnames=("result",),
         )
         self._points_metric = self.metrics.counter(
-            "repro_worker_points_total",
+            WORKER_POINTS_TOTAL,
             "Design points this worker evaluated.",
         )
         self._eval_seconds = self.metrics.histogram(
-            "repro_worker_eval_seconds",
+            WORKER_EVAL_SECONDS,
             "Per-chunk local evaluation latency on this worker.",
         )
         self._upload_seconds = self.metrics.histogram(
-            "repro_worker_upload_seconds",
+            WORKER_UPLOAD_SECONDS,
             "Per-chunk record upload latency from this worker.",
         )
 

@@ -12,9 +12,13 @@ Five invariants pinned down across issues:
 * merging per-shard stores reproduces the single-store run
   record-for-record;
 * ``simulate_layer`` cycles are monotone non-increasing as the array
-  grows (more columns can only help or tie, never hurt).
+  grows (more columns can only help or tie, never hurt);
+* a point's config hash is the SHA-256 of its canonical ``config()``
+  JSON, however the point was built.
 """
 
+import dataclasses
+import hashlib
 import json
 
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from repro.dse import (
     run_sweep,
     shard_index,
 )
+from repro.baselines.gpu import RTX_2080_TI
 from repro.hw import BITFUSION, BPVEC, DDR4, HBM2, TPU_LIKE, with_units
 from repro.nn.models import WORKLOAD_BUILDERS
 from repro.sim.performance import simulate_layer
@@ -233,3 +238,69 @@ def test_layer_cycles_monotone_in_array_size(
             assert result.cycles <= previous.cycles
             assert result.compute_cycles <= previous.compute_cycles
         previous = result
+
+
+# ----------------------------------------------------------------------
+# Invariant 5: the config hash is the SHA-256 of config()
+# ----------------------------------------------------------------------
+# Names mix ASCII, accents, CJK and astral characters; floats include
+# integral values and both zeros, which ``json.dumps`` spells distinctly.
+_names = st.text(
+    alphabet=st.sampled_from("aZ09 -_.\"\\/éßЖ字😀\x7f"), max_size=12
+)
+_custom_memories = st.builds(
+    lambda base, name, bandwidth, energy: dataclasses.replace(
+        base, name=name, bandwidth_gb_s=bandwidth, energy_pj_per_bit=energy
+    ),
+    st.sampled_from([DDR4, HBM2]),
+    _names,
+    st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1e4)),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+)
+_custom_platforms = st.builds(
+    lambda base, name: dataclasses.replace(base, name=name),
+    _platforms,
+    _names,
+)
+_custom_gpus = st.builds(
+    lambda name, tdp: dataclasses.replace(RTX_2080_TI, name=name, tdp_w=tdp),
+    _names,
+    st.floats(min_value=1.0, max_value=1e3),
+)
+_batches = st.one_of(st.none(), st.integers(min_value=1, max_value=2**40))
+_policies = st.sampled_from(["homogeneous-8bit", "Uniform-4x4", "uniform-2x6"])
+_hash_points = st.one_of(
+    st.builds(
+        SweepPoint,
+        workload=st.sampled_from(sorted(WORKLOAD_BUILDERS)),
+        policy=_policies,
+        platform=st.one_of(_platforms, _custom_platforms),
+        memory=st.one_of(_memories, _custom_memories),
+        batch=_batches,
+    ),
+    st.builds(
+        SweepPoint,
+        workload=st.sampled_from(sorted(WORKLOAD_BUILDERS)),
+        policy=_policies,
+        gpu=st.one_of(st.just(RTX_2080_TI), _custom_gpus),
+        gpu_precision=st.sampled_from([4, 8]),
+        batch=_batches,
+    ),
+)
+
+
+def _reference_hash(point) -> str:
+    blob = json.dumps(point.config(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(_hash_points, min_size=1, max_size=6))
+def test_config_hash_is_sha256_of_config(points):
+    # Direct construction, and a wire round-trip whose points share
+    # resolved spec objects (and their memoized JSON) within one build.
+    rebuilt = SweepSpec.from_dict(SweepSpec(points=tuple(points)).to_dict())
+    for point, again in zip(points, rebuilt.points):
+        assert point.config_hash() == _reference_hash(point)
+        assert again.config_hash() == _reference_hash(again)
+        assert again.config_hash() == point.config_hash()

@@ -1,5 +1,7 @@
 """Tests for sweep specs, registries, and config hashing."""
 
+import dataclasses
+
 import pytest
 
 from repro.dse import (
@@ -182,6 +184,60 @@ class TestSweepSpec:
         assert spec.points[0].kind == "asic"
         assert spec.points[1].kind == "gpu"
         assert spec.points[1].gpu_precision == 4
+
+    @pytest.mark.parametrize(
+        "field, a, b",
+        [
+            ("bandwidth_gb_s", 1, 1.0),
+            ("energy_pj_per_bit", 0.0, -0.0),
+        ],
+    )
+    def test_from_dict_keeps_equal_but_distinct_spellings_apart(
+        self, field, a, b
+    ):
+        # 1 == 1.0 and 0.0 == -0.0, but JSON spells them differently, so
+        # their config hashes differ -- sharing one resolved spec between
+        # such points would silently merge two configs.
+        base = dataclasses.asdict(DDR4)
+        memories = [{**base, field: a}, {**base, field: b}]
+        points = [
+            {"workload": "LSTM", "platform": "bpvec", "memory": memory}
+            for memory in memories * 2
+        ]
+        for grid in (False, True):
+            if grid:
+                spec = SweepSpec.grid(
+                    workloads=["LSTM"], platforms=["bpvec"], memories=memories * 2
+                )
+            else:
+                spec = SweepSpec.from_dict({"points": points})
+            hashes = [point.config_hash() for point in spec]
+            assert hashes[0] != hashes[1]
+            assert hashes[:2] == hashes[2:]
+            assert [repr(getattr(p.memory, field)) for p in spec] == [
+                repr(a), repr(b)
+            ] * 2
+            assert hashes == [
+                SweepPoint(
+                    workload="LSTM",
+                    platform=BPVEC,
+                    memory=resolve_memory(memory),
+                ).config_hash()
+                for memory in memories * 2
+            ]
+
+    def test_from_dict_points_share_resolved_specs(self):
+        memory = dataclasses.asdict(HBM2)
+        spec = SweepSpec.from_dict(
+            {
+                "points": [
+                    {"workload": w, "platform": "bpvec", "memory": dict(memory)}
+                    for w in ("LSTM", "RNN")
+                ]
+            }
+        )
+        assert spec.points[0].memory is spec.points[1].memory
+        assert spec.points[0].memory == HBM2
 
     def test_from_dict_requires_grid_or_points(self):
         with pytest.raises(ValueError):

@@ -489,6 +489,131 @@ class TestJsonlSpecific:
             assert set(store.load()) == {"a", "b"}
 
 
+def _sorted_line(record) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+#: Lines a JSONL store may hold, each with the hash ``load()`` resolves
+#: it to (``None``: the line is dropped).  The lookup may skip a line
+#: undecoded only when its bytes name its hash beyond doubt.
+_LOOKUP_LINES = [
+    (_sorted_line(_record("a", 1.0, version=2)), "a"),
+    (_sorted_line(_record("a", 2.0, version=1)), "a"),  # stale re-append
+    (_sorted_line(_record("b", 1.0)), "b"),
+    (_sorted_line(_record("b", 3.0)), "b"),  # same version: last wins
+    (_sorted_line({"no_hash": True, "version": 1}), None),
+    (_sorted_line({"hash": "", "version": 1}), None),
+    (_sorted_line({"hash": None, "version": 1}), None),
+    # A nested "hash" key inside another field, with and without one
+    # at the top level.
+    (_sorted_line({"hash": "c", "meta": {"hash": "a"}, "version": 1}), "c"),
+    (_sorted_line({"meta": {"hash": "a"}, "version": 3}), None),
+    (_sorted_line({"meta": {"hash": "zz"}, "version": 3}), None),
+    # Hand-written compact lines, one hiding its top-level hash behind
+    # a nested key spelled the way writers spell it.
+    ('{"hash":"d","version":1}', "d"),
+    ('{"hash":"e","meta": {"hash": "zz"},"version":1}', "e"),
+    ('{"version": 1, "hash": "f"}', "f"),
+    # Escaped and non-ASCII hash keys.
+    (_sorted_line(_record("é-key")), "é-key"),
+    ('{"hash": "ü-raw", "version": 1}', "ü-raw"),
+    (_sorted_line(_record('q"uote')), 'q"uote'),
+    ('{"h\\u0061sh": "g", "meta": {"hash": "zz"}, "version": 1}', "g"),
+    ('{"hash": "\\u0068", "version": 1}', "h"),
+    # "hash" as a plain string value.
+    (_sorted_line({"hash": "i", "note": "hash", "version": 1}), "i"),
+]
+_LOOKUP_KEYS = sorted({key for _, key in _LOOKUP_LINES if key}) + ["zz", "absent"]
+
+
+class TestJsonlLookup:
+    """``records_for`` skips undecoded lines yet matches ``load()``."""
+
+    @staticmethod
+    def _write(path, text, gzipped):
+        if gzipped:
+            path.write_bytes(gzip.compress(text.encode()))
+        else:
+            path.write_text(text, encoding="utf-8")
+        return ResultStore(path)
+
+    @staticmethod
+    def _expected(store, wanted, version):
+        return {
+            key: record
+            for key, record in store.load().items()
+            if key in wanted
+            and (version is None or record.get("version", 0) == version)
+        }
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_records_for_matches_load_then_filter(self, tmp_path, gzipped):
+        text = "".join(line + "\n" for line, _ in _LOOKUP_LINES)
+        store = self._write(tmp_path / "s.jsonl", text, gzipped)
+        loaded = store.load()
+        assert set(loaded) == {key for _, key in _LOOKUP_LINES if key}
+        assert loaded["a"]["version"] == 2
+        assert loaded["b"]["metrics"]["total_seconds"] == 3.0
+        subsets = [[key] for key in _LOOKUP_KEYS] + [
+            _LOOKUP_KEYS,
+            _LOOKUP_KEYS[::2],
+            [],
+        ]
+        for wanted in subsets:
+            for version in (None, 1, 2):
+                got = store.records_for(wanted, version=version)
+                assert got == self._expected(store, wanted, version)
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_pages_match_load(self, tmp_path, gzipped):
+        # A page's second pass looks its keys up the same way.
+        text = "".join(line + "\n" for line, _ in _LOOKUP_LINES)
+        store = self._write(tmp_path / "s.jsonl", text, gzipped)
+        for version in (None, 1):
+            expected = self._expected(store, set(store.load()), version)
+            for limit in (1, 3, None):
+                pages, after = [], None
+                while True:
+                    page = list(store.iter_page(after, limit, version))
+                    if not page:
+                        break
+                    pages.extend(page)
+                    after = page[-1]["hash"]
+                assert pages == [expected[key] for key in sorted(expected)]
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    @pytest.mark.parametrize("wanted", [["a"], ["torn"], ["zz"]])
+    def test_torn_tail_still_warns(self, tmp_path, gzipped, wanted):
+        text = "".join(line + "\n" for line, _ in _LOOKUP_LINES)
+        text += '{"hash": "torn", "metr'  # crashed mid-write
+        store = self._write(tmp_path / "s.jsonl", text, gzipped)
+        with pytest.warns(StoreWarning, match="torn write"):
+            got = store.records_for(wanted)
+        with pytest.warns(StoreWarning, match="torn write"):
+            assert got == self._expected(store, wanted, None)
+
+    def test_appended_records_skip_without_decoding(self, tmp_path, monkeypatch):
+        # Lines written by the store itself are the fast path: a lookup
+        # decodes only the lines of the hashes it asked for.
+        store = ResultStore(tmp_path / "s.jsonl")
+        store.append([_record(f"k{i}") for i in range(20)])
+        store.append([_record("k3", 2.0)])
+        decoded = []
+        real_loads = json.loads
+
+        def counting_loads(raw, *args, **kwargs):
+            decoded.append(raw)
+            return real_loads(raw, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        hits = store.records_for(["k3", "k7", "missing"])
+        assert hits == {
+            "k3": _record("k3", 2.0),
+            "k7": _record("k7"),
+        }
+        assert len(decoded) == 3
+
+
 class TestSqliteSpecific:
     def test_gzip_is_rejected(self, tmp_path):
         store = SQLiteStore(tmp_path / "s.sqlite")
@@ -606,9 +731,9 @@ class TestPartitionedSpecific:
         parsed = []
         original = ResultStore.iter_lines
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             parsed.append(self.path.name)
-            return original(self)
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(ResultStore, "iter_lines", counting)
         hits = store.records_for(["0" * 64, "f" * 64])
