@@ -240,32 +240,25 @@ class _Resolver:
     spec object, so its memoized JSON (:func:`_spec_json`) is built
     once.  Field dicts key on their field reprs, so spellings that
     compare equal but hash differently (``1`` vs ``1.0``, ``0.0`` vs
-    ``-0.0``) stay distinct specs.  A dict already seen is found by
-    identity first; holding it keeps its id unique.  Names and spec
-    objects pass straight through: registry specs are shared already.
-    One instance lives for one build, so nothing needs clearing.
+    ``-0.0``) stay distinct specs.  Names and spec objects pass
+    straight through: registry specs are shared already.  One instance
+    lives for one build, so nothing needs clearing.
     """
 
     def __init__(self, resolve: Callable[[object], object]):
         self._resolve = resolve
-        self._by_id: dict[int, tuple[Mapping, object]] = {}
-        self._by_value: dict[tuple, object] = {}
+        self._specs: dict[tuple, object] = {}
 
     def __call__(self, ref):
         if not isinstance(ref, Mapping):
             return self._resolve(ref)
-        seen = self._by_id.get(id(ref))
-        if seen is not None:
-            return seen[1]
         values = tuple(ref.values())
-        if _EXACT_TYPES.issuperset(map(type, values)):
-            key = (tuple(ref), tuple(map(repr, values)))
-            spec = self._by_value.get(key)
-            if spec is None:
-                spec = self._by_value[key] = self._resolve(ref)
-        else:
-            spec = self._resolve(ref)
-        self._by_id[id(ref)] = (ref, spec)
+        if not _EXACT_TYPES.issuperset(map(type, values)):
+            return self._resolve(ref)
+        key = (tuple(ref), tuple(map(repr, values)))
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = self._resolve(ref)
         return spec
 
 

@@ -172,7 +172,6 @@ class ResultStoreBase:
     ) -> tuple[int, int]:
         raise NotImplementedError
 
-    # -- derived queries (overridden where the backend can do better) --
     def records_for(
         self, hashes: Iterable[str], version: int | None = None
     ) -> dict[str, dict]:
@@ -188,14 +187,9 @@ class ResultStoreBase:
         # Missing versions count as 0, matching _supersedes and the
         # SQLite column default -- the backends must agree on
         # versionless records.
-        wanted = set(hashes)
-        return {
-            key: record
-            for key, record in self.load().items()
-            if key in wanted
-            and (version is None or record.get("version", 0) == version)
-        }
+        raise NotImplementedError
 
+    # -- derived queries (overridden where the backend can do better) --
     def hashes(self, version: int | None = None) -> set[str]:
         """Every stored config hash (optionally at one version)."""
         return {
@@ -397,11 +391,11 @@ class ResultStore(ResultStoreBase):
         with a :class:`StoreWarning` instead of aborting the load, so a
         crashed run's store keeps serving everything that landed.
 
-        ``only`` lets a lookup pass over lines it cannot want: a line
-        whose hash :func:`_plain_hash` reads without decoding, and that
-        is not in ``only``, is skipped unparsed.  Every other line is
-        decoded as usual, so all lines for a wanted hash are yielded
-        (and may yield records for other hashes too).
+        ``only`` restricts the lines to records whose hash it holds.  A
+        line whose hash :func:`_plain_hash` reads without decoding is
+        skipped unparsed when unwanted; every other line is decoded as
+        usual and then filtered, so a lookup never holds more than the
+        records it asked for.
         """
         if not self.path.exists():
             return
@@ -426,7 +420,11 @@ class ResultStore(ResultStoreBase):
                             stacklevel=2,
                         )
                         continue
-                    if isinstance(record, dict) and record.get("hash"):
+                    if (
+                        isinstance(record, dict)
+                        and record.get("hash")
+                        and (only is None or record["hash"] in only)
+                    ):
                         yield record
         except (EOFError, gzip_module.BadGzipFile):
             warnings.warn(
@@ -457,8 +455,7 @@ class ResultStore(ResultStoreBase):
         return {
             key: record
             for key, record in _resolve(self.iter_lines(only=wanted)).items()
-            if key in wanted
-            and (version is None or record.get("version", 0) == version)
+            if version is None or record.get("version", 0) == version
         }
 
     def append(self, records: Iterable[dict]) -> int:

@@ -613,6 +613,35 @@ class TestJsonlLookup:
         }
         assert len(decoded) == 3
 
+    def test_escaped_lines_hold_only_wanted_records(self, tmp_path, monkeypatch):
+        # Every line of this store escapes a non-ASCII name, so none can
+        # be skipped undecoded -- yet a lookup or a page must resolve
+        # only the records it asked for, not the whole store.
+        from repro.dse import store as store_module
+
+        store = ResultStore(tmp_path / "s.jsonl")
+        records = [dict(_record(f"k{i:02d}"), name="é") for i in range(12)]
+        store.append(records)
+        assert "\\u00e9" in store.path.read_text(encoding="utf-8")
+        resolved = []
+        real_resolve = store_module._resolve
+
+        def spy(lines):
+            lines = list(lines)
+            resolved.append([record["hash"] for record in lines])
+            return real_resolve(lines)
+
+        monkeypatch.setattr(store_module, "_resolve", spy)
+        assert store.records_for(["k03", "k07", "missing"]) == {
+            "k03": records[3],
+            "k07": records[7],
+        }
+        assert resolved == [["k03", "k07"]]
+        resolved.clear()
+        page = list(store.iter_page("k04", 2))
+        assert page == records[5:7]
+        assert resolved == [["k05", "k06"]]
+
 
 class TestSqliteSpecific:
     def test_gzip_is_rejected(self, tmp_path):
