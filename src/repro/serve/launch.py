@@ -13,9 +13,10 @@ warm.
 
 ``repro dse-launch --fleet N`` replaces the fixed shard plan with the
 elastic pull model (:func:`launch_fleet`): an ephemeral in-process
-sweep server chunks the spec into a lease queue and N local ``repro
-worker`` processes pull, evaluate, ingest, and ack -- a dead worker's
-leases expire and requeue instead of losing a shard.
+sweep server chunks the spec into a lease queue and N local workers
+(forked from the launcher, or spawned if it is threaded) pull,
+evaluate, ingest, and ack -- a dead worker's leases expire and requeue
+instead of losing a shard.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..dse.engine import _pool_context
 from ..dse.store import ResultStoreBase, open_store
 
 __all__ = [
@@ -308,21 +310,18 @@ class FleetLaunchResult:
         return text
 
 
-def _worker_argv(url: str, poll: float, vectorize: bool) -> list[str]:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
-        "worker",
-        "--server",
-        url,
-        "--exit-when-drained",
-        "--poll",
-        str(poll),
-    ]
-    if not vectorize:
-        argv.append("--no-vectorize")
-    return argv
+def _fleet_worker(url_reader, poll: float, vectorize: bool) -> None:
+    """One local fleet worker: wait for the server's URL, then pull."""
+    from .fleet import FleetWorker
+
+    worker = FleetWorker(
+        url_reader.recv(),
+        poll=poll,
+        vectorize=vectorize,
+        exit_when_drained=True,
+        log=lambda message: None,  # the launcher reports failures itself
+    )
+    sys.exit(worker.run())
 
 
 def launch_fleet(
@@ -343,11 +342,12 @@ def launch_fleet(
     shard plan, an ephemeral in-process sweep server over ``store``
     takes the spec as a fleet job split into ``chunks`` hash-range
     chunks (default ``4 * workers``, so work-stealing has slack), and
-    ``workers`` local ``repro worker`` processes lease, evaluate,
-    ingest, and ack until the job drains.  A worker that dies
-    mid-chunk costs one lease TTL -- survivors steal the requeued
-    chunk.  Raises ``RuntimeError`` if the job fails, times out, or
-    every worker exits while chunks remain.
+    ``workers`` local processes -- forked from this one, or spawned if
+    it is threaded (spawn needs an import-safe ``__main__``) -- lease,
+    evaluate, ingest, and ack over HTTP until the job drains.  A worker
+    that dies mid-chunk costs one lease TTL -- survivors steal the
+    requeued chunk.  Raises ``RuntimeError`` if the job fails, times
+    out, or every worker exits while chunks remain.
     """
     from .client import ServeClient
     from .fleet import DEFAULT_HEARTBEAT_TTL, DEFAULT_LEASE_TTL
@@ -359,43 +359,46 @@ def launch_fleet(
         raise ValueError("the sweep has no points")
     if chunks is None:
         chunks = max(1, min(len(spec), 4 * workers))
-    service = SweepService(
-        store=open_store(store, backend=backend),
-        lease_ttl=lease_ttl or DEFAULT_LEASE_TTL,
-        heartbeat_ttl=heartbeat_ttl or DEFAULT_HEARTBEAT_TTL,
-    )
-    server = SweepServer(service, port=0)
-    server_thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.05),
-        name="fleet-launch-server",
-        daemon=True,
-    )
-    server_thread.start()
-    env = _subprocess_env()
-    processes: list[subprocess.Popen] = []
+    context = _pool_context()
+    pipes = [context.Pipe(duplex=False) for _ in range(workers)]
+    processes = [
+        context.Process(target=_fleet_worker, args=(reader, poll, vectorize))
+        for reader, _ in pipes
+    ]
+    server = None
     try:
+        # Fork before any store handle, socket or thread exists.
+        for process in processes:
+            process.start()
+        service = SweepService(
+            store=open_store(store, backend=backend),
+            lease_ttl=lease_ttl or DEFAULT_LEASE_TTL,
+            heartbeat_ttl=heartbeat_ttl or DEFAULT_HEARTBEAT_TTL,
+        )
+        server = SweepServer(service, port=0)
+        server_thread = threading.Thread(
+            target=lambda: server.serve_forever(poll_interval=0.05),
+            name="fleet-launch-server",
+            daemon=True,
+        )
+        server_thread.start()
         client = ServeClient(server.url)
         job_id = client.submit_job(spec.to_dict(), fleet={"chunks": chunks})[
             "job"
         ]
-        argv = _worker_argv(server.url, poll, vectorize)
-        processes = [
-            subprocess.Popen(
-                argv,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                env=env,
-            )
-            for _ in range(workers)
-        ]
+        # After the submit: a worker that leased earlier would exit drained.
+        for _, writer in pipes:
+            writer.send(server.url)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             status = client.job_status(job_id)
             if status["state"] not in ("queued", "running"):
                 break
-            if all(process.poll() is not None for process in processes):
+            if not any(process.is_alive() for process in processes):
+                codes = ", ".join(str(process.exitcode) for process in processes)
                 raise RuntimeError(
-                    "every fleet worker exited with the job unfinished"
+                    "every fleet worker exited with the job unfinished "
+                    f"(exit codes {codes})"
                 )
             if deadline is not None and time.monotonic() > deadline:
                 raise RuntimeError(
@@ -410,21 +413,18 @@ def launch_fleet(
         # Drain the workers gracefully: the job is terminal, so their
         # next lease reports zero active jobs and they exit themselves.
         for process in processes:
-            try:
-                process.communicate(timeout=30)
-            except subprocess.TimeoutExpired:  # pragma: no cover - wedged
-                process.kill()
-                process.communicate()
+            process.join(timeout=30)
         progress = status["progress"]
     finally:
         for process in processes:
-            if process.returncode is None and process.poll() is None:
+            if process.is_alive():
                 process.kill()
-                process.communicate()
-        server.shutdown()
-        server.server_close()
-        service.close()
-        server_thread.join(timeout=5)
+                process.join()
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+            service.close()
+            server_thread.join(timeout=5)
     chunk_counts = progress.get("chunks", {})
     return FleetLaunchResult(
         workers=workers,

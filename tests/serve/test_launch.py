@@ -1,8 +1,11 @@
 """Tests for dse-launch shard orchestration: command generation, local
 spawning + auto-merge, failure reporting, and posting to a server."""
 
+import importlib
 import json
+import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.cli import main
 from repro.dse import SweepSpec, clear_memo, open_store, run_sweep
 from repro.serve import (
     LaunchResult,
+    ServeClient,
     SweepServer,
     SweepService,
     launch,
@@ -17,6 +21,13 @@ from repro.serve import (
     shard_commands,
     shard_store_path,
 )
+
+
+@pytest.fixture
+def launch_module():
+    # The package re-exports launch() under the module's own name, so
+    # reach the module itself through importlib.
+    return importlib.import_module("repro.serve.launch")
 
 
 @pytest.fixture(autouse=True)
@@ -97,14 +108,8 @@ class TestLaunch:
             launch(spec_path, 0, tmp_path / "merged.jsonl")
 
     def test_post_uploads_merged_records_to_a_server(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, launch_module
     ):
-        import importlib
-
-        # The package re-exports launch() under the module's own name,
-        # so reach the module itself through importlib.
-        launch_module = importlib.import_module("repro.serve.launch")
-
         # A tiny chunk size forces the multi-request upload path a
         # giant merged store would take against the server's body cap.
         monkeypatch.setattr(launch_module, "POST_CHUNK_RECORDS", 3)
@@ -130,12 +135,27 @@ class TestLaunch:
 
 
 class TestLaunchFleet:
-    def test_fleet_launch_matches_local_run(self, tmp_path):
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_fleet_launch_matches_local_run(
+        self, tmp_path, monkeypatch, launch_module, method
+    ):
         from repro.serve import launch_fleet
 
+        monkeypatch.setattr(
+            launch_module, "_pool_context", lambda: multiprocessing.get_context(method)
+        )
+        # Slow the submit: a worker handed the URL before the job was
+        # queued would find nothing to lease and exit as drained.
+        submit = ServeClient.submit_job
+
+        def slow_submit(self, *args, **kwargs):
+            time.sleep(0.3)
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServeClient, "submit_job", slow_submit)
         spec, _ = _write_spec(tmp_path)
         local = run_sweep(spec)
-        clear_memo()  # worker subprocesses recompute from scratch anyway
+        clear_memo()  # forked workers must recompute, not inherit the memo
 
         dest = tmp_path / "fleet.sqlite"
         result = launch_fleet(spec, workers=2, store=dest, timeout=120)
@@ -148,6 +168,32 @@ class TestLaunchFleet:
         by_hash = {r["hash"]: r for r in merged.load().values()}
         assert [by_hash[p.config_hash()] for p in spec.points] == local.records
 
+    def test_threaded_caller_spawns_its_workers(
+        self, tmp_path, monkeypatch, launch_module
+    ):
+        from repro.serve import launch_fleet
+
+        chosen = []
+        pick = launch_module._pool_context
+
+        def spy():
+            context = pick()
+            chosen.append(context.get_start_method())
+            return context
+
+        monkeypatch.setattr(launch_module, "_pool_context", spy)
+        spec, _ = _write_spec(tmp_path)
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, daemon=True)
+        bystander.start()
+        try:
+            result = launch_fleet(spec, workers=1, store=tmp_path / "f.jsonl")
+        finally:
+            release.set()
+            bystander.join(timeout=5)
+        assert chosen == ["spawn"]
+        assert result.points == len(open_store(tmp_path / "f.jsonl")) == len(spec)
+
     def test_fleet_launch_validation(self, tmp_path):
         from repro.serve import launch_fleet
 
@@ -159,14 +205,31 @@ class TestLaunchFleet:
                 SweepSpec(points=()), workers=1, store=tmp_path / "f.jsonl"
             )
 
-    def test_fleet_launch_timeout_raises(self, tmp_path):
+    def test_fleet_launch_timeout_raises(self, tmp_path, monkeypatch):
         from repro.serve import launch_fleet
+        from repro.serve.fleet import FleetWorker
 
+        # Forked workers inherit this patch and hold their first lease
+        # forever; spawned ones take longer than the timeout to start.
+        monkeypatch.setattr(FleetWorker, "_execute", lambda self, lease: time.sleep(60))
         spec, _ = _write_spec(tmp_path)
         with pytest.raises(RuntimeError, match="timed out"):
             launch_fleet(
                 spec, workers=1, store=tmp_path / "f.jsonl", timeout=0.01
             )
+
+    def test_dead_fleet_reports_exit_codes(self, tmp_path, monkeypatch, launch_module):
+        from repro.serve import launch_fleet
+        from repro.serve.fleet import FleetWorker
+
+        # Forked, so the children inherit the patched worker loop.
+        monkeypatch.setattr(
+            launch_module, "_pool_context", lambda: multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(FleetWorker, "run", lambda self: 3)
+        spec, _ = _write_spec(tmp_path)
+        with pytest.raises(RuntimeError, match=r"unfinished \(exit codes 3, 3\)"):
+            launch_fleet(spec, workers=2, store=tmp_path / "f.jsonl", timeout=60)
 
 
 class TestCliLaunch:
@@ -322,12 +385,6 @@ class TestFailFast:
     """A poisoned shard must surface in seconds, not after the
     surviving siblings burn to completion."""
 
-    @pytest.fixture
-    def launch_module(self):
-        import importlib
-
-        return importlib.import_module("repro.serve.launch")
-
     def _fake_commands(self, monkeypatch, launch_module, commands):
         monkeypatch.setattr(
             launch_module,
@@ -339,7 +396,6 @@ class TestFailFast:
         self, tmp_path, monkeypatch, launch_module
     ):
         import sys
-        import time
 
         crash = [
             sys.executable,
