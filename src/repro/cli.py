@@ -22,7 +22,7 @@ Examples
     python -m repro dse --spec big.json --server http://127.0.0.1:8000 --fleet
     python -m repro worker --server http://127.0.0.1:8000 --name box-a
     python -m repro watch http://127.0.0.1:8000 --interval 2
-    python -m repro dse-launch --workload LSTM --shards 4 --store merged.jsonl
+    python -m repro dse-launch --spec sweep.json --shards 4 --print-cmds --store m.jsonl
     python -m repro dse-launch --workload LSTM --fleet 4 --store merged.sqlite
     python -m repro chips
 """
@@ -58,7 +58,6 @@ from .serve import (
     ServeClient,
     ServeError,
     default_journal_path,
-    launch,
     launch_fleet,
     render_commands,
     serve,
@@ -622,51 +621,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse_launch = sub.add_parser(
         "dse-launch",
-        help="shard a sweep N ways, run every shard as a local process "
-        "(or print per-machine command lines), and auto-merge the "
-        "shard stores",
+        help="run a sweep on N local fleet workers (--fleet N), or print "
+        "per-machine shard command lines and the merge line "
+        "(--print-cmds)",
     )
     _add_spec_arguments(dse_launch)
     _add_store_arguments(dse_launch, required=True)
     dse_launch.add_argument(
-        "--shards", type=int, default=2, metavar="N", help="shard count"
+        "--shards",
+        type=int,
+        default=2,
+        metavar="N",
+        help="with --print-cmds: how many shard command lines to print",
     )
     dse_launch.add_argument(
-        "--workers", type=int, default=1, help="workers per shard process"
+        "--workers",
+        type=int,
+        default=1,
+        help="with --print-cmds: --workers of each printed shard line",
     )
     dse_launch.add_argument("--no-vectorize", action="store_true")
     dse_launch.add_argument(
         "--print-cmds",
         action="store_true",
-        help="print the per-shard command lines instead of spawning them "
-        "(run each line on any machine, then 'repro dse-merge')",
-    )
-    dse_launch.add_argument(
-        "--post",
-        default=None,
-        metavar="URL",
-        help="after merging, post the merged records to a running "
-        "'repro serve' instance",
-    )
-    dse_launch.add_argument(
-        "--keep-shards",
-        action="store_true",
-        help="keep the per-shard stores after a successful merge",
-    )
-    dse_launch.add_argument(
-        "--no-fail-fast",
-        action="store_true",
-        help="let surviving shards run to completion when one crashes "
-        "instead of terminating them promptly (partial shard stores "
-        "are kept either way)",
+        help="print the per-shard command lines (run each line on any "
+        "machine) and the 'repro dse-merge' line that unions them",
     )
     dse_launch.add_argument(
         "--fleet",
         type=int,
         default=None,
         metavar="N",
-        help="spawn N pull-based fleet workers against an ephemeral "
-        "in-process server instead of a fixed shard plan "
+        help="run the points the store lacks on N local pull-based fleet "
+        "workers against an ephemeral in-process server "
         "(work-stealing; a dead worker's leases requeue)",
     )
     dse_launch.add_argument(
@@ -1220,9 +1207,9 @@ def _run_dse_launch(args) -> None:
         if len(spec) == 0:
             raise ValueError("the sweep has no points")
         if args.fleet is not None:
-            if args.print_cmds or args.post:
+            if args.print_cmds:
                 raise ValueError(
-                    "--fleet is incompatible with --print-cmds/--post "
+                    "--fleet is incompatible with --print-cmds "
                     "(fleet workers pull from an embedded server)"
                 )
             result = launch_fleet(
@@ -1237,52 +1224,39 @@ def _run_dse_launch(args) -> None:
             return
         if args.chunks is not None:
             raise ValueError("--chunks requires --fleet")
+        if not args.print_cmds:
+            raise ValueError(
+                "pick --fleet N to run the sweep on local workers, or "
+                "--print-cmds to print per-machine shard command lines"
+            )
         if args.shards < 1:
             raise ValueError("shard count must be >= 1")
-        dest = Path(args.store)
         if args.spec:
-            spec_path, temp_spec = args.spec, False
+            spec_path = args.spec
         else:
-            # Inline grids need a spec file the shard processes (or the
-            # printed per-machine commands) can read back.
+            # Inline grids need a spec file the printed per-machine
+            # commands can read back.
+            dest = Path(args.store)
             spec_path = dest.with_name(dest.name + ".spec.json")
             spec_path.parent.mkdir(parents=True, exist_ok=True)
             spec_path.write_text(json.dumps(spec.to_dict()))
-            temp_spec = not args.print_cmds
-        if args.print_cmds:
-            commands = shard_commands(
-                spec_path,
-                args.shards,
-                args.store,
-                workers=args.workers,
-                vectorize=not args.no_vectorize,
-            )
-            print(render_commands(commands))
-            shards = " ".join(
-                str(shard_store_path(args.store, i)) for i in range(args.shards)
-            )
-            print(f"# then: repro dse-merge {args.store} {shards}")
-            return
-        try:
-            result = launch(
-                spec_path,
-                args.shards,
-                args.store,
-                backend=args.backend,
-                workers=args.workers,
-                vectorize=not args.no_vectorize,
-                post=args.post,
-                keep_shards=args.keep_shards,
-                fail_fast=not args.no_fail_fast,
-            )
-        finally:
-            if temp_spec:
-                spec_path.unlink(missing_ok=True)
     except ServeError as error:
         raise SystemExit(f"dse-launch: {error}")
     except (KeyError, TypeError, ValueError, OSError, RuntimeError) as error:
         raise SystemExit(f"dse-launch: {error}")
-    print(f"dse-launch: {len(spec)} points over {result.summary()}")
+    commands = shard_commands(
+        spec_path,
+        args.shards,
+        args.store,
+        workers=args.workers,
+        vectorize=not args.no_vectorize,
+    )
+    merge = ["repro", "dse-merge", str(args.store)]
+    merge += [str(shard_store_path(args.store, i)) for i in range(args.shards)]
+    if args.backend:
+        merge += ["--backend", args.backend]
+    print(render_commands(commands))
+    print(f"# then: {render_commands([merge])}")
 
 
 def _run_figure(command: str) -> str:

@@ -513,8 +513,8 @@ class SweepSpec:
 
         ``SweepSpec.from_dict(spec.to_dict())`` rebuilds an identical
         spec: same points, same order, same config hashes.  This is the
-        payload format of ``POST /sweep`` and the per-shard spec files
-        ``repro dse-launch`` writes.
+        payload format of ``POST /sweep`` and of the spec file
+        ``repro dse-launch --print-cmds`` writes for an inline grid.
         """
         return {"points": [point.to_dict() for point in self.points]}
 

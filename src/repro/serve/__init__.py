@@ -2,13 +2,13 @@
 
 The file-based DSE cache served as a system: a long-lived HTTP process
 that owns a warm result store and hands records, frontiers, and
-rankings to many clients, plus the shard orchestration that feeds it.
+rankings to many clients, plus the local launcher that feeds it.
 
 * :mod:`~repro.serve.server` -- the stdlib-only HTTP service
   (:class:`SweepService` state + :class:`SweepServer` +
   blocking :func:`serve`): submit sweeps as jobs, poll/stream/cancel
   them by id, run Pareto / top-k / accuracy-frontier reductions
-  server-side, ingest merged shard stores, health and store stats;
+  server-side, ingest records, health and store stats;
 * :mod:`~repro.serve.jobs` -- the job queue under the service:
   :class:`Job` (queued -> running -> done/failed/cancelled) and
   :class:`JobManager`, the bounded priority-FIFO worker pool;
@@ -23,10 +23,10 @@ rankings to many clients, plus the shard orchestration that feeds it.
   client behind ``repro dse --server URL`` (records bit-identical to a
   local run), with bounded-backoff retries on transient failures of
   idempotent requests;
-* :mod:`~repro.serve.launch` -- ``repro dse-launch`` orchestration:
-  spawn N local shard processes or print per-machine command lines and
-  auto-merge shard stores, or ``--fleet N`` to self-host a lease queue
-  and pull workers instead of a fixed shard plan;
+* :mod:`~repro.serve.launch` -- ``repro dse-launch``: ``--fleet N``
+  self-hosts a lease queue and N local pull workers over the points
+  the destination store lacks, and ``--print-cmds`` prints per-machine
+  shard command lines for ``repro dse-merge`` to union;
 * :mod:`~repro.serve.serializers` -- the JSON shapes shared between
   the HTTP endpoints and the CLI's ``--format json``.
 """
@@ -37,8 +37,6 @@ from .jobs import Job, JobManager
 from .journal import JobJournal, JournalWarning, default_journal_path
 from .launch import (
     FleetLaunchResult,
-    LaunchResult,
-    launch,
     launch_fleet,
     render_commands,
     shard_commands,
@@ -73,8 +71,6 @@ __all__ = [
     "DrainingError",
     "QueueFullError",
     "FleetLaunchResult",
-    "LaunchResult",
-    "launch",
     "launch_fleet",
     "render_commands",
     "shard_commands",

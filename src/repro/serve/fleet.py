@@ -1,9 +1,10 @@
 """Elastic worker fleet: pull-based distributed sweeps with leases.
 
-``dse-launch`` used to push a fixed shard plan into local processes; a
-dead shard was simply lost until a human re-ran it.  This module
-inverts the control flow: the sweep server owns a lease table and
-*workers pull*.
+A fixed shard plan (``repro dse --shard i/n`` per machine) loses a
+dead shard until a human re-runs it.  This module inverts the control
+flow: the sweep server owns a lease table and *workers pull* --
+remote ``repro worker`` processes, or the local workers
+``repro dse-launch --fleet N`` starts.
 
 Coordinator side (embedded in
 :class:`~repro.serve.server.SweepService`):

@@ -1,29 +1,24 @@
-"""Shard orchestration: run one sweep as N coordinated shard processes.
+"""``repro dse-launch``: run one sweep on local cores, or plan it for many.
 
-``repro dse-launch`` turns the coordination-free hash-range partition
-(:meth:`SweepSpec.shard <repro.dse.spec.SweepSpec.shard>`) into a
-one-command workflow: shard the spec ``n`` ways, spawn one local
-``repro dse --shard i/n`` process per shard (or ``--print-cmds`` the
-exact per-machine command lines), auto-merge the per-shard stores into
-the destination store on completion, and optionally post the merged
-records to a running sweep server
-(:mod:`repro.serve.server`).  Every shard evaluates into its own JSONL
-store, so a crashed shard keeps its partials and a re-launch resumes
-warm.
+``repro dse-launch --fleet N`` (:func:`launch_fleet`) runs the sweep
+locally as an elastic worker fleet: an ephemeral in-process sweep
+server chunks the points the destination store lacks into a lease
+queue, and N local workers (forked from the launcher, or spawned if it
+is threaded) pull, evaluate, ingest, and ack -- a dead worker's leases
+expire and requeue.  A re-launch after a partial run resumes warm: only
+the missing points are submitted.
 
-``repro dse-launch --fleet N`` replaces the fixed shard plan with the
-elastic pull model (:func:`launch_fleet`): an ephemeral in-process
-sweep server chunks the spec into a lease queue and N local workers
-(forked from the launcher, or spawned if it is threaded) pull,
-evaluate, ingest, and ack -- a dead worker's leases expire and requeue
-instead of losing a shard.
+``repro dse-launch --print-cmds`` (:func:`shard_commands`) turns the
+coordination-free hash-range partition (:meth:`SweepSpec.shard
+<repro.dse.spec.SweepSpec.shard>`) into per-machine ``repro dse
+--shard i/n`` command lines, each into its own JSONL shard store, for
+``repro dse-merge`` to union afterwards.
 """
 
 from __future__ import annotations
 
 import os
 import shlex
-import subprocess
 import sys
 import threading
 import time
@@ -31,21 +26,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..dse.engine import _pool_context
+from ..dse.evaluate import EVAL_VERSION
+from ..dse.spec import SweepSpec
 from ..dse.store import ResultStoreBase, open_store
 
 __all__ = [
     "FleetLaunchResult",
-    "LaunchResult",
-    "launch",
     "launch_fleet",
+    "render_commands",
     "shard_commands",
     "shard_store_path",
 ]
-
-#: Records per /records upload request when posting a merged store to a
-#: server -- keeps each body far under the server's request-size cap no
-#: matter how large the merge is.
-POST_CHUNK_RECORDS = 20_000
 
 
 def shard_store_path(dest: str | os.PathLike, index: int) -> Path:
@@ -54,61 +45,28 @@ def shard_store_path(dest: str | os.PathLike, index: int) -> Path:
     return dest.with_name(f"{dest.name}.shard{index}.jsonl")
 
 
-def _shard_argv(
-    spec_path: str | os.PathLike,
-    index: int,
-    count: int,
-    store_path: str | os.PathLike,
-    workers: int = 1,
-    vectorize: bool = True,
-) -> list[str]:
-    argv = [
-        "dse",
-        "--spec",
-        str(spec_path),
-        "--shard",
-        f"{index}/{count}",
-        "--store",
-        str(store_path),
-        "--workers",
-        str(workers),
-        "--format",
-        "jsonl",
-    ]
-    if not vectorize:
-        argv.append("--no-vectorize")
-    return argv
-
-
 def shard_commands(
     spec_path: str | os.PathLike,
     count: int,
     dest: str | os.PathLike,
     workers: int = 1,
     vectorize: bool = True,
-    program: tuple[str, ...] = ("repro",),
 ) -> list[list[str]]:
-    """The ``count`` command lines that together cover the sweep.
+    """The ``count`` ``repro dse`` command lines that cover the sweep.
 
     Each line is independent -- run them on one machine or many, in any
-    order; the hash-range partition guarantees disjoint coverage.  The
-    default ``program`` spells the installed console script (what
-    ``--print-cmds`` emits for other machines); the launcher itself
-    substitutes ``sys.executable -m repro`` so it works from a source
-    tree too.
+    order; the hash-range partition guarantees disjoint coverage.
     """
-    return [
-        list(program)
-        + _shard_argv(
-            spec_path,
-            index,
-            count,
-            shard_store_path(dest, index),
-            workers=workers,
-            vectorize=vectorize,
-        )
-        for index in range(count)
-    ]
+    commands = []
+    for index in range(count):
+        command = ["repro", "dse", "--spec", str(spec_path)]
+        command += ["--shard", f"{index}/{count}"]
+        command += ["--store", str(shard_store_path(dest, index))]
+        command += ["--workers", str(workers), "--format", "jsonl"]
+        if not vectorize:
+            command.append("--no-vectorize")
+        commands.append(command)
+    return commands
 
 
 def render_commands(commands: list[list[str]]) -> str:
@@ -117,194 +75,25 @@ def render_commands(commands: list[list[str]]) -> str:
 
 
 @dataclass
-class LaunchResult:
-    """What one orchestrated launch produced."""
-
-    shards: int
-    merged_records: int
-    store_path: Path
-    shard_paths: list[Path]
-    posted: int | None = None  # records posted to --post, if any
-
-    def summary(self) -> str:
-        text = (
-            f"{self.shards} shards -> merged {self.merged_records} records "
-            f"into {self.store_path}"
-        )
-        if self.posted is not None:
-            text += f"; posted {self.posted} records to the server"
-        return text
-
-
-def _subprocess_env() -> dict[str, str]:
-    """Child env that can import this exact ``repro``, installed or not.
-
-    The launcher may run from a source tree (``PYTHONPATH=src``) where
-    the child's ``python -m repro`` would otherwise not resolve; put the
-    package's parent directory first on the child's path either way.
-    """
-    src_dir = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else src_dir + os.pathsep + existing
-    )
-    return env
-
-
-def _wait_for_shards(
-    processes: list[subprocess.Popen],
-    shards: int,
-    fail_fast: bool,
-    poll_interval: float = 0.05,
-) -> list[str]:
-    """Wait for shard children; returns failure descriptions (if any).
-
-    With ``fail_fast`` the first non-zero exit terminates every still
-    running sibling immediately, so a poisoned shard surfaces in
-    seconds instead of after the surviving N-1 shards burn to
-    completion.  Terminated siblings are reaped but not reported as
-    failures -- the shard that actually crashed is the story.  Without
-    ``fail_fast`` every child runs to its own exit (the pre-existing
-    behaviour, kept behind ``--no-fail-fast`` for runs where maximal
-    partial coverage matters more than fast failure).
-    """
-    terminated: set[int] = set()
-    if fail_fast:
-        pending = set(range(len(processes)))
-        while pending:
-            crashed = False
-            for index in sorted(pending):
-                code = processes[index].poll()
-                if code is None:
-                    continue
-                pending.discard(index)
-                if code != 0:
-                    crashed = True
-            if crashed:
-                for index in pending:
-                    processes[index].terminate()
-                    terminated.add(index)
-                break
-            if pending:
-                time.sleep(poll_interval)
-    failures = []
-    for index, process in enumerate(processes):
-        _, stderr = process.communicate()
-        if process.returncode != 0 and index not in terminated:
-            detail = stderr.decode(errors="replace").strip().splitlines()
-            failures.append(
-                f"shard {index}/{shards} exited {process.returncode}"
-                + (f": {detail[-1]}" if detail else "")
-            )
-    return failures
-
-
-def launch(
-    spec_path: str | os.PathLike,
-    shards: int,
-    store: "ResultStoreBase | str | os.PathLike",
-    backend: str | None = None,
-    workers: int = 1,
-    vectorize: bool = True,
-    post: str | None = None,
-    keep_shards: bool = False,
-    fail_fast: bool = True,
-) -> LaunchResult:
-    """Run every shard of ``spec_path`` locally and merge the stores.
-
-    Spawns ``shards`` child processes (each ``repro dse --shard i/n``
-    against its own JSONL shard store), waits for them, then merges the
-    shard stores into ``store`` (either backend, forced by ``backend``
-    or sniffed from the path).  A shard failure raises ``RuntimeError``
-    naming the shard and its last stderr line; with ``fail_fast`` (the
-    default) the failure surfaces promptly -- surviving siblings are
-    terminated instead of burning to completion -- while
-    ``fail_fast=False`` waits for every child.  Either way the
-    per-shard partial stores are kept on failure, so a re-launch
-    resumes warm.  With ``post``, the records this launch produced
-    (the shard delta, not the whole destination store) are uploaded to
-    a running server's ``/records`` endpoint in chunks.  Shard stores
-    are deleted after a successful merge unless ``keep_shards``.
-    """
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
-    dest = open_store(store, backend=backend)
-    commands = shard_commands(
-        spec_path,
-        shards,
-        dest.path,
-        workers=workers,
-        vectorize=vectorize,
-        program=(sys.executable, "-m", "repro"),
-    )
-    env = _subprocess_env()
-    processes = [
-        subprocess.Popen(
-            command,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        for command in commands
-    ]
-    failures = _wait_for_shards(processes, shards, fail_fast=fail_fast)
-    if failures:
-        raise RuntimeError("; ".join(failures))
-
-    shard_paths = [shard_store_path(dest.path, i) for i in range(shards)]
-    # Parse each shard store once: the same loaded records feed the
-    # merge and (when posting) the upload delta.  Shards are
-    # hash-disjoint, so a plain union is exact.
-    delta: dict[str, dict] = {}
-    for path in shard_paths:
-        if path.exists():
-            delta.update(open_store(path).load())
-    merged_records = dest.merge([delta])
-
-    posted = None
-    if post:
-        from .client import ServeClient
-
-        client = ServeClient(post)
-        # Only this launch's delta goes up, not everything the
-        # destination store accumulated over earlier runs -- chunked,
-        # so one giant delta never exceeds the server's body cap.
-        records = list(delta.values())
-        posted = 0
-        for start in range(0, len(records), POST_CHUNK_RECORDS):
-            chunk = records[start : start + POST_CHUNK_RECORDS]
-            posted += client.post_records(chunk)["appended"]
-
-    if not keep_shards:
-        for path in shard_paths:
-            path.unlink(missing_ok=True)
-
-    return LaunchResult(
-        shards=shards,
-        merged_records=merged_records,
-        store_path=dest.path,
-        shard_paths=shard_paths,
-        posted=posted,
-    )
-
-
-@dataclass
 class FleetLaunchResult:
     """What one self-hosted fleet launch produced."""
 
     workers: int
-    points: int
+    points: int  # points the fleet evaluated
     chunks: dict  # the fleet job's final chunk counts
     requeued: int
     store_path: Path
-    job: str
+    job: str | None  # None when the store already held every point
+    stored: int  # points the destination store already held
 
     def summary(self) -> str:
-        text = (
-            f"{self.points} points over {self.chunks.get('total', 0)} chunks "
-            f"pulled by {self.workers} workers -> {self.store_path}"
-        )
+        text = f"{self.points} evaluated, {self.stored} store hits"
+        if self.job is not None:
+            text += (
+                f"; {self.chunks.get('total', 0)} chunks pulled by "
+                f"{self.workers} workers"
+            )
+        text += f" -> {self.store_path}"
         if self.requeued:
             text += f" ({self.requeued} leases requeued)"
         return text
@@ -338,16 +127,18 @@ def launch_fleet(
 ) -> FleetLaunchResult:
     """Run one sweep as an elastic worker fleet, self-hosting the server.
 
-    The pull-based counterpart to :func:`launch`: instead of a fixed
-    shard plan, an ephemeral in-process sweep server over ``store``
-    takes the spec as a fleet job split into ``chunks`` hash-range
-    chunks (default ``4 * workers``, so work-stealing has slack), and
-    ``workers`` local processes -- forked from this one, or spawned if
-    it is threaded (spawn needs an import-safe ``__main__``) -- lease,
-    evaluate, ingest, and ack over HTTP until the job drains.  A worker
-    that dies mid-chunk costs one lease TTL -- survivors steal the
-    requeued chunk.  Raises ``RuntimeError`` if the job fails, times
-    out, or every worker exits while chunks remain.
+    The points ``store`` already holds at the current evaluator version
+    are store hits; only the rest are submitted.  An ephemeral
+    in-process sweep server over ``store`` takes them as a fleet job
+    split into ``chunks`` hash-range chunks (default ``4 * workers``,
+    so work-stealing has slack), and ``workers`` local processes --
+    forked from this one, or spawned if it is threaded (spawn needs an
+    import-safe ``__main__``) -- lease, evaluate, ingest, and ack over
+    HTTP until the job drains.  A worker that dies mid-chunk costs one
+    lease TTL -- survivors steal the requeued chunk.  When nothing is
+    missing no job is submitted and no server starts.  Raises
+    ``RuntimeError`` if the job fails, times out, or every worker exits
+    while chunks remain.
     """
     from .client import ServeClient
     from .fleet import DEFAULT_HEARTBEAT_TTL, DEFAULT_LEASE_TTL
@@ -355,10 +146,10 @@ def launch_fleet(
 
     if workers < 1:
         raise ValueError("fleet worker count must be >= 1")
+    if chunks is not None and chunks < 1:
+        raise ValueError("fleet chunk count must be >= 1")
     if len(spec) == 0:
         raise ValueError("the sweep has no points")
-    if chunks is None:
-        chunks = max(1, min(len(spec), 4 * workers))
     context = _pool_context()
     pipes = [context.Pipe(duplex=False) for _ in range(workers)]
     processes = [
@@ -370,8 +161,29 @@ def launch_fleet(
         # Fork before any store handle, socket or thread exists.
         for process in processes:
             process.start()
+        dest = open_store(store, backend=backend)
+        # Resume warm with the engine store tier's lookup: one indexed
+        # query on SQLite, proportional to the sweep, not the store.
+        by_hash = {point.config_hash(): point for point in spec}
+        stored = dest.records_for(list(by_hash), version=EVAL_VERSION)
+        missing = SweepSpec(
+            points=tuple(p for h, p in by_hash.items() if h not in stored)
+        )
+        if len(missing) == 0:
+            # The idle workers are killed on the way out.
+            return FleetLaunchResult(
+                workers=workers,
+                points=0,
+                chunks={},
+                requeued=0,
+                store_path=dest.path,
+                job=None,
+                stored=len(stored),
+            )
+        if chunks is None:
+            chunks = min(len(missing), 4 * workers)
         service = SweepService(
-            store=open_store(store, backend=backend),
+            store=dest,
             lease_ttl=lease_ttl or DEFAULT_LEASE_TTL,
             heartbeat_ttl=heartbeat_ttl or DEFAULT_HEARTBEAT_TTL,
         )
@@ -383,9 +195,7 @@ def launch_fleet(
         )
         server_thread.start()
         client = ServeClient(server.url)
-        job_id = client.submit_job(spec.to_dict(), fleet={"chunks": chunks})[
-            "job"
-        ]
+        job_id = client.submit_job(missing.to_dict(), fleet={"chunks": chunks})["job"]
         # After the submit: a worker that leased earlier would exit drained.
         for _, writer in pipes:
             writer.send(server.url)
@@ -431,6 +241,7 @@ def launch_fleet(
         points=progress.get("points", 0),
         chunks=chunk_counts,
         requeued=chunk_counts.get("requeues", 0),
-        store_path=service.store.path,
+        store_path=dest.path,
         job=job_id,
+        stored=len(stored),
     )

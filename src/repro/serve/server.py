@@ -65,9 +65,8 @@ Endpoints
     :func:`~repro.dse.queries.run_query`; the body carries the query's
     parameters plus an optional ``where`` equality filter.
 ``POST /records``
-    Ingest a JSON list of records (e.g. a merged shard store posted by
-    ``repro dse-launch --post``, or a fleet worker streaming a chunk's
-    results back); tracked as an ingest job.
+    Ingest a JSON list of records (e.g. a fleet worker streaming a
+    chunk's results back); tracked as an ingest job.
 ``POST /workers/register`` / ``GET /workers``
     Join the worker fleet (body ``{"name"?: str, "capacity"?: n}``;
     returns the worker id and heartbeat cadence) / list every

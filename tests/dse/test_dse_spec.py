@@ -328,7 +328,7 @@ class TestChunks:
 
     def test_chunks_match_shard_partition(self):
         # chunks(n) and [shard(i, n) for i in range(n)] are the same
-        # hash-range partition: a fleet chunk and a launch shard with
+        # hash-range partition: a fleet chunk and a ``dse --shard i/n`` shard with
         # the same index own exactly the same points.
         spec = self._spec()
         for count in (2, 5):

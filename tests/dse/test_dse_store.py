@@ -250,8 +250,8 @@ class TestMerge:
         assert sum(1 for _ in dest.iter_lines()) == 2
 
     def test_merge_from_loaded_mapping(self, make_store):
-        # Callers that already hold a loaded store (e.g. dse-launch
-        # building its upload delta) merge the dict without re-parsing.
+        # Callers that already hold a loaded store merge the dict
+        # without re-parsing.
         dest = make_store("merged")
         dest.append([_record("a", 1.0, version=2)])
         loaded = {
