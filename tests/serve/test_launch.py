@@ -281,6 +281,36 @@ class TestCliLaunch:
         by_hash = {r["hash"]: r for r in open_store(dest).load().values()}
         assert [by_hash[p.config_hash()] for p in spec.points] == local
 
+    def test_cli_launch_end_to_end_warms_a_store(self, capsys, tmp_path):
+        dest = tmp_path / "merged.jsonl"
+        out = self._run(
+            capsys,
+            "dse-launch",
+            "--workload",
+            "RNN",
+            "--platform",
+            "bpvec",
+            "--fleet",
+            "2",
+            "--store",
+            str(dest),
+        )
+        assert "2 evaluated, 0 store hits;" in out
+        # Only --print-cmds leaves a spec file next to the store.
+        assert not dest.with_name(dest.name + ".spec.json").exists()
+        clear_memo()
+        warm = self._run(
+            capsys,
+            "dse",
+            "--workload",
+            "RNN",
+            "--platform",
+            "bpvec",
+            "--store",
+            str(dest),
+        )
+        assert "0 evaluated" in warm and "2 store hits" in warm
+
     def test_cli_fleet_launch_warms_a_store(self, capsys, tmp_path):
         dest = tmp_path / "fleet.sqlite"
         argv = [
