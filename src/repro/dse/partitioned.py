@@ -57,7 +57,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .store import ResultStore, ResultStoreBase, _keyed, _supersedes
+from .store import (
+    ResultStore,
+    ResultStoreBase,
+    _durable_replace,
+    _keyed,
+    _supersedes,
+)
 
 __all__ = ["PartitionedStore", "part_index", "DEFAULT_PARTS"]
 
@@ -229,14 +235,15 @@ class PartitionedStore(ResultStoreBase):
         return manifest
 
     def _write_manifest(self, manifest: dict) -> None:
-        # Atomic like part rewrites: a crash mid-write leaves the old
-        # manifest (counts may lag reality, which only skews the
-        # compaction-policy estimate -- loads never read the counts).
+        # Atomic and durable like part rewrites: a crash mid-write
+        # leaves the old manifest (counts may lag reality, which only
+        # skews the compaction-policy estimate -- loads never read the
+        # counts).
         tmp = self._manifest_path.with_name(MANIFEST_NAME + ".tmp")
         tmp.write_text(
             json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
         )
-        os.replace(tmp, self._manifest_path)
+        _durable_replace(tmp, self._manifest_path)
 
     # -- parts ----------------------------------------------------------
     def _part(self, index: int) -> ResultStore:

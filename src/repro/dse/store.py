@@ -8,7 +8,8 @@ backends implement the :class:`ResultStoreBase` interface:
 
 * :class:`ResultStore` -- the append-only JSONL file.  One JSON record
   per line; appends are crash-safe in the usual JSONL sense (a torn
-  final line is skipped with a warning on load), duplicate hashes
+  final line is skipped with a warning on load, and the next append
+  starts on a fresh line), duplicate hashes
   resolve at load time, point lookups decode only the lines that may
   hold a wanted hash, :meth:`~ResultStoreBase.compact` rewrites the
   file keeping only survivors (optionally gzip-compressed, detected by
@@ -41,6 +42,7 @@ import hashlib
 import json
 import os
 import warnings
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Container, Iterable, Iterator, Mapping
@@ -62,6 +64,23 @@ _PARTITIONED_SUFFIXES = (".parts",)
 #: (everything shifts), so head+tail+size pins the content without a
 #: full read of a million-record store.
 _FINGERPRINT_BYTES = 64 * 1024
+
+
+def _durable_replace(tmp: Path, path: Path) -> None:
+    """Rename ``tmp`` over ``path`` so the swap survives a power loss.
+
+    The temp file's bytes are fsynced before the rename (else the new
+    name can point at an empty file after a crash) and the parent
+    directory after it (else the rename itself can be lost).
+    """
+    with open(tmp, "rb") as handle:
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 class StoreWarning(UserWarning):
@@ -376,12 +395,27 @@ class ResultStore(ResultStoreBase):
             return gzip_module.open(self.path, "rb")
         return self.path.open("rb")
 
+    def _torn_tail(self) -> bool:
+        """Whether the plain file's last line lacks its newline."""
+        try:
+            with self.path.open("rb") as handle:
+                handle.seek(-1, os.SEEK_END)
+                return handle.read(1) != b"\n"
+        except OSError:  # missing or empty
+            return False
+
     def _open_append(self) -> IO[str]:
         self._reject_sqlite_file()
         if self.is_gzipped():
             # A new gzip member; readers treat members as one stream.
             return gzip_module.open(self.path, "at", encoding="utf-8")
-        return self.path.open("a", encoding="utf-8")
+        torn = self._torn_tail()
+        handle = self.path.open("a", encoding="utf-8")
+        if torn:
+            # Start on a fresh line: a record glued onto a crashed
+            # append's torn tail would be skipped along with it.
+            handle.write("\n")
+        return handle
 
     def iter_lines(self, only: Container[str] | None = None) -> Iterator[dict]:
         """Every parseable record line in file order (no dedup).
@@ -426,9 +460,9 @@ class ResultStore(ResultStoreBase):
                         and (only is None or record["hash"] in only)
                     ):
                         yield record
-        except (EOFError, gzip_module.BadGzipFile):
+        except (EOFError, gzip_module.BadGzipFile, zlib.error):
             warnings.warn(
-                f"{self.path}: torn gzip member at the tail; keeping the "
+                f"{self.path}: torn or corrupt gzip member; keeping the "
                 "records that parsed",
                 StoreWarning,
                 stacklevel=2,
@@ -478,18 +512,21 @@ class ResultStore(ResultStoreBase):
             key: record.get("version", 0)
             for key, record in self.load().items()
         }
-        written = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._open_append() as handle:
-            for record in batch:
-                key = record["hash"]
-                version = record.get("version", 0)
-                if key in versions and version < versions[key]:
-                    continue
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                versions[key] = version
-                written += 1
-        return written
+        lines = []
+        for record in batch:
+            key = record["hash"]
+            version = record.get("version", 0)
+            if key in versions and version < versions[key]:
+                continue
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            versions[key] = version
+        if lines:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            # One write: a concurrent streaming appender's lines land
+            # between batches, never inside one.
+            with self._open_append() as handle:
+                handle.write("".join(lines))
+        return len(lines)
 
     @contextmanager
     def appender(self) -> Iterator[Callable[[dict], None]]:
@@ -497,7 +534,9 @@ class ResultStore(ResultStoreBase):
 
         The yielded callable writes and flushes one record, so every
         completed record is on disk for crash recovery (gzip flushes
-        with a sync point) without paying a file open per record -- and
+        with a sync point) without paying a file open per record, and
+        concurrent appenders on a plain file (the sweep service's jobs)
+        never interleave inside a line -- and
         a gzipped store gains one member per run, not one per record.
         The file is only created once something is written.  Keyless
         records are skipped with a :class:`StoreWarning`; unlike bulk
@@ -559,14 +598,14 @@ class ResultStore(ResultStoreBase):
             yield page[key]
 
     def _rewrite(self, records: Iterable[dict], gzip: bool) -> None:
-        """Atomically replace the file with one line per record."""
+        """Atomically and durably replace the file, one line per record."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
         opener = gzip_module.open if gzip else open
         with opener(tmp, "wt", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        _durable_replace(tmp, self.path)
 
     def _replace_all(
         self, records: Iterable[dict], gzip: bool | None = None

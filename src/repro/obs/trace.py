@@ -12,7 +12,7 @@ for display are a separate concern).
 
 The canonical phase sequences::
 
-    job:   validate -> queue-wait -> evaluate [-> stage-merge]
+    job:   validate -> queue-wait -> evaluate
     ingest: validate -> queue-wait -> ingest
     chunk: lease-wait -> worker-eval -> upload -> ack
 

@@ -7,8 +7,8 @@ the store changes:
 * the **complete snapshot** (the full current-version survivor list,
   hash-sorted) is cached only while it fits ``capacity`` records --
   larger stores fall back to streaming reads per query;
-* any store change (tracked by the store's change token) or local
-  write invalidates it at once.
+* any store change -- the service's own writes included -- moves the
+  store's change token and invalidates it at the next read.
 
 Pages (``GET /records?after=&limit=``) never come from here: they
 stream the store's stored JSON text straight off its keyset index, so
@@ -41,7 +41,7 @@ _MISSES = _METRICS.counter(
 )
 _INVALIDATIONS = _METRICS.counter(
     "repro_record_cache_invalidations_total",
-    "Whole-cache invalidations (store changed or local write).",
+    "Whole-cache invalidations (the store's change token moved).",
 )
 
 

@@ -18,15 +18,12 @@ The state machine is deliberately small::
 ``queued -> cancelled`` is the only shortcut (cancelling a job the
 pool never started).  Terminal states are final.
 
-Concurrent jobs must not interleave half-written records into the
-shared store.  SQLite stores are safe to write directly -- the
-conditional upsert resolves conflicts row-by-row and SQLite serializes
-writers itself -- but JSONL appends from two threads can tear lines,
-so JSONL-backed jobs write into a private *staging* store
-(:class:`StagedWrites`) that is merged into the shared store exactly
-once, when the job leaves the running state (done, failed, or
-cancelled alike: completed records are kept, like a crashed local run
-keeps its partials).
+Concurrent jobs write straight into the shared store without
+interleaving half-written records: SQLite's conditional upsert
+resolves conflicts row-by-row and SQLite serializes writers itself,
+and a plain JSONL appender writes each record as one whole line.
+Records a job completed stay in the store whether it ends done,
+failed, or cancelled, like a crashed local run keeps its partials.
 
 Not every job runs on the pool.  Externally-driven jobs -- ingests
 completed inline by the handler, and fleet jobs whose chunks are
@@ -43,18 +40,15 @@ import queue
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from ..dse.spec import SweepSpec
-from ..dse.store import ResultStoreBase
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
 
 __all__ = [
     "Job",
     "JobManager",
-    "StagedWrites",
     "QUEUED",
     "RUNNING",
     "DONE",
@@ -101,7 +95,7 @@ _JOBS_FINISHED = _METRICS.counter(
 _JOB_PHASE_SECONDS = _METRICS.histogram(
     "repro_job_phase_seconds",
     "Time jobs spend in each traced phase "
-    "(validate, queue-wait, evaluate, stage-merge, ingest).",
+    "(validate, queue-wait, evaluate, ingest).",
     ("kind", "phase"),
 )
 
@@ -174,10 +168,6 @@ class Job:
         if closed is not None:
             phase, seconds = closed
             _JOB_PHASE_SECONDS.observe(seconds, kind=self.kind, phase=phase)
-
-    def mark_phase(self, phase: str) -> None:
-        """Enter a named trace phase, observing the one it closes."""
-        self._observe_phase(self.trace.mark(phase))
 
     # -- lifecycle (worker side) ---------------------------------------
     def mark_running(self) -> bool:
@@ -361,47 +351,6 @@ class IngestJob(Job):
     def progress(self) -> dict:
         with self._changed:
             return {"offered": self.offered, "appended": self.appended}
-
-
-class StagedWrites(ResultStoreBase):
-    """A sweep job's view of the shared store: shared reads, counted writes.
-
-    Handed to :func:`~repro.dse.engine.iter_sweep` in place of the
-    shared store: warm lookups (``records_for``) resolve against the
-    shared store so cache hits still hit, while the streaming appender
-    lands every completed record in ``staging`` when there is one -- a
-    private per-job JSONL store the job runner merges into a JSONL
-    shared store under the service's store lock, exactly once after the
-    job stops, so concurrent jobs never interleave (or tear) lines in
-    the shared file -- or straight in the shared store otherwise
-    (SQLite's conditional upsert makes concurrent appenders safe).
-    :attr:`persisted` counts the records written either way, so the
-    runner drops read caches only after a job that wrote.
-    """
-
-    backend = "staged"
-
-    def __init__(
-        self, shared: ResultStoreBase, staging: ResultStoreBase | None = None
-    ):
-        super().__init__(shared.path)
-        self.shared = shared
-        self.staging = staging
-        self.persisted = 0
-
-    def records_for(self, hashes, version=None):
-        return self.shared.records_for(hashes, version=version)
-
-    @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
-        target = self.shared if self.staging is None else self.staging
-        with target.appender() as write:
-
-            def persist(record: dict) -> None:
-                write(record)
-                self.persisted += 1
-
-            yield persist
 
 
 class JobManager:

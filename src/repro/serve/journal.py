@@ -3,9 +3,9 @@
 Everything the service knows about submitted work -- the job table,
 each job's lifecycle state, and the per-chunk lease table of fleet
 jobs -- used to live only in process memory: a server crash or
-redeploy lost queued jobs, stranded running fleet sweeps, and orphaned
-per-job staging files.  This module is the durability layer that makes
-the server restartable at any instant without losing accepted work.
+redeploy lost queued jobs and stranded running fleet sweeps.  This
+module is the durability layer that makes the server restartable at
+any instant without losing accepted work.
 
 :class:`JobJournal` is a SQLite WAL journal (``repro serve --journal
 PATH``, colocated with the server store by default) that records every
@@ -21,14 +21,13 @@ Recovery (:meth:`JobJournal.recover_state` driven by
 startup:
 
 * queued jobs re-enqueue in their original priority-FIFO order;
-* running jobs re-enqueue too -- their fully-appended staging prefix is
-  merged into the store first, so the resumed sweep resolves the
-  already-evaluated points through the hash-keyed warm path and only
+* running jobs re-enqueue too -- the records they appended to the
+  store before the crash are still there, so the resumed sweep
+  resolves those points through the hash-keyed warm path and only
   evaluates the remainder (recovered work is never recomputed);
 * fleet jobs rebuild their lease tables with completed chunks kept and
   every previously-leased chunk requeued as pending (the holder is
-  gone; workers re-register and steal the chunk back);
-* staging files with no running journal entry are swept as orphans.
+  gone; workers re-register and steal the chunk back).
 
 The journal is an *operational* record, not a result store: records
 live in the result store, the journal only remembers what was accepted
@@ -85,8 +84,7 @@ _SCHEMA = (
     " cancel_requested INTEGER NOT NULL DEFAULT 0,"
     " submitted_at REAL,"
     " started_at REAL,"
-    " finished_at REAL,"
-    " merged_records INTEGER NOT NULL DEFAULT 0"  # staged-merge watermark
+    " finished_at REAL"
     ")",
     "CREATE TABLE IF NOT EXISTS leases ("
     " job TEXT NOT NULL,"
@@ -278,18 +276,6 @@ class JobJournal:
             ]
         )
 
-    def record_merged(self, job_id: str, records: int) -> None:
-        """Advance a job's records-merged watermark (staged merges)."""
-        self._write(
-            [
-                (
-                    "UPDATE jobs SET merged_records = merged_records + ?"
-                    " WHERE id = ?",
-                    (records, job_id),
-                )
-            ]
-        )
-
     def evict(self, job_ids: Iterable[str]) -> None:
         """Forget terminal jobs (the retention policy's journal half)."""
         ids = list(job_ids)
@@ -352,7 +338,7 @@ class JobJournal:
         rows = self._read(
             "SELECT id, seq, kind, spec, workers, vectorize, priority,"
             " chunks, state, error, cancel_requested, submitted_at,"
-            " started_at, finished_at, merged_records"
+            " started_at, finished_at"
             " FROM jobs ORDER BY priority, seq"
         )
         keys = (
@@ -370,7 +356,6 @@ class JobJournal:
             "submitted_at",
             "started_at",
             "finished_at",
-            "merged_records",
         )
         return [dict(zip(keys, row)) for row in rows]
 

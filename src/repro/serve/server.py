@@ -87,11 +87,15 @@ Endpoints
 Crash safety: with a journal (``--journal``, on by default next to the
 store), every job/lease transition is durable and a restarted server
 replays it -- queued jobs re-enqueue in order, running jobs resume via
-their merged staging prefix and the store warm path, fleet lease
-tables rebuild with in-flight chunks requeued (see
+the records they already appended to the store and the store warm
+path, fleet lease tables rebuild with in-flight chunks requeued (see
 :mod:`repro.serve.journal`).  ``--max-queue-depth`` sheds load with
 429 + ``Retry-After``; ``--job-retention``/``--job-ttl`` bound the job
 table on long-lived servers.
+
+Every sweep job streams its records straight into the shared store.
+A gzipped JSONL store cannot take concurrent appenders (their gzip
+members would interleave), so the service refuses one at construction.
 """
 
 from __future__ import annotations
@@ -103,7 +107,6 @@ import re
 import signal
 import threading
 import time
-import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
@@ -112,7 +115,7 @@ from ..dse.engine import iter_sweep
 from ..dse.evaluate import _MEMO, EVAL_VERSION
 from ..dse.queries import pareto_frontier, run_query
 from ..dse.spec import SweepSpec
-from ..dse.store import ResultStore, ResultStoreBase, StoreWarning, open_store
+from ..dse.store import ResultStoreBase, open_store
 from ..obs.logs import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
@@ -135,7 +138,6 @@ from .jobs import (
     IngestJob,
     Job,
     JobManager,
-    StagedWrites,
 )
 from .journal import JobJournal, default_journal_path
 from .serializers import dumps, records_payload, summary_payload
@@ -283,6 +285,14 @@ class SweepService:
         record_cache: int | None = DEFAULT_RECORD_CACHE,
     ):
         self.store = open_store(store) if store is not None else None
+        if self.store is not None and self.store.is_gzipped():
+            # Checked before the journal opens: a refusal leaves no file.
+            raise ValueError(
+                f"{self.store.path} is a gzipped JSONL store, which "
+                "concurrent sweep jobs cannot append to; serve a plain "
+                f"copy (repro dse-merge plain.jsonl {self.store.path}) "
+                "or a SQLite store path (e.g. store.sqlite)"
+            )
         self.workers = workers
         self.vectorize = vectorize
         self.sweeps_served = 0
@@ -293,12 +303,11 @@ class SweepService:
         self.job_ttl = job_ttl
         self.jobs = JobManager(self._run_sweep_job, pool_size=job_workers)
         self.fleet = Fleet(lease_ttl=lease_ttl, heartbeat_ttl=heartbeat_ttl)
-        # Serializes every *direct* write to the shared store (ingest
-        # appends, staged-job merges).  JSONL needs it -- interleaved
-        # appends tear lines and a merge rewrites the file wholesale --
-        # and holding SQLite to the same rule keeps one invariant.
-        # Sweep jobs never take it: SQLite jobs go through the upsert,
-        # JSONL jobs write to private staging stores.
+        # Serializes ingests: an append checks the store for newer
+        # versions before it writes, and two interleaved check-then-
+        # write batches could both pass.  Sweep jobs never take it:
+        # they stream whole lines (JSONL, one write per record) or
+        # upserts (SQLite) straight into the shared store.
         self._store_lock = threading.Lock()
         # The query snapshot, bounded to ``record_cache`` records (0 or
         # None disables), synced against the store's change token.
@@ -400,12 +409,11 @@ class SweepService:
         Runs once, from ``__init__``, before the server accepts a
         single request.  Queued jobs re-enqueue in their original
         priority-FIFO order (the journal's ``seq`` is submission order
-        and rows come back pre-sorted); running jobs merge their staged
-        prefix first and then re-enqueue -- the store warm path
-        resolves every already-evaluated hash, so recovered work is
-        never recomputed; fleet jobs rebuild their lease tables with
-        previously-leased chunks requeued; staging files without a
-        running owner are swept as orphans.
+        and rows come back pre-sorted); running jobs re-enqueue too --
+        the records they appended before the crash are in the store, so
+        the warm path resolves them and recovered work is never
+        recomputed; fleet jobs rebuild their lease tables with
+        previously-leased chunks requeued.
         """
         journal = self.journal
         marker = journal.consume_clean_shutdown()
@@ -420,17 +428,7 @@ class SweepService:
             "recovered_terminal": 0,
             "requeued_chunks": 0,
             "cancelled_on_recovery": 0,
-            "staging_merged": 0,
-            "staging_merged_records": 0,
-            "staging_orphans_deleted": 0,
         }
-        running_sweeps = {
-            row["id"]
-            for row in rows
-            if row["kind"] == "sweep" and row["state"] == RUNNING
-        }
-        if self.store is not None:
-            self._sweep_staging(running_sweeps, info)
         for row in rows:  # already in (priority, seq) replay order
             if row["kind"] == "fleet":
                 self._recover_fleet_job(row, info)
@@ -438,41 +436,6 @@ class SweepService:
                 self._recover_pool_job(row, info)
         journal.set_recovery_info(info)
         return info
-
-    def _sweep_staging(self, running_sweeps: set, info: dict) -> None:
-        """Merge-or-delete per-job staging files a dead server left.
-
-        A staging file whose owner the journal last saw *running* holds
-        that job's fully-appended record prefix -- merge it, so the
-        warm path skips those points when the job resumes.  Any other
-        staging file is an orphan: its owner is terminal (already
-        merged), unknown to the journal, or never journaled; deleting
-        is the only safe move, and it warns so operators see that data
-        was discarded.
-        """
-        store = self.store
-        prefix = f"{store.path.name}.job-"
-        for path in sorted(store.path.parent.glob(f"{prefix}*.staging")):
-            job_id = path.name[len(prefix) : -len(".staging")]
-            if job_id in running_sweeps:
-                staging = ResultStore(path)
-                records = len(staging.load())
-                with self._store_lock:
-                    store.merge([staging])
-                self.journal.record_merged(job_id, records)
-                info["staging_merged"] += 1
-                info["staging_merged_records"] += records
-            else:
-                warnings.warn(
-                    f"deleting orphaned staging file {path}: no running "
-                    "job in the journal owns it",
-                    StoreWarning,
-                    stacklevel=2,
-                )
-                info["staging_orphans_deleted"] += 1
-            path.unlink(missing_ok=True)
-        if info["staging_merged"]:
-            self._invalidate_caches()
 
     def _recover_pool_job(self, row: dict, info: dict) -> None:
         if not row["spec"]:
@@ -547,30 +510,13 @@ class SweepService:
         self.journal.record_submit(job)  # re-snapshot the lease table
         info["recovered_fleet"] += 1
 
-    def _invalidate_caches(self) -> None:
-        """Drop cached records/stats after a write this process made."""
-        if self.record_cache is not None:
-            self.record_cache.clear()
-        self._stats_cache = None
-
-    def _store_token(self) -> tuple | None:
-        """The store's change token -- the cache-invalidation key.
-
-        ``None`` (no store file yet, or the token read failed) disables
-        caching for that call.  SQLite tokens carry ``PRAGMA
-        data_version``, JSONL tokens a head/tail content fingerprint,
-        so an external same-size upsert inside one coarse mtime tick
-        still invalidates -- a bare ``(mtime, size)`` key would not.
-        """
-        return self.store.change_token()
-
     def stats(self) -> dict:
         self._evict_terminal()  # /stats is polled: the TTL clock tick
         store_stats = None
         if self.store is not None:
             # Cached like records(): a JSONL store's record count is a
             # full parse, and /stats is the endpoint monitors poll.
-            key = self._store_token()
+            key = self.store.change_token()
             cached = self._stats_cache
             if key is not None and cached is not None and cached[0] == key:
                 store_stats = cached[1]
@@ -630,11 +576,14 @@ class SweepService:
         Backed by the store when there is one, else by the in-process
         memo -- a storeless server still answers queries over what it
         evaluated this lifetime.  Store reads go through the bounded
-        :class:`RecordCache` keyed by the store's change token, so
-        back-to-back queries over an unchanged store that fits the
-        cache parse it once; any write -- a job, an ingest, an
-        external process -- moves the token and invalidates.  Stores
-        past the cache capacity are re-read per call.  Pages
+        :class:`RecordCache` keyed by the store's change token alone
+        (``None`` -- no store file yet, or an unreadable token --
+        disables caching for that call), so back-to-back queries over
+        an unchanged store that fits the cache parse it once; any
+        write -- a job, an ingest, an external process -- moves the
+        token (SQLite's ``PRAGMA data_version``, the JSONL file's size
+        and head/tail fingerprint) and invalidates.  Stores past the
+        cache capacity are re-read per call.  Pages
         (:meth:`record_page_stream`) never come through here.
         """
         if self.store is None:
@@ -643,7 +592,7 @@ class SweepService:
             memo = list(_MEMO.values())
             return [r for r in memo if r.get("version") == EVAL_VERSION]
         cache = self.record_cache
-        key = self._store_token() if cache is not None else None
+        key = self.store.change_token() if cache is not None else None
         if cache is not None:
             cache.sync(key)
             if key is not None:
@@ -733,10 +682,6 @@ class SweepService:
             raise
         job.appended = appended
         job.finish(DONE)
-        # Invalidate explicitly: our own write is visible to us before
-        # any token read, and tokens only protect against *external*
-        # writers.
-        self._invalidate_caches()
         # Only report what this request did: a total record count would
         # be a full-store parse per uploaded chunk on the JSONL backend
         # (GET /stats serves cached totals).
@@ -873,8 +818,8 @@ class SweepService:
             error=None if error is None else str(error),
             timings=timings if isinstance(timings, Mapping) else None,
         )
-        # Worker ingests already invalidated the records cache; the ack
-        # only moves job/fleet counters, which are never cached.
+        # The ack only moves job/fleet counters, which are never
+        # cached; the chunk's records moved the store token at ingest.
         return outcome
 
     def job(self, job_id: str) -> Job | None:
@@ -892,58 +837,29 @@ class SweepService:
         state = job.cancel()
         return {"job": job.id, "state": state, "cancel_requested": True}
 
-    def _staging_store(self, job: Job) -> ResultStore:
-        """The private JSONL store a staged job appends into."""
-        path = self.store.path
-        return ResultStore(path.with_name(f"{path.name}.job-{job.id}.staging"))
-
     def _run_sweep_job(self, job: Job) -> None:
         """Execute one sweep job on a pool worker thread.
 
-        SQLite-backed jobs write straight to the shared store (the
-        conditional upsert makes concurrent appenders safe); JSONL jobs
-        stage privately and merge under the store lock when they stop,
-        whatever the reason -- completed records are always kept, the
-        way an interrupted local run keeps its partials.  Read caches
-        are dropped only when the job wrote: a fully warm re-submit
-        leaves the query snapshot and ``/stats`` cache intact.
+        The job streams its records straight into the shared store:
+        SQLite's conditional upsert makes concurrent appenders safe,
+        and a plain JSONL appender writes each record as one whole
+        line.  Completed records are kept whatever stops the job, the
+        way an interrupted local run keeps its partials; read caches
+        notice the writes through the store's change token.
         """
-        staging: ResultStore | None = None
-        store: StagedWrites | None = None
-        if self.store is not None:
-            if self.store.backend == "jsonl":
-                staging = self._staging_store(job)
-            store = StagedWrites(self.store, staging)
-        merged = 0
-        error: str | None = None
         try:
             for sweep_record in iter_sweep(
                 job.spec,
-                store=store,
+                store=self.store,
                 workers=job.workers,
                 vectorize=job.vectorize,
                 should_cancel=job.cancel_requested,
             ):
                 job.append(sweep_record.record, sweep_record.source)
         except Exception as failure:  # noqa: BLE001 - job boundary
-            error = str(failure)
-        finally:
-            if staging is not None and staging.exists():
-                job.mark_phase("stage-merge")
-                merged = len(staging.load())
-                with self._store_lock:
-                    self.store.merge([staging])
-                staging.path.unlink(missing_ok=True)
-                if self.journal is not None and merged:
-                    self.journal.record_merged(job.id, merged)
-            if merged or (store is not None and store.persisted):
-                self._invalidate_caches()
-        if error is not None:
-            job.finish(FAILED, error=error)
-        elif job.cancel_requested():
-            job.finish(CANCELLED)
+            job.finish(FAILED, error=str(failure))
         else:
-            job.finish(DONE)
+            job.finish(CANCELLED if job.cancel_requested() else DONE)
 
     def job_summary(self, job: Job) -> dict:
         """The tier summary of a job's (possibly partial) record set.

@@ -488,6 +488,63 @@ class TestJsonlSpecific:
         with pytest.warns(StoreWarning, match="gzip"):
             assert set(store.load()) == {"a", "b"}
 
+    def test_interleaved_gzip_appenders_keep_parsed_records(self, tmp_path):
+        # Two held-open appenders on one gzipped store interleave their
+        # members into bytes zlib rejects; the reader must keep what
+        # parsed before the damage instead of raising.
+        store = ResultStore(tmp_path / "s.jsonl")
+        store.append([_record("a")])
+        store.compact(gzip=True, drop_stale=False)
+        with store.appender() as first, store.appender() as second:
+            for i in range(20):
+                first(_record(f"f{i}"))
+                second(_record(f"s{i}"))
+        with pytest.warns(StoreWarning, match="gzip"):
+            loaded = store.load()
+        assert "a" in loaded
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_append_after_torn_tail_starts_a_fresh_line(
+        self, tmp_path, streamed
+    ):
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path)
+        store.append([_record("a"), _record("b")])
+        path.write_bytes(path.read_bytes()[:-10])  # crashed mid-write
+        if streamed:
+            with store.appender() as persist:
+                persist(_record("c"))
+        else:
+            with pytest.warns(StoreWarning):  # its stale check reads
+                assert store.append([_record("c")]) == 1
+        with pytest.warns(StoreWarning, match="torn write"):
+            assert set(store.load()) == {"a", "c"}
+
+    def test_compact_fsyncs_the_file_then_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        import stat
+
+        store = ResultStore(tmp_path / "s.jsonl")
+        store.append([_record("a", version=EVAL_VERSION)] * 2)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(f"fsync {kind}")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert store.compact() == (1, 1)
+        assert events == ["fsync file", "replace", "fsync dir"]
+        assert set(store.load()) == {"a"}
+
 
 def _sorted_line(record) -> str:
     return json.dumps(record, sort_keys=True)

@@ -10,7 +10,7 @@ running, or already done -- the assertions are valid wherever it lands
 
 The hypothesis property at the bottom drives the same invariant
 deterministically: replaying a journal whose job has *any* prefix of
-its records already staged never re-evaluates a config hash.
+its records already in the store never re-evaluates a config hash.
 """
 
 import json
@@ -287,16 +287,16 @@ class TestServerSigkill:
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(staged=st.integers(min_value=0, max_value=24))
-def test_replaying_any_journal_prefix_never_reevaluates(staged):
+@given(stored=st.integers(min_value=0, max_value=24))
+def test_replaying_any_journal_prefix_never_reevaluates(stored):
     """Recovery property: whatever record prefix a dead server managed
-    to stage, the resumed job serves exactly that prefix from the store
-    and evaluates exactly the rest -- no config hash runs twice, and
-    the final store matches an uninterrupted run byte for byte."""
+    to append, the resumed job serves exactly that prefix from the
+    store and evaluates exactly the rest -- no config hash runs twice,
+    and the final store matches an uninterrupted run byte for byte."""
     spec = SweepSpec.from_dict(WIDE)
     clear_memo()
     local = run_sweep(spec, vectorize=False).records
-    prefix = local[:staged]
+    prefix = local[:stored]
 
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "store.jsonl"
@@ -306,10 +306,8 @@ def test_replaying_any_journal_prefix_never_reevaluates(staged):
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()
-        if prefix:
-            ResultStore(
-                store.with_name(f"{store.name}.job-{job.id}.staging")
-            ).append(prefix)
+        # The dead job streamed this prefix into the shared store.
+        ResultStore(store).append(prefix)
         journal.close()
 
         clear_memo()
@@ -318,8 +316,8 @@ def test_replaying_any_journal_prefix_never_reevaluates(staged):
             recovered = service.jobs.get(job.id)
             assert recovered.wait(30)
             assert recovered.state == "done"
-            assert recovered.counts["store"] == staged
-            assert recovered.counts["evaluated"] == len(spec) - staged
+            assert recovered.counts["store"] == stored
+            assert recovered.counts["evaluated"] == len(spec) - stored
             assert recovered.counts["memo"] == 0
             assert _canonical(ResultStore(store).load().values()) == (
                 _canonical(local)

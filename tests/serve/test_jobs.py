@@ -11,6 +11,7 @@ import socket
 import threading
 import time
 import urllib.request
+import warnings
 
 import pytest
 
@@ -18,6 +19,9 @@ import repro.dse.engine as engine_module
 import repro.serve.server as server_module
 from repro.cli import main
 from repro.dse import clear_memo
+from repro.dse.engine import run_sweep
+from repro.dse.spec import SweepSpec
+from repro.dse.store import StoreWarning
 from repro.serve import (
     Job,
     JobManager,
@@ -247,10 +251,61 @@ class TestConcurrencyContract:
             assert job.completed() == 1
             stored = list(service.store.load().values())
             assert stored == job.records
-            # The staging file was merged and removed.
-            assert not list(tmp_path.glob("*.staging"))
+            # Written straight into the store: no side files.
+            assert [path.name for path in tmp_path.iterdir()] == ["s.jsonl"]
         finally:
             service.close()
+
+    def test_overlapping_jobs_and_ingest_share_a_jsonl_store(
+        self, tmp_path, monkeypatch
+    ):
+        # Both jobs hold their first chunk at a barrier with the test
+        # thread, so their appenders and the ingest write the one JSONL
+        # file at the same time; every line must still land whole.
+        real = engine_module.evaluate_points
+        barrier = threading.Barrier(3, timeout=30)
+        held: set[int] = set()
+
+        def gated(chunk):
+            records = real(chunk)
+            if threading.get_ident() not in held:
+                held.add(threading.get_ident())
+                barrier.wait()
+            return records
+
+        def grid(workload):
+            return {
+                "grid": {
+                    "workloads": [workload],
+                    "platforms": ["tpu", "bitfusion", "bpvec"],
+                    "memories": ["ddr4", "hbm2"],
+                    "batches": [1, 2, 4, 8, 16, 32, 64],
+                }
+            }
+
+        ingested = run_sweep(SweepSpec.from_dict(grid("AlexNet"))).records
+        clear_memo()
+        monkeypatch.setattr(engine_module, "evaluate_points", gated)
+        service = SweepService(store=tmp_path / "s.jsonl", job_workers=2)
+        try:
+            jobs = [
+                service.submit({"spec": grid(workload)})
+                for workload in ("RNN", "LSTM")
+            ]
+            barrier.wait()
+            assert service.ingest(ingested)["appended"] == len(ingested)
+            for job in jobs:
+                assert job.wait(30) and job.state == "done", job.error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", StoreWarning)
+                stored = service.store.load()
+        finally:
+            service.close()
+        expected = {record["hash"]: record for record in ingested}
+        for job in jobs:
+            expected.update((r["hash"], r) for r in job.records)
+        assert len(expected) == 3 * 42
+        assert stored == expected
 
     def test_http_cancel_surfaces_in_stream_and_status(
         self, live_server, client, monkeypatch

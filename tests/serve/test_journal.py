@@ -1,13 +1,14 @@
 """Tests for the crash-safe service layer: journal, recovery, drain,
 admission control, and retention.
 
-Crash states are fabricated directly (journal rows + staging files on
+Crash states are fabricated directly (journal rows + store records on
 disk, then a fresh :class:`SweepService` over them) so every recovery
 variant is deterministic; the subprocess SIGKILL suite lives in
 ``test_crash_recovery.py``.
 """
 
 import json
+import sqlite3
 import threading
 import time
 
@@ -16,7 +17,7 @@ import pytest
 from repro.dse import clear_memo
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
-from repro.dse.store import ResultStore, StoreWarning
+from repro.dse.store import ResultStore
 from repro.serve import (
     DrainingError,
     JobJournal,
@@ -269,29 +270,54 @@ class TestRecovery:
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()
-        staging = ResultStore(
-            store.with_name(f"{store.name}.job-{job.id}.staging")
-        )
-        staging.append(prefix)
+        # The dead job streamed its first record into the shared store.
+        ResultStore(store).append(prefix)
         journal.close()
 
         clear_memo()
         service = SweepService(store=store, journal=jpath)
-        info = service.recovery_info
-        assert info["recovered_running"] == 1
-        assert info["staging_merged"] == 1
-        assert info["staging_merged_records"] == 1
+        assert service.recovery_info["recovered_running"] == 1
         recovered = service.jobs.get(job.id)
         _wait_done(recovered)
         assert recovered.state == DONE
-        # The staged prefix resolved through the store warm path; only
+        # The stored prefix resolved through the store warm path; only
         # the remainder was evaluated.  Nothing ran twice.
         assert recovered.counts["store"] == 1
         assert recovered.counts["evaluated"] == len(spec) - 1
         assert ResultStore(store).load() == {
             r["hash"]: r for r in local.records
         }
-        assert not list(store.parent.glob("*.staging"))
+        service.close()
+
+    def test_journal_with_merged_records_column_replays(self, paths):
+        """A journal written before the ``merged_records`` column went
+        away still opens, journals, and replays its jobs."""
+        store, jpath = paths
+        legacy = sqlite3.connect(jpath)
+        with legacy:
+            legacy.execute(
+                "CREATE TABLE jobs (id TEXT PRIMARY KEY, seq INTEGER NOT NULL,"
+                " kind TEXT NOT NULL, spec TEXT, workers INTEGER,"
+                " vectorize INTEGER, priority INTEGER NOT NULL DEFAULT 10,"
+                " chunks INTEGER, state TEXT NOT NULL, error TEXT,"
+                " cancel_requested INTEGER NOT NULL DEFAULT 0,"
+                " submitted_at REAL, started_at REAL, finished_at REAL,"
+                " merged_records INTEGER NOT NULL DEFAULT 0)"
+            )
+        legacy.close()
+        journal = JobJournal(jpath)
+        spec = SweepSpec.from_dict(SMALL)
+        job = Job(spec=spec, vectorize=False)
+        job.journal = journal
+        journal.record_submit(job)
+        job.mark_running()
+        journal.close()
+
+        service = SweepService(store=store, journal=jpath)
+        assert service.recovery_info["recovered_running"] == 1
+        recovered = _wait_done(service.jobs.get(job.id))
+        assert recovered.state == DONE
+        assert len(ResultStore(store).load()) == len(spec)
         service.close()
 
     def test_cancel_requested_job_recovers_cancelled(self, paths):
@@ -324,23 +350,6 @@ class TestRecovery:
         recovered = service.jobs.get(job.id)
         assert recovered.state == DONE
         assert recovered.status()["finished_at"] is not None
-        service.close()
-
-    def test_orphan_staging_swept_with_warning(self, paths):
-        """Regression: stale staging files from a killed server are
-        merged when journaled as running, deleted with a StoreWarning
-        otherwise."""
-        store, jpath = paths
-        spec = SweepSpec.from_dict(SMALL)
-        records = run_sweep(spec, vectorize=False).records
-        orphan = ResultStore(store.with_name(f"{store.name}.job-feed.staging"))
-        orphan.append(records)
-        with pytest.warns(StoreWarning, match="orphaned staging"):
-            service = SweepService(store=store, journal=jpath)
-        assert service.recovery_info["staging_orphans_deleted"] == 1
-        assert not orphan.path.exists()
-        # Orphaned records were NOT merged (their job never journaled).
-        assert not store.exists()
         service.close()
 
     def test_clean_shutdown_mode_is_reported(self, paths):

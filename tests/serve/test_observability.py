@@ -182,27 +182,11 @@ class TestReadiness:
 
 
 class TestJobTraces:
-    def test_terminal_job_has_complete_contiguous_phases(self, client):
-        job = client.submit_job(GRID)["job"]
-        status = _wait_job(client, job)
-        assert status["state"] == "done"
-        timings = status["timings"]
-        assert timings["complete"] is True
-        assert status["trace"] == timings["trace_id"]
-        names = [p["phase"] for p in timings["phases"]]
-        # One contiguous pass through the canonical sweep phases, no
-        # repeats and nothing left open (stage-merge only appears on
-        # JSONL-staged stores; this server writes SQLite directly).
-        assert names == ["validate", "queue-wait", "evaluate"]
-        assert all(not p["open"] for p in timings["phases"])
-        assert all(p["seconds"] >= 0 for p in timings["phases"])
-        assert sum(p["seconds"] for p in timings["phases"]) == pytest.approx(
-            timings["total_seconds"]
-        )
-        assert status["duration"] == pytest.approx(timings["total_seconds"])
-
-    def test_jsonl_staged_job_gets_a_stage_merge_phase(self, tmp_path):
-        server = SweepServer(SweepService(store=tmp_path / "staged.jsonl"))
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_terminal_job_has_complete_contiguous_phases(
+        self, tmp_path, suffix
+    ):
+        server = SweepServer(SweepService(store=tmp_path / f"served{suffix}"))
         thread = threading.Thread(
             target=lambda: server.serve_forever(poll_interval=0.02),
             daemon=True,
@@ -212,18 +196,26 @@ class TestJobTraces:
             client = ServeClient(server.url)
             job = client.submit_job(GRID)["job"]
             status = _wait_job(client, job)
-            assert status["state"] == "done"
-            names = [p["phase"] for p in status["timings"]["phases"]]
-            assert names == [
-                "validate",
-                "queue-wait",
-                "evaluate",
-                "stage-merge",
-            ]
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+        assert status["state"] == "done"
+        timings = status["timings"]
+        assert timings["complete"] is True
+        assert status["trace"] == timings["trace_id"]
+        names = [p["phase"] for p in timings["phases"]]
+        # One contiguous pass through the canonical sweep phases, no
+        # repeats and nothing left open, on every store backend.
+        assert names == ["validate", "queue-wait", "evaluate"]
+        assert all(not p["open"] for p in timings["phases"])
+        assert all(p["seconds"] >= 0 for p in timings["phases"])
+        assert sum(p["seconds"] for p in timings["phases"]) == pytest.approx(
+            timings["total_seconds"]
+        )
+        assert status["duration"] == pytest.approx(timings["total_seconds"])
+        # Records went straight into the store: no side files.
+        assert not list(tmp_path.glob("*.staging"))
 
     def test_ingest_job_phases(self, client):
         sweep = client.submit_job(GRID)["job"]

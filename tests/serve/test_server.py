@@ -299,15 +299,13 @@ class TestRecordsCache:
         assert service.records() is first  # served from the cache
         assert len(loads) == 1
         # Any append (sweep, ingest, external writer) grows the file
-        # and invalidates the cache key.  (The ingest reply itself pays
-        # a load for its record count on this backend.)
+        # and moves the change token: the next read sees the write.
+        before = service.record_cache.stats()["invalidations"]
         service.ingest([{"hash": "z" * 64, "version": EVAL_VERSION, "metrics": {}}])
-        # Own writes invalidate explicitly -- stat keys alone can miss
-        # a same-size upsert within one coarse mtime tick.
-        assert service.record_cache.snapshot() is None
         loads.clear()
         fresh = service.records()
         assert len(fresh) == 3 and len(loads) == 1
+        assert service.record_cache.stats()["invalidations"] == before + 1
         assert service.records() is fresh and len(loads) == 1
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
@@ -337,8 +335,9 @@ class TestRecordsCache:
             }
         }
         _run_job(service, {"spec": cold})
-        assert service.record_cache.stats()["invalidations"] == before + 1
+        # The next query sees the job's write and counts invalidating.
         assert len(service.query("top-k", {"k": 10})) == 3
+        assert service.record_cache.stats()["invalidations"] == before + 1
 
     def test_store_stats_cached_until_the_store_changes(self, tmp_path):
         service = SweepService(store=tmp_path / "s.jsonl")
@@ -459,6 +458,23 @@ class TestServeLifecycle:
         assert boxed["code"] == 0
         assert "serving DSE sweeps on" in messages[0]
         assert messages[-1] == "server shut down cleanly"
+
+    def test_gzipped_jsonl_store_is_refused(self, tmp_path):
+        # Concurrent jobs' appenders would interleave gzip members, so
+        # the service refuses the store before any journal exists.
+        from repro.cli import main
+        from repro.dse import ResultStore
+
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path)
+        store.append([{"hash": "a" * 64, "version": EVAL_VERSION, "metrics": {}}])
+        store.compact(gzip=True)
+        with pytest.raises(ValueError, match="gzipped.*repro dse-merge"):
+            SweepService(store=path, journal=tmp_path / "s.journal")
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--store", str(path), "--port", "0"])
+        assert "gzip" in str(refused.value.code)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
 
     def test_get_route_store_errors_map_to_400(self, tmp_path):
         # A store backend forced onto the wrong file must fail as a
