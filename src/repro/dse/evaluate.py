@@ -29,6 +29,7 @@ from typing import Sequence
 from ..baselines.gpu import simulate_gpu
 from ..hw import platforms as _platforms
 from ..obs.metrics import get_registry
+from ..sim import lowered as _lowered
 from ..sim import performance as _performance
 from ..sim.lowered import LoweredNetwork, evaluate_lowered_many, lower_network
 from ..sim.simulator import simulate_network
@@ -63,14 +64,15 @@ def clear_caches() -> None:
     """Drop the record memo *and* every evaluation-path cache.
 
     ``clear_memo`` only forgets finished records; the evaluation path
-    also memoizes network/policy builds, lowered IRs, per-spec
-    multiplier/energy lookup tables, and factor pairs.  True-cold
-    benchmarking (and tests that must observe first-fill behavior) go
-    through this single hook instead of reaching into the private
-    caches module by module.
+    also memoizes network/policy builds, lowered IRs and their GEMM
+    shapes, per-spec multiplier/energy lookup tables, and factor pairs.
+    True-cold benchmarking (and tests that must observe first-fill
+    behavior) go through this single hook instead of reaching into the
+    private caches module by module.
     """
     clear_memo()
     lowered_for.cache_clear()
+    _lowered._gemm_shapes.cache_clear()
     _spec._cached_network.cache_clear()
     _spec._resolve_policy.cache_clear()
     _policies._string_policy_name.cache_clear()

@@ -16,7 +16,7 @@ from .performance import (
 )
 from .report import Comparison, compare, format_table, geomean
 from .roofline import RooflinePoint, ridge_point, roofline_analysis
-from .simulator import NetworkResult, simulate_network
+from .simulator import NetworkResult, sequential_sum, simulate_network
 from .systolic import SystolicArray, SystolicTileResult
 from .tiling import BufferSplit, TrafficPlan, buffer_partition, plan_traffic
 
@@ -36,6 +36,7 @@ __all__ = [
     "format_table",
     "geomean",
     "NetworkResult",
+    "sequential_sum",
     "simulate_network",
     "BufferSplit",
     "TrafficPlan",

@@ -13,24 +13,36 @@ Bit-identity contract: every metric produced here is **bit-identical** to
 the scalar path.  Integer cycle/traffic math is exact in ``int64``; float
 energy terms are computed with the same operations, in the same order and
 dtype as the scalar kernels (including their ``float``-division-then-
-``ceil`` pass counts), and network-level float aggregates are summed
-sequentially in layer order exactly like :class:`~repro.sim.simulator.
-NetworkResult`'s ``sum()`` properties.  The golden-value tests pin this.
+``ceil`` pass counts), and network-level float aggregates are added
+strictly left to right in layer order, starting from ``+0.0``, by the
+same :func:`~repro.sim.simulator.sequential_sum` that
+:class:`~repro.sim.simulator.NetworkResult`'s properties use.  That order
+is pinned rather than left to builtin ``sum()``, which compensates since
+Python 3.12, so records do not depend on the interpreter.  The
+golden-value tests and a byte-for-byte golden store pin this.
+
+Work is done once per distinct input: a network's GEMM shapes once per
+(workload, batch) -- each bitwidth policy adds only its bitwidth arrays
+and byte counts -- and the spec-derived tables, buffer partitions and
+per-GEMM cycle and traffic matrices once per distinct spec object of an
+:func:`evaluate_lowered_many` call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..hw.dram import MemorySpec
 from ..hw.platforms import AcceleratorSpec
 from ..nn.graph import Network
-from ..nn.layers import Conv2D
+from ..nn.layers import Conv2D, Layer
 from .performance import factor_pairs
+from .simulator import sequential_sum
 from .tiling import OUTPUT_BYTES_PER_ELEMENT, BufferSplit, buffer_partition
 
 __all__ = [
@@ -92,69 +104,107 @@ class LoweredNetwork:
         return len(self.layer_names)
 
 
-def lower_network(network: Network) -> LoweredNetwork:
-    """Lower every weighted layer of ``network`` to flat GEMM descriptors.
+class _GemmShapes(NamedTuple):
+    """The bitwidth-free part of a lowering: per-GEMM shape columns."""
 
-    Mirrors :func:`~repro.sim.simulator.simulate_network`'s layer walk:
-    compute-free layers are skipped, and a network with nothing to
-    simulate raises the same ``ValueError``.
+    layer_names: tuple[str, ...]
+    layer_offsets: np.ndarray
+    layer_sizes: np.ndarray
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+    count: np.ndarray
+    weight_elements: np.ndarray
+    unique_input_elements: np.ndarray
+    macs: np.ndarray
+    output_bytes: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def _gemm_shapes(batch: int, layers: tuple[Layer, ...]) -> _GemmShapes:
+    """GEMM shape columns of ``layers`` at ``batch``, shared by every policy.
+
+    Layers are frozen and hashable, so ``(batch, layers)`` identifies the
+    shapes; a sweep's bitwidth policies over one (workload, batch) then
+    walk the layers once.  Bounded: sweeps touch a few dozen
+    (workload, batch) pairs.
     """
     layer_names: list[str] = []
     offsets: list[int] = []
     rows: list[tuple[int, int, int, int, int, int]] = []
-    layer_bws: list[tuple[int, int]] = []
-    for layer in network.layers:
-        gemms = layer.gemms(network.batch)
+    for layer in layers:
+        gemms = layer.gemms(batch)
         if not gemms:
             continue
-        bw = network.bitwidth(layer.name)
         layer_names.append(layer.name)
         offsets.append(len(rows))
-        layer_bws.append((bw.activations, bw.weights))
         for gemm in gemms:
             unique = (
-                layer.input_elements(network.batch) // gemm.count
+                layer.input_elements(batch) // gemm.count
                 if isinstance(layer, Conv2D)
                 else gemm.m * gemm.k
             )
             rows.append(
                 (gemm.m, gemm.k, gemm.n, gemm.count, gemm.weight_elements, unique)
             )
-    if not rows:
-        raise ValueError(f"{network.name} has no simulatable layers")
 
     def column(index: int) -> np.ndarray:
         return np.array([row[index] for row in rows], dtype=np.int64)
 
     m, k, n, count = column(0), column(1), column(2), column(3)
-    weight_elements, unique_inputs = column(4), column(5)
-    layer_sizes = np.diff(np.array(offsets + [len(rows)], dtype=np.int64))
-    bw_act = np.repeat(
-        np.array([b for b, _ in layer_bws], dtype=np.int64), layer_sizes
-    )
-    bw_w = np.repeat(
-        np.array([b for _, b in layer_bws], dtype=np.int64), layer_sizes
-    )
-    return LoweredNetwork(
-        network_name=network.name,
-        batch=network.batch,
+    layer_offsets = np.array(offsets, dtype=np.int64)
+    return _GemmShapes(
         layer_names=tuple(layer_names),
+        layer_offsets=_frozen(layer_offsets),
+        layer_sizes=_frozen(np.diff(np.append(layer_offsets, len(rows)))),
         m=_frozen(m),
         k=_frozen(k),
         n=_frozen(n),
         count=_frozen(count),
-        weight_elements=_frozen(weight_elements),
-        unique_input_elements=_frozen(unique_inputs),
+        weight_elements=_frozen(column(4)),
+        unique_input_elements=_frozen(column(5)),
         macs=_frozen(m * k * n * count),
+        output_bytes=_frozen(m * n * OUTPUT_BYTES_PER_ELEMENT),
+    )
+
+
+def lower_network(network: Network) -> LoweredNetwork:
+    """Lower every weighted layer of ``network`` to flat GEMM descriptors.
+
+    Mirrors :func:`~repro.sim.simulator.simulate_network`'s layer walk:
+    compute-free layers are skipped, and a network with nothing to
+    simulate raises the same ``ValueError``.  The shape columns come
+    from a cache keyed by ``(batch, layers)``; only the bitwidth arrays
+    and byte counts are built per call.
+    """
+    shapes = _gemm_shapes(network.batch, tuple(network.layers))
+    if not shapes.layer_names:
+        raise ValueError(f"{network.name} has no simulatable layers")
+    bitwidths = [network.bitwidth(name) for name in shapes.layer_names]
+    layer_bw_act = np.array([bw.activations for bw in bitwidths], dtype=np.int64)
+    layer_bw_w = np.array([bw.weights for bw in bitwidths], dtype=np.int64)
+    bw_act = np.repeat(layer_bw_act, shapes.layer_sizes)
+    bw_w = np.repeat(layer_bw_w, shapes.layer_sizes)
+    return LoweredNetwork(
+        network_name=network.name,
+        batch=network.batch,
+        layer_names=shapes.layer_names,
+        m=shapes.m,
+        k=shapes.k,
+        n=shapes.n,
+        count=shapes.count,
+        weight_elements=shapes.weight_elements,
+        unique_input_elements=shapes.unique_input_elements,
+        macs=shapes.macs,
         bw_act=_frozen(bw_act),
         bw_w=_frozen(bw_w),
         # element_bytes() as an array expression: ceil(elements * bits / 8).
-        weight_bytes=_frozen(-((-weight_elements * bw_w) // 8)),
-        input_bytes=_frozen(-((-unique_inputs * bw_act) // 8)),
-        output_bytes=_frozen(m * n * OUTPUT_BYTES_PER_ELEMENT),
-        layer_offsets=_frozen(np.array(offsets, dtype=np.int64)),
-        layer_bw_act=_frozen(np.array([b for b, _ in layer_bws], dtype=np.int64)),
-        layer_bw_w=_frozen(np.array([b for _, b in layer_bws], dtype=np.int64)),
+        weight_bytes=_frozen(-((-shapes.weight_elements * bw_w) // 8)),
+        input_bytes=_frozen(-((-shapes.unique_input_elements * bw_act) // 8)),
+        output_bytes=shapes.output_bytes,
+        layer_offsets=shapes.layer_offsets,
+        layer_bw_act=_frozen(layer_bw_act),
+        layer_bw_w=_frozen(layer_bw_w),
     )
 
 
@@ -280,13 +330,22 @@ def evaluate_lowered_many(
     """
     if not targets:
         return []
-    specs = [spec for spec, _ in targets]
+    # Spec-derived work runs once per distinct spec object -- a sweep
+    # chunk holds a handful of platforms -- and ``which`` gathers each
+    # point's row back out.
+    rows: dict[int, int] = {}
+    specs: list[AcceleratorSpec] = []
+    for spec, _ in targets:
+        if id(spec) not in rows:
+            rows[id(spec)] = len(specs)
+            specs.append(spec)
+    which = np.array([rows[id(spec)] for spec, _ in targets], dtype=np.intp)
     offsets = lowered.layer_offsets
 
-    compute_cycles = np.add.reduceat(
-        _compute_cycles_matrix(lowered, specs), offsets, axis=1
-    )
-    traffic = np.add.reduceat(_traffic_matrix(lowered, specs, split), offsets, axis=1)
+    spec_cycles = _compute_cycles_matrix(lowered, specs)
+    spec_traffic = _traffic_matrix(lowered, specs, split)
+    compute_cycles = np.add.reduceat(spec_cycles, offsets, axis=1)[which]
+    traffic = np.add.reduceat(spec_traffic, offsets, axis=1)[which]
     macs = np.add.reduceat(lowered.macs, offsets)
 
     bytes_per_cycle = np.array(
@@ -300,12 +359,10 @@ def evaluate_lowered_many(
             spec.mac_energy_table()[lowered.layer_bw_act - 1, lowered.layer_bw_w - 1]
             for spec in specs
         ]
-    )
-    sram_per_byte = np.array(
-        [spec.scratchpad.energy_per_byte_pj for spec in specs]
-    )[:, None]
-    frequency = np.array([spec.frequency_hz for spec in specs])[:, None]
-    uncore_w_pj = np.array([spec.uncore_power_mw * 1e-3 for spec in specs])[:, None]
+    )[which]
+    sram_per_byte = np.array([s.scratchpad.energy_per_byte_pj for s in specs])[which]
+    frequency = np.array([s.frequency_hz for s in specs])[which]
+    uncore_w_pj = np.array([s.uncore_power_mw * 1e-3 for s in specs])[which]
     dram_pj_per_bit = np.array([memory.energy_pj_per_bit for _, memory in targets])[
         :, None
     ]
@@ -314,53 +371,51 @@ def evaluate_lowered_many(
     ]
 
     # Same operation order as simulate_layer's scalar energy accounting.
-    layer_seconds = layer_cycles / frequency
+    layer_seconds = layer_cycles / frequency[:, None]
     compute_energy = macs * mac_energy
-    sram_energy = traffic * sram_per_byte
+    sram_energy = traffic * sram_per_byte[:, None]
     dram_energy = (
         (traffic * 8) * dram_pj_per_bit + (background_w * layer_seconds) * 1e12
     )
-    uncore_energy = (uncore_w_pj * layer_seconds) * 1e12
+    uncore_energy = (uncore_w_pj[:, None] * layer_seconds) * 1e12
 
-    memory_bound = memory_cycles > compute_cycles
+    # Network-level aggregates, as (P,) arrays with NetworkResult's
+    # operations: float energies in layer order via sequential_sum, one
+    # column at a time; every GEMM takes >= 1 cycle, so total_cycles > 0.
+    total_cycles = layer_cycles.sum(axis=1)
+    total_seconds = total_cycles / frequency
     total_macs = int(macs.sum())
-
-    results = []
-    for index, (spec, memory) in enumerate(targets):
-        total_cycles = int(layer_cycles[index].sum())
-        total_seconds = total_cycles / spec.frequency_hz
-        # Network-level float aggregates are summed sequentially in layer
-        # order, exactly like NetworkResult's sum() properties.
-        compute_pj = sum(compute_energy[index].tolist())
-        sram_pj = sum(sram_energy[index].tolist())
-        dram_pj = sum(dram_energy[index].tolist())
-        uncore_pj = sum(uncore_energy[index].tolist())
-        total_pj = compute_pj + sram_pj + dram_pj + uncore_pj
-        total_j = total_pj * 1e-12
-        average_power_w = total_j / total_seconds
-        ops_per_second = 2.0 * total_macs / total_seconds
-        bound_cycles = int(layer_cycles[index][memory_bound[index]].sum())
-        results.append(
-            {
-                "total_cycles": total_cycles,
-                "total_seconds": total_seconds,
-                "total_macs": total_macs,
-                "total_traffic_bytes": int(traffic[index].sum()),
-                "compute_energy_pj": compute_pj,
-                "sram_energy_pj": sram_pj,
-                "dram_energy_pj": dram_pj,
-                "uncore_energy_pj": uncore_pj,
-                "total_energy_pj": total_pj,
-                "total_energy_j": total_j,
-                "ops_per_second": ops_per_second,
-                "average_power_w": average_power_w,
-                "perf_per_watt": ops_per_second / average_power_w,
-                "memory_bound_fraction": (
-                    bound_cycles / total_cycles if total_cycles else 0.0
-                ),
-            }
-        )
-    return results
+    energies = np.stack((compute_energy, sram_energy, dram_energy, uncore_energy))
+    compute_pj, sram_pj, dram_pj, uncore_pj = sequential_sum(
+        energies.transpose(2, 0, 1)
+    )
+    total_pj = compute_pj + sram_pj + dram_pj + uncore_pj
+    total_j = total_pj * 1e-12
+    average_power_w = total_j / total_seconds
+    ops_per_second = 2.0 * total_macs / total_seconds
+    memory_bound = memory_cycles > compute_cycles
+    bound_cycles = np.where(memory_bound, layer_cycles, 0).sum(axis=1)
+    columns = {
+        "total_cycles": total_cycles,
+        "total_seconds": total_seconds,
+        "total_macs": np.full(len(targets), total_macs),
+        "total_traffic_bytes": traffic.sum(axis=1),
+        "compute_energy_pj": compute_pj,
+        "sram_energy_pj": sram_pj,
+        "dram_energy_pj": dram_pj,
+        "uncore_energy_pj": uncore_pj,
+        "total_energy_pj": total_pj,
+        "total_energy_j": total_j,
+        "ops_per_second": ops_per_second,
+        "average_power_w": average_power_w,
+        "perf_per_watt": ops_per_second / average_power_w,
+        "memory_bound_fraction": bound_cycles / total_cycles,
+    }
+    names = tuple(columns)
+    return [
+        dict(zip(names, row))
+        for row in zip(*(column.tolist() for column in columns.values()))
+    ]
 
 
 def evaluate_lowered(

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .simulator import NetworkResult
+from .simulator import NetworkResult, sequential_sum
 
 __all__ = ["Comparison", "compare", "geomean", "format_table"]
 
@@ -17,7 +17,7 @@ def geomean(values: Iterable[float]) -> float:
         raise ValueError("geomean of empty sequence")
     if any(v <= 0 for v in vals):
         raise ValueError("geomean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    return math.exp(sequential_sum(math.log(v) for v in vals) / len(vals))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, TypeVar
 
 from ..hw.dram import MemorySpec
 from ..hw.platforms import AcceleratorSpec
@@ -10,7 +11,26 @@ from ..nn.graph import Network
 from .performance import LayerResult, simulate_layer
 from .tiling import BufferSplit
 
-__all__ = ["NetworkResult", "simulate_network"]
+__all__ = ["NetworkResult", "sequential_sum", "simulate_network"]
+
+_Summand = TypeVar("_Summand")
+
+
+def sequential_sum(values: Iterable[_Summand]) -> float | _Summand:
+    """Add ``values`` strictly left to right, starting from ``+0.0``.
+
+    The one summation order every network-level float aggregate uses, so
+    records do not depend on the interpreter: builtin ``sum()`` switched
+    to compensated summation in Python 3.12 (``[1e16, 1.0, -1e16]`` sums
+    to ``1.0`` there and to ``0.0`` here).  Starting from ``+0.0`` keeps
+    ``sum()``'s result for a run of ``-0.0``.  Given numpy arrays (e.g.
+    the columns of a ``(P, L)`` matrix), it adds them elementwise in the
+    same order and returns the array of per-row sums.
+    """
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
 
 
 @dataclass(frozen=True)
@@ -41,19 +61,19 @@ class NetworkResult:
 
     @property
     def compute_energy_pj(self) -> float:
-        return sum(layer.compute_energy_pj for layer in self.layers)
+        return sequential_sum(layer.compute_energy_pj for layer in self.layers)
 
     @property
     def sram_energy_pj(self) -> float:
-        return sum(layer.sram_energy_pj for layer in self.layers)
+        return sequential_sum(layer.sram_energy_pj for layer in self.layers)
 
     @property
     def dram_energy_pj(self) -> float:
-        return sum(layer.dram_energy_pj for layer in self.layers)
+        return sequential_sum(layer.dram_energy_pj for layer in self.layers)
 
     @property
     def uncore_energy_pj(self) -> float:
-        return sum(layer.uncore_energy_pj for layer in self.layers)
+        return sequential_sum(layer.uncore_energy_pj for layer in self.layers)
 
     @property
     def total_energy_pj(self) -> float:

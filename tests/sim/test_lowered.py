@@ -14,13 +14,14 @@ kernels, and hypothesis property tests over randomized
 fully random networks that never touch the registry).
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import SweepPoint, evaluate_point, evaluate_points
+from repro.dse import SweepPoint, clear_caches, evaluate_point, evaluate_points
 from repro.dse.spec import (
     MEMORY_NAMES,
     PLATFORM_NAMES,
@@ -41,12 +42,14 @@ from repro.nn import (
 from repro.sim import (
     compute_cycles_batch,
     evaluate_lowered,
+    evaluate_lowered_many,
     gemm_compute_cycles,
     lower_network,
     plan_traffic,
     simulate_network,
     traffic_batch,
 )
+from repro.sim.lowered import _gemm_shapes
 
 POLICIES = ("homogeneous-8bit", "paper-heterogeneous")
 
@@ -260,6 +263,40 @@ def test_uncomposable_bitwidth_raises_scalar_error(style):
         evaluate_point(point)
     with pytest.raises(ValueError, match="outside supported range"):
         evaluate_points([point])
+    # Also when the failing spec is not the chunk's first distinct spec.
+    composable = dataclasses.replace(point, platform=resolve_platform("bpvec"))
+    with pytest.raises(ValueError, match="outside supported range"):
+        evaluate_points([composable, composable, point])
+
+
+def test_points_sharing_spec_objects_match_lone_evaluation():
+    # Spec-derived work runs once per distinct spec *object*; interleave
+    # one shared object, equal-but-distinct copies and distinct specs.
+    lowered = lower_network(cached_network("ResNet-18", 2, "paper-heterogeneous"))
+    shared = resolve_platform("bpvec")
+    targets = [
+        (shared, DDR4),
+        (resolve_platform("tpu"), HBM2),
+        (dataclasses.replace(shared), HBM2),
+        (shared, HBM2),
+        (resolve_platform("bitfusion"), DDR4),
+        (dataclasses.replace(shared, frequency_hz=1e9), DDR4),
+        (dataclasses.replace(shared), DDR4),
+        (shared, DDR4),
+    ]
+    together = evaluate_lowered_many(lowered, targets)
+    alone = [evaluate_lowered(lowered, spec, memory) for spec, memory in targets]
+    assert [_dumps(m) for m in together] == [_dumps(m) for m in alone]
+
+
+def test_policies_share_gemm_shapes_until_clear_caches():
+    clear_caches()
+    heterogeneous = lower_network(cached_network("LSTM", 4, "paper-heterogeneous"))
+    uniform = lower_network(cached_network("LSTM", 4, "uniform-4x4"))
+    assert uniform.m is heterogeneous.m
+    assert _gemm_shapes.cache_info().currsize == 1
+    clear_caches()
+    assert _gemm_shapes.cache_info().currsize == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,15 @@ import pytest
 
 from repro.hw import BPVEC, DDR4, HBM2, TPU_LIKE
 from repro.nn import homogeneous_8bit, lstm_workload, resnet18
-from repro.sim import compare, format_table, geomean, simulate_network
+from repro.sim import (
+    LayerResult,
+    NetworkResult,
+    compare,
+    format_table,
+    geomean,
+    sequential_sum,
+    simulate_network,
+)
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +25,39 @@ def resnet_base():
 @pytest.fixture(scope="module")
 def resnet_bpvec():
     return simulate_network(homogeneous_8bit(resnet18(batch=2)), BPVEC, DDR4)
+
+
+class TestSequentialSum:
+    """One pinned float summation order, whatever the interpreter."""
+
+    def test_adds_left_to_right(self):
+        # Neumaier summation (builtin sum() on Python 3.12+) gives 1.0.
+        assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_starts_from_positive_zero(self):
+        assert math.copysign(1.0, sequential_sum([-0.0])) == 1.0
+
+    def test_network_energy_aggregates_use_it(self):
+        layers = tuple(
+            LayerResult(
+                layer_name=f"l{i}",
+                bw_act=8,
+                bw_w=8,
+                macs=1,
+                compute_cycles=1,
+                memory_cycles=1,
+                traffic_bytes=1,
+                compute_energy_pj=energy,
+                sram_energy_pj=0.0,
+                dram_energy_pj=0.0,
+                uncore_energy_pj=0.0,
+                schedule="weight-stationary",
+            )
+            for i, energy in enumerate([1e16, 1.0, -1e16])
+        )
+        result = NetworkResult("net", "platform", "memory", 1e9, layers)
+        assert result.compute_energy_pj == 0.0
+        assert result.total_energy_pj == 0.0
 
 
 class TestNetworkResult:
