@@ -537,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="idle wait between lease attempts when the queue is empty",
+        help="longest a lease request waits on the server for a chunk "
+        "while a job is active; the local sleep only when no job is active",
     )
     worker.add_argument(
         "--timeout",

@@ -540,13 +540,17 @@ class ServeClient:
             f"/workers/{worker_id}/heartbeat", payload, idempotent=True
         )
 
-    def lease_chunk(self, worker_id: str) -> dict:
+    def lease_chunk(self, worker_id: str, wait: float = 0.0) -> dict:
         """Pull the next chunk lease (or an idle report).
 
-        Safe to retry: a lease granted into a dropped response simply
-        expires and requeues after the lease TTL.
+        With ``wait`` > 0 and a job active but nothing to grant, the
+        server holds the request for up to ``wait`` seconds until a
+        chunk becomes grantable or the job ends.  Safe to retry: a
+        lease granted into a dropped response simply expires and
+        requeues after the lease TTL.
         """
-        return self._json(f"/workers/{worker_id}/lease", {}, idempotent=True)
+        payload = {"wait": wait} if wait else {}
+        return self._json(f"/workers/{worker_id}/lease", payload, idempotent=True)
 
     def ack_chunk(
         self,

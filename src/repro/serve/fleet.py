@@ -33,8 +33,11 @@ bounded-backoff retries on transient HTTP errors and automatic
 re-registration when the server forgets the worker (server restart).
 
 Expiry is lazy: every lease, ack, and stats call sweeps lapsed leases
-first.  Workers poll for work anyway, so an expired chunk is re-leased
-by the next poll without any background reaper thread on the server.
+first, with no background reaper thread on the server.  A lease request
+that finds nothing to grant while jobs are active parks on the
+coordinator for up to its ``wait`` seconds: an ack, a requeue, a new
+job or a job's end wakes it, and it wakes by itself the moment a held
+lease lapses, so a requeued chunk is re-leased at once.
 """
 
 from __future__ import annotations
@@ -245,6 +248,14 @@ class FleetJob(Job):
         # same chunk indexes when recovery reconstructs the job.
         self.chunk_partition = int(chunks)
         self.requeues = 0
+        #: Set by :meth:`Fleet.add_job`: wakes the leases parked on the
+        #: coordinator when this job ends, however it ends.
+        self.on_finish: Callable[[], None] | None = None
+
+    def finish(self, state: str, error: str | None = None) -> None:
+        super().finish(state, error)
+        if self.on_finish is not None:
+            self.on_finish()
 
     def _journal_lease(self, chunk: Chunk) -> None:
         journal = self.journal
@@ -382,6 +393,15 @@ class FleetJob(Job):
             return {"duplicate": False, "job_state": self.state}
 
     # -- observation ---------------------------------------------------
+    def held_leases(self) -> list[tuple[str, float]]:
+        """``(worker, deadline)`` of every chunk currently leased."""
+        with self._changed:
+            return [
+                (chunk.worker or "", chunk.deadline or 0.0)
+                for chunk in self._chunks
+                if chunk.state == LEASED
+            ]
+
     def leases_held_by(self, worker_id: str) -> int:
         with self._changed:
             return sum(
@@ -429,9 +449,11 @@ def _new_worker_id() -> str:
 class Fleet:
     """The coordinator: registered workers, fleet jobs, and leases.
 
-    Lock order is ``Fleet._lock`` then a job's condition variable --
-    job methods never call back into the fleet, so the order cannot
-    invert.
+    Lock order is ``Fleet._lock`` then a job's condition variable.  The
+    one call back into the fleet, a job's :attr:`FleetJob.on_finish`
+    wake, runs either after the job released its condition (cancel,
+    drain, close) or inside :meth:`ack`, which already holds the
+    reentrant fleet lock -- so the order cannot invert.
     """
 
     def __init__(
@@ -445,7 +467,10 @@ class Fleet:
             raise ValueError("heartbeat TTL must be positive")
         self.lease_ttl = lease_ttl
         self.heartbeat_ttl = heartbeat_ttl
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        # Parked lease requests wait here; every change that can make a
+        # chunk grantable, or end a job, notifies.
+        self._changed = threading.Condition(self._lock)
         self._workers: dict[str, WorkerInfo] = {}
         self._jobs: dict[str, FleetJob] = {}
         self.leases_granted = 0
@@ -503,9 +528,15 @@ class Fleet:
 
     # -- jobs ----------------------------------------------------------
     def add_job(self, job: FleetJob) -> FleetJob:
+        job.on_finish = self._wake
         with self._lock:
             self._jobs[job.id] = job
+            self._changed.notify_all()
         return job
+
+    def _wake(self) -> None:
+        with self._lock:
+            self._changed.notify_all()
 
     def remove_jobs(self, job_ids) -> int:
         """Drop terminal fleet jobs (the retention policy's fleet half)."""
@@ -538,45 +569,72 @@ class Fleet:
             if requeued:
                 self.requeued += requeued
                 _REQUEUES.inc(requeued)
+                self._changed.notify_all()
                 _LOG.info(
                     "requeued %d chunk(s) of job %s", requeued, job.id,
                     extra={"job": job.id},
                 )
 
+    def _next_lapse(self, active: list[FleetJob]) -> float | None:
+        # Called under self._lock, right after _expire (so every holder
+        # is registered): the earliest monotonic instant a held lease
+        # expires, by its deadline or by its holder's heartbeat.
+        return min(
+            (
+                min(deadline, self._workers[worker].last_seen_mono + self.heartbeat_ttl)
+                for job in active
+                for worker, deadline in job.held_leases()
+            ),
+            default=None,
+        )
+
     # -- the pull queue ------------------------------------------------
-    def lease(self, worker_id: str) -> dict:
-        """Grant the next pending chunk, or report the queue idle."""
+    def lease(self, worker_id: str, wait: float = 0.0) -> dict:
+        """Grant the next pending chunk, or report the queue idle.
+
+        With nothing to grant while jobs are active, the request parks
+        for up to ``wait`` seconds (capped at a third of the heartbeat
+        TTL, so a parked worker never looks dead) and returns as soon
+        as a chunk becomes grantable or the last active job ends.
+        """
+        wait = min(max(0.0, wait), self.heartbeat_ttl / 3.0)
         # Lease deadlines and heartbeat liveness both run on the
         # monotonic clock: a wall-clock step must never expire (or
         # immortalize) a lease.
-        now = time.monotonic()
+        until = time.monotonic() + wait
         with self._lock:
-            worker = self._worker(worker_id)
-            worker.last_seen = time.time()  # leasing is an implicit heartbeat
-            worker.last_seen_mono = now
-            self._expire(now)
-            active = self._active_jobs()
-            held = sum(job.leases_held_by(worker_id) for job in active)
-            if held < worker.capacity:
-                for job in active:
-                    chunk = job.lease_next(worker_id, now, self.lease_ttl)
-                    if chunk is None:
-                        continue
-                    self.leases_granted += 1
-                    _LEASES_GRANTED.inc()
-                    return {
-                        "lease": {
-                            "job": job.id,
-                            "chunk": chunk.index,
-                            "attempt": chunk.attempts,
-                            "deadline": chunk.deadline,
-                            "ttl": self.lease_ttl,
-                            "points": len(chunk.spec),
-                            "spec": chunk.spec.to_dict(),
-                            "trace": chunk.trace_id,
+            while True:
+                now = time.monotonic()
+                worker = self._worker(worker_id)
+                worker.last_seen = time.time()  # leasing is an implicit heartbeat
+                worker.last_seen_mono = now
+                self._expire(now)
+                active = self._active_jobs()
+                held = sum(job.leases_held_by(worker_id) for job in active)
+                if held < worker.capacity:
+                    for job in active:
+                        chunk = job.lease_next(worker_id, now, self.lease_ttl)
+                        if chunk is None:
+                            continue
+                        self.leases_granted += 1
+                        _LEASES_GRANTED.inc()
+                        return {
+                            "lease": {
+                                "job": job.id,
+                                "chunk": chunk.index,
+                                "attempt": chunk.attempts,
+                                "deadline": chunk.deadline,
+                                "ttl": self.lease_ttl,
+                                "points": len(chunk.spec),
+                                "spec": chunk.spec.to_dict(),
+                                "trace": chunk.trace_id,
+                            }
                         }
-                    }
-            return {"idle": True, "active_jobs": len(active)}
+                if not active or now >= until:
+                    return {"idle": True, "active_jobs": len(active)}
+                lapse = self._next_lapse(active)
+                wake_at = until if lapse is None else min(until, lapse)
+                self._changed.wait(wake_at - now)
 
     def ack(
         self,
@@ -608,6 +666,7 @@ class Fleet:
             else:
                 result = "ok"
             _ACKS.inc(result=result)
+            self._changed.notify_all()
             return {"job": job_id, "chunk": int(chunk_index), **outcome}
 
     # -- observation ---------------------------------------------------
@@ -685,6 +744,11 @@ class FleetWorker:
     404, which triggers one transparent re-registration.  Transient
     HTTP failures retry with bounded exponential backoff inside
     :class:`~repro.serve.client.ServeClient`.
+
+    ``poll`` is the longest a lease request waits server-side for a
+    chunk while a job is active (the server caps it at a third of its
+    heartbeat TTL); the worker sleeps ``poll`` locally only when the
+    server reports no active job.
     """
 
     def __init__(
@@ -792,11 +856,11 @@ class FleetWorker:
 
     def _lease(self) -> dict:
         try:
-            return self.client.lease_chunk(self.worker_id)
+            return self.client.lease_chunk(self.worker_id, wait=self.poll)
         except ServeError as error:
             if error.code == 404:  # the server forgot us: re-register
                 self.register()
-                return self.client.lease_chunk(self.worker_id)
+                return self.client.lease_chunk(self.worker_id, wait=self.poll)
             raise
 
     def _execute(self, lease: dict) -> None:
@@ -907,8 +971,10 @@ class FleetWorker:
                     self._stop.wait(max(self.poll, 0.1))
                     continue
                 outage_started = None
-                if lease is None:
-                    if self.exit_when_drained and not response.get("active_jobs"):
+                # With a job active the server already parked the lease
+                # for up to ``poll``; lease again straight away.
+                if lease is None and not response.get("active_jobs"):
+                    if self.exit_when_drained:
                         self.log(
                             f"worker {self.worker_id}: drained after "
                             f"{self.chunks_done} chunks"

@@ -136,11 +136,15 @@ def launch_fleet(
     import-safe ``__main__``) -- lease, evaluate, ingest, and ack over
     HTTP until the job drains.  A worker that dies mid-chunk costs one
     lease TTL -- survivors steal the requeued chunk.  When nothing is
-    missing no job is submitted and no server starts.  Raises
-    ``RuntimeError`` if the job fails, times out, or every worker exits
-    while chunks remain.
+    missing no job is submitted and no server starts.
+
+    The launcher submits to the service directly and blocks on the job;
+    it checks worker liveness and ``timeout`` every ``poll`` seconds.
+    Each worker's ``poll`` is the longest its lease request waits
+    server-side for a chunk, and its local sleep only when no job is
+    active.  Raises ``RuntimeError`` if the job fails, times out, or
+    every worker exits while chunks remain.
     """
-    from .client import ServeClient
     from .fleet import DEFAULT_HEARTBEAT_TTL, DEFAULT_LEASE_TTL
     from .server import SweepServer, SweepService
 
@@ -156,7 +160,7 @@ def launch_fleet(
         context.Process(target=_fleet_worker, args=(reader, poll, vectorize))
         for reader, _ in pipes
     ]
-    server = None
+    service = server = server_thread = None
     try:
         # Fork before any store handle, socket or thread exists.
         for process in processes:
@@ -194,15 +198,16 @@ def launch_fleet(
             daemon=True,
         )
         server_thread.start()
-        client = ServeClient(server.url)
-        job_id = client.submit_job(missing.to_dict(), fleet={"chunks": chunks})["job"]
+        job = service.submit(
+            {"spec": missing.to_dict(), "fleet": {"chunks": chunks}}
+        )
         # After the submit: a worker that leased earlier would exit drained.
         for _, writer in pipes:
             writer.send(server.url)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            status = client.job_status(job_id)
-            if status["state"] not in ("queued", "running"):
+            remaining = poll if deadline is None else deadline - time.monotonic()
+            if job.wait(timeout=max(0.0, min(poll, remaining))):
                 break
             if not any(process.is_alive() for process in processes):
                 codes = ", ".join(str(process.exitcode) for process in processes)
@@ -214,27 +219,28 @@ def launch_fleet(
                 raise RuntimeError(
                     f"fleet sweep timed out after {timeout} seconds"
                 )
-            time.sleep(0.05)
-        if status["state"] != "done":
+        if job.state != "done":
             raise RuntimeError(
-                f"fleet job {job_id} {status['state']}"
-                + (f": {status['error']}" if status.get("error") else "")
+                f"fleet job {job.id} {job.state}"
+                + (f": {job.error}" if job.error else "")
             )
         # Drain the workers gracefully: the job is terminal, so their
-        # next lease reports zero active jobs and they exit themselves.
+        # parked leases return zero active jobs and they exit themselves.
         for process in processes:
             process.join(timeout=30)
-        progress = status["progress"]
+        progress = job.progress()
     finally:
         for process in processes:
             if process.is_alive():
                 process.kill()
                 process.join()
-        if server is not None:
+        if server_thread is not None:
             server.shutdown()
-            server.server_close()
-            service.close()
             server_thread.join(timeout=5)
+        if server is not None:
+            server.server_close()
+        if service is not None:
+            service.close()
     chunk_counts = progress.get("chunks", {})
     return FleetLaunchResult(
         workers=workers,
@@ -242,6 +248,6 @@ def launch_fleet(
         chunks=chunk_counts,
         requeued=chunk_counts.get("requeues", 0),
         store_path=dest.path,
-        job=job_id,
+        job=job.id,
         stored=len(stored),
     )

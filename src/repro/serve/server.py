@@ -76,8 +76,13 @@ Endpoints
     The fleet pull loop: prove liveness; lease the next pending chunk
     (``{"lease": {...}}`` with the chunk's spec, or ``{"idle": true,
     "active_jobs": n}``); report a chunk done or failed (body
-    ``{"job": id, "chunk": n, "error"?: str}``).  Unknown worker ids
-    answer 404 -- the cue to re-register after a server restart.
+    ``{"job": id, "chunk": n, "error"?: str}``).  A lease body
+    ``{"wait": seconds}`` parks the request while jobs are active but
+    nothing is grantable, until a chunk frees up or the jobs end, for
+    at most ``wait`` seconds (capped at a third of the heartbeat TTL;
+    an empty body or a negative wait means no wait, a non-numeric one
+    answers 400).  Unknown worker ids answer 404 -- the cue to
+    re-register after a server restart.
 ``POST /shutdown``
     Stop serving after the response -- the clean-exit path.
     ``?drain=true`` drains instead: admission stops (new submissions
@@ -804,6 +809,17 @@ class SweepService:
             name=payload.get("name"), capacity=payload.get("capacity", 1)
         )
 
+    def worker_lease(self, worker_id: str, payload) -> dict:
+        """Lease a chunk, parking up to the body's ``wait`` seconds."""
+        if not isinstance(payload, Mapping):
+            raise ValueError('lease wants a JSON object body: {"wait"?: seconds}')
+        wait = payload.get("wait")
+        if wait is None:
+            wait = 0.0
+        elif isinstance(wait, bool) or not isinstance(wait, (int, float)):
+            raise ValueError(f"lease wait must be a number of seconds, not {wait!r}")
+        return self.fleet.lease(worker_id, wait=wait)
+
     def worker_ack(self, worker_id: str, payload) -> dict:
         if not isinstance(payload, Mapping) or not {"job", "chunk"} <= set(
             payload
@@ -1258,7 +1274,9 @@ class _Handler(BaseHTTPRequestHandler):
                             worker_id, metrics=metrics
                         )
                     elif action == "lease":
-                        response = self.service.fleet.lease(worker_id)
+                        response = self.service.worker_lease(
+                            worker_id, self._read_json()
+                        )
                     else:
                         response = self.service.worker_ack(
                             worker_id, self._read_json()

@@ -20,6 +20,7 @@ import io
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,132 @@ class TestFleet:
         assert stats["chunks"]["total"] == stats["chunks"][PENDING] > 0
 
 
+def _park(lease, *args, **kwargs):
+    """Run ``lease(*args, **kwargs)`` on a thread; read the reply later.
+
+    Returns ``(thread, reply)``: ``reply`` fills in with the lease's
+    response and the monotonic instant it returned.
+    """
+    reply = {}
+
+    def call():
+        reply["response"] = lease(*args, **kwargs)
+        reply["at"] = time.monotonic()
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    time.sleep(0.2)
+    assert thread.is_alive(), "the lease did not park"
+    return thread, reply
+
+
+class TestParkedLease:
+    def _fleet_with_held_chunk(self, **ttls):
+        """A fleet whose only chunk is leased, and an idle second worker."""
+        fleet = Fleet(**ttls)
+        holder = fleet.register(name="holder")["worker"]
+        idle = fleet.register(name="idle")["worker"]
+        job = fleet.add_job(FleetJob(spec=_spec(), chunks=1))
+        job.mark_running()
+        taken = fleet.lease(holder)["lease"]
+        return fleet, job, holder, idle, taken
+
+    def test_last_ack_wakes_a_parked_lease(self):
+        fleet, job, holder, idle, taken = self._fleet_with_held_chunk()
+        thread, reply = _park(fleet.lease, idle, wait=5)
+        acked_at = time.monotonic()
+        fleet.ack(holder, job.id, taken["chunk"])
+        thread.join(timeout=5)
+        assert reply["response"] == {"idle": True, "active_jobs": 0}
+        assert reply["at"] - acked_at < 1.0
+
+    def test_requeued_chunk_goes_to_the_parked_lease(self):
+        fleet, job, holder, idle, taken = self._fleet_with_held_chunk(
+            lease_ttl=0.5
+        )
+        started = time.monotonic()
+        thread, reply = _park(fleet.lease, idle, wait=5)
+        thread.join(timeout=5)
+        lease = reply["response"]["lease"]
+        assert lease["chunk"] == taken["chunk"]
+        assert lease["attempt"] == 2
+        assert reply["at"] - started < 2.0
+        assert fleet.requeued == 1
+
+    def test_new_job_wakes_a_parked_lease(self):
+        fleet, job, holder, idle, taken = self._fleet_with_held_chunk()
+        thread, reply = _park(fleet.lease, idle, wait=5)
+        added_at = time.monotonic()
+        second = FleetJob(spec=_spec(), chunks=1)
+        second.mark_running()
+        fleet.add_job(second)
+        thread.join(timeout=5)
+        assert reply["response"]["lease"]["job"] == second.id
+        assert reply["at"] - added_at < 1.0
+
+    def test_wait_is_capped_at_a_third_of_the_heartbeat_ttl(self):
+        fleet, job, holder, idle, taken = self._fleet_with_held_chunk(
+            heartbeat_ttl=1.5
+        )
+        started = time.monotonic()
+        # The holder keeps beating, so nothing lapses before the cap.
+        assert fleet.lease(idle, wait=60) == {"idle": True, "active_jobs": 1}
+        assert 0.4 < time.monotonic() - started < 1.5
+        assert fleet.lease(idle, wait=-1) == {"idle": True, "active_jobs": 1}
+
+    def test_no_active_job_never_parks(self):
+        fleet = Fleet()
+        worker = fleet.register()["worker"]
+        started = time.monotonic()
+        assert fleet.lease(worker, wait=5) == {"idle": True, "active_jobs": 0}
+        assert time.monotonic() - started < 1.0
+
+    def test_cancel_over_http_wakes_a_parked_lease(self, client):
+        job = client.submit_job(GRID, fleet={"chunks": 1})
+        holder = client.register_worker()["worker"]
+        idle = client.register_worker()["worker"]
+        assert "lease" in client.lease_chunk(holder)
+        thread, reply = _park(client.lease_chunk, idle, wait=5)
+        cancelled_at = time.monotonic()
+        assert client.cancel_job(job["job"])["state"] == "cancelled"
+        thread.join(timeout=5)
+        assert reply["response"] == {"idle": True, "active_jobs": 0}
+        assert reply["at"] - cancelled_at < 1.0
+
+    def test_service_close_wakes_a_parked_lease(self, tmp_path):
+        service = SweepService(store=tmp_path / "s.sqlite")
+        service.submit({"spec": GRID, "fleet": {"chunks": 1}})
+        holder = service.fleet.register()["worker"]
+        idle = service.fleet.register()["worker"]
+        assert "lease" in service.worker_lease(holder, {})
+        thread, reply = _park(service.worker_lease, idle, {"wait": 5})
+        closed_at = time.monotonic()
+        service.close()
+        thread.join(timeout=5)
+        assert reply["response"] == {"idle": True, "active_jobs": 0}
+        assert reply["at"] - closed_at < 1.0
+
+    def test_lease_route_reads_the_wait_field(self, client, live_server):
+        client.submit_job(GRID, fleet={"chunks": 1})
+        holder = client.register_worker()["worker"]
+        idle = client.register_worker()["worker"]
+        assert "lease" in client.lease_chunk(holder)
+        path = f"/workers/{idle}/lease"
+        for bad in ("soon", [1], True):
+            with pytest.raises(ServeError, match="400"):
+                client._json(path, {"wait": bad})
+        with pytest.raises(ServeError, match="400"):
+            client._json(path, [])
+        # No body, an empty object, a null or a negative wait: no parking.
+        started = time.monotonic()
+        bare = urllib.request.Request(live_server.url + path, data=b"")
+        with urllib.request.urlopen(bare, timeout=10) as response:
+            assert json.load(response) == {"idle": True, "active_jobs": 1}
+        for body in ({}, {"wait": None}, {"wait": -3}):
+            assert client._json(path, body) == {"idle": True, "active_jobs": 1}
+        assert time.monotonic() - started < 1.0
+
+
 # ----------------------------------------------------------------------
 # The HTTP surface
 # ----------------------------------------------------------------------
@@ -509,7 +636,7 @@ class TestFleetEndToEnd:
     def test_worker_gives_up_on_persistent_server_errors(self, live_server):
         worker = FleetWorker(live_server.url, poll=0.01, log=_silent)
 
-        def explode(worker_id):
+        def explode(worker_id, wait=0.0):
             raise ServeError("/lease: HTTP 500", code=500)
 
         worker.client.lease_chunk = explode

@@ -11,7 +11,12 @@ import pytest
 
 from repro.cli import main
 from repro.dse import SweepSpec, clear_memo, open_store, run_sweep
-from repro.serve import ServeClient, render_commands, shard_commands, shard_store_path
+from repro.serve import (
+    SweepService,
+    render_commands,
+    shard_commands,
+    shard_store_path,
+)
 
 
 @pytest.fixture
@@ -71,13 +76,13 @@ class TestLaunchFleet:
         )
         # Slow the submit: a worker handed the URL before the job was
         # queued would find nothing to lease and exit as drained.
-        submit = ServeClient.submit_job
+        submit = SweepService.submit
 
         def slow_submit(self, *args, **kwargs):
             time.sleep(0.3)
             return submit(self, *args, **kwargs)
 
-        monkeypatch.setattr(ServeClient, "submit_job", slow_submit)
+        monkeypatch.setattr(SweepService, "submit", slow_submit)
         spec = _spec()
         local = run_sweep(spec)
         clear_memo()  # forked workers must recompute, not inherit the memo
@@ -162,13 +167,13 @@ class TestLaunchFleet:
         clear_memo()  # forked workers must recompute, not inherit the memo
 
         submitted = []
-        submit = ServeClient.submit_job
+        submit = SweepService.submit
 
-        def spy(self, spec_dict, *args, **kwargs):
-            submitted.append(SweepSpec.from_dict(spec_dict))
-            return submit(self, spec_dict, *args, **kwargs)
+        def spy(self, payload):
+            submitted.append(SweepSpec.from_dict(payload["spec"]))
+            return submit(self, payload)
 
-        monkeypatch.setattr(ServeClient, "submit_job", spy)
+        monkeypatch.setattr(SweepService, "submit", spy)
         result = launch_fleet(spec, workers=2, store=dest, timeout=120)
         missing = spec.shard(1, 2)
         (job_spec,) = submitted
@@ -199,6 +204,54 @@ class TestLaunchFleet:
             launch_fleet(
                 spec, workers=1, store=tmp_path / "f.jsonl", timeout=0.01
             )
+
+    def test_idle_workers_never_sleep_out_their_poll(
+        self, tmp_path, monkeypatch, launch_module
+    ):
+        from repro.serve import launch_fleet
+        from repro.serve.fleet import FleetWorker
+
+        # Forked, so the children inherit the slowed chunk: one worker
+        # holds the only chunk for a second while the other finds
+        # nothing to lease.  That one parks on the server and wakes when
+        # the job ends; a poll-timer sleep would cost it ~30 s.
+        monkeypatch.setattr(
+            launch_module, "_pool_context", lambda: multiprocessing.get_context("fork")
+        )
+        execute = FleetWorker._execute
+
+        def slow_execute(self, lease):
+            time.sleep(1.0)
+            return execute(self, lease)
+
+        monkeypatch.setattr(FleetWorker, "_execute", slow_execute)
+        started = time.monotonic()
+        result = launch_fleet(
+            _spec(), workers=2, store=tmp_path / "f.jsonl", chunks=1, poll=30,
+            timeout=120,
+        )
+        assert result.points == len(_spec())
+        assert time.monotonic() - started < 10
+
+    def test_server_bind_failure_closes_the_service(self, tmp_path, monkeypatch):
+        import repro.serve.server as server_module
+        from repro.serve import launch_fleet
+
+        def refuse(service, port=0):
+            raise OSError("address in use")
+
+        closed = []
+        close = SweepService.close
+
+        def spy(self, *args, **kwargs):
+            closed.append(self)
+            return close(self, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "SweepServer", refuse)
+        monkeypatch.setattr(SweepService, "close", spy)
+        with pytest.raises(OSError, match="address in use"):
+            launch_fleet(_spec(), workers=1, store=tmp_path / "f.jsonl")
+        assert len(closed) == 1
 
     def test_dead_fleet_reports_exit_codes(self, tmp_path, monkeypatch, launch_module):
         from repro.serve import launch_fleet
