@@ -105,9 +105,9 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
     assert len(partitioned) == len(sqlite) == N_RECORDS
 
     # -- dump: full load vs the keyset-paginated walk ------------------
-    # No record cache: this measures the streaming path itself, the
-    # regime past any cache capacity where pagination must carry.
-    service = SweepService(store=sqlite.path, record_cache=None)
+    # Queries and pages both stream the store on every call: this
+    # measures the streaming paths themselves.
+    service = SweepService(store=sqlite.path)
 
     def full_load():
         return len(service.records())

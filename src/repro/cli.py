@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 from .dse import (
+    DEFAULT_RECORD_CACHE,
     MEMORY_NAMES,
     PLATFORM_NAMES,
     PartitionedStore,
@@ -72,7 +73,6 @@ from .serve.fleet import (
 from .serve.server import (
     DEFAULT_DRAIN_TIMEOUT,
     DEFAULT_JOB_RETENTION,
-    DEFAULT_RECORD_CACHE,
 )
 from .serve.serializers import (
     co_explore_payload,
@@ -506,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_RECORD_CACHE,
         metavar="N",
-        help="cache the query snapshot while it fits N records, "
-        "between store changes; 0 disables the cache",
+        help="keep at most N evaluated records in the in-process memo, "
+        "least recently used evicted first; 0 keeps none",
     )
     server.add_argument("--no-vectorize", action="store_true")
     server.add_argument(
@@ -1153,7 +1153,7 @@ def _run_serve(args) -> int:
             max_queue_depth=args.max_queue_depth,
             job_retention=args.job_retention,
             job_ttl=args.job_ttl,
-            record_cache=args.record_cache or None,
+            record_cache=args.record_cache,
             verbose=args.verbose,
         )
     except ValueError as error:  # e.g. a non-positive TTL

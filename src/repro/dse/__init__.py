@@ -40,10 +40,10 @@ study, and the ``repro dse`` CLI subcommand run on this engine.
 
 from .engine import DSEEngine, SweepRecord, SweepResult, iter_sweep, run_sweep
 from .evaluate import (
+    DEFAULT_RECORD_CACHE,
     EVAL_VERSION,
     clear_caches,
     clear_memo,
-    evaluate_cached,
     evaluate_point,
     evaluate_points,
     lowered_for,
@@ -96,9 +96,9 @@ __all__ = [
     "iter_sweep",
     "run_sweep",
     "EVAL_VERSION",
+    "DEFAULT_RECORD_CACHE",
     "clear_caches",
     "clear_memo",
-    "evaluate_cached",
     "evaluate_point",
     "evaluate_points",
     "lowered_for",

@@ -166,6 +166,11 @@ def iter_sweep(
 
     if store is not None and not isinstance(store, ResultStoreBase):
         store = open_store(store)
+    # Each point is hashed once: the first index of every distinct hash
+    # feeds the store lookup, the tier loop and the cold-record index.
+    first: dict[str, int] = {}
+    for index, point in enumerate(points):
+        first.setdefault(point.config_hash(), index)
     stored: dict[str, dict] = {}
     if store is not None:
         # Only the sweep's own hashes, only at the current version: the
@@ -173,8 +178,7 @@ def iter_sweep(
         # hold one of them, the SQLite backend answers from an indexed
         # point lookup -- a huge warm SQLite store costs time
         # proportional to the sweep, not the store.
-        unique = list(dict.fromkeys(point.config_hash() for point in points))
-        stored = store.records_for(unique, version=EVAL_VERSION)
+        stored = store.records_for(list(first), version=EVAL_VERSION)
 
     # One held-open append handle for the whole stream: each completed
     # record is flushed to disk without a file open (or, on gzipped
@@ -183,45 +187,40 @@ def iter_sweep(
     tiers = {"memo": 0, "store": 0, "evaluated": 0}
     try:
         with sink as persist:
-            seen: set[str] = set()
-            pending: list[tuple[int, SweepPoint]] = []
-            for index, point in enumerate(points):
+            pending: list[str] = []
+            for key, index in first.items():
                 if cancelled():
                     return
-                key = point.config_hash()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key in _MEMO:
+                record = _MEMO.get(key)
+                if record is not None:
                     if persist is not None and key not in stored:
-                        persist(_MEMO[key])
+                        persist(record)
                     tiers["memo"] += 1
-                    yield SweepRecord(index, point, _MEMO[key], "memo")
+                    yield SweepRecord(index, points[index], record, "memo")
                 elif key in stored:
                     # A store hit warms the in-process memo: the next
                     # sweep over this config is served without touching
                     # the store.
-                    _MEMO[key] = stored[key]
+                    record = stored[key]
+                    _MEMO.put(key, record)
                     tiers["store"] += 1
-                    yield SweepRecord(index, point, stored[key], "store")
+                    yield SweepRecord(index, points[index], record, "store")
                 else:
-                    pending.append((index, point))
+                    pending.append(key)
 
             if not pending or cancelled():
                 return
-            by_hash = {
-                point.config_hash(): (index, point) for index, point in pending
-            }
 
             def _emit(record: dict) -> SweepRecord:
-                _MEMO[record["hash"]] = record
+                key = record["hash"]
+                _MEMO.put(key, record)
                 if persist is not None:
                     persist(record)
-                index, point = by_hash[record["hash"]]
+                index = first[key]
                 tiers["evaluated"] += 1
-                return SweepRecord(index, point, record, "evaluated")
+                return SweepRecord(index, points[index], record, "evaluated")
 
-            pending_points = [point for _, point in pending]
+            pending_points = [points[first[key]] for key in pending]
             if vectorize:
                 chunks = _lowered_chunks(pending_points, chunk_size)
                 if workers > 1 and len(chunks) > 1:

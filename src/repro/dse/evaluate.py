@@ -24,6 +24,8 @@ store is bit-identical to the cold evaluation that produced it.
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 from ..baselines.gpu import simulate_gpu
@@ -39,9 +41,9 @@ from .spec import SweepPoint, cached_network
 
 __all__ = [
     "EVAL_VERSION",
+    "DEFAULT_RECORD_CACHE",
     "evaluate_point",
     "evaluate_points",
-    "evaluate_cached",
     "clear_memo",
     "clear_caches",
     "lowered_for",
@@ -51,19 +53,84 @@ __all__ = [
 #: carry the version and the engine ignores (and re-evaluates) stale ones.
 EVAL_VERSION = 1
 
-# Per-process memo of evaluated records, keyed by config hash.
-_MEMO: dict[str, dict] = {}
+#: Default capacity (records) of the memo; ``repro serve --record-cache``.
+DEFAULT_RECORD_CACHE = 100_000
+
+_EVICTIONS = get_registry().counter(
+    "repro_memo_evictions_total",
+    "Records the in-process eval memo evicted (least recently used first).",
+)
+
+
+class _Memo:
+    """The process's record cache: a lock-guarded LRU, hash -> record.
+
+    Every lookup is one :meth:`get` under the lock (a hit moves its key
+    to the end), so a concurrent eviction can never strike between a
+    membership test and a read.  Past ``capacity`` records the least
+    recently used go first; ``OrderedDict.popitem(last=False)`` evicts
+    in O(1).  A capacity of 0 keeps nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._records: OrderedDict[str, dict] = OrderedDict()
+        self.capacity = DEFAULT_RECORD_CACHE
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def get(self, key: str) -> dict | None:
+        with self._lock:
+            record = self._records.get(key)
+            if record is not None:
+                self._records.move_to_end(key)
+            return record
+
+    def put(self, key: str, record: dict) -> None:
+        with self._lock:
+            self._records[key] = record
+            self._records.move_to_end(key)
+            self._evict()
+
+    def values(self) -> list[dict]:  # a snapshot, least recent first
+        with self._lock:
+            return list(self._records.values())
+
+    def resize(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError("record cache capacity must be >= 0")
+        with self._lock:
+            self.capacity = capacity
+            self._evict()
+
+    def clear(self) -> None:  # and restore the default capacity
+        with self._lock:
+            self._records.clear()
+            self.capacity = DEFAULT_RECORD_CACHE
+            self.evictions = 0
+
+    def _evict(self) -> None:
+        while len(self._records) > self.capacity:
+            self._records.popitem(last=False)
+            self.evictions += 1
+            _EVICTIONS.inc()
+
+
+_MEMO = _Memo()
 
 
 def clear_memo() -> None:
-    """Drop the in-process evaluation cache (tests and benchmarks)."""
+    """Drop the in-process record memo and restore its default capacity."""
     _MEMO.clear()
 
 
 def clear_caches() -> None:
     """Drop the record memo *and* every evaluation-path cache.
 
-    ``clear_memo`` only forgets finished records; the evaluation path
+    ``clear_memo`` only forgets finished records (and restores the
+    memo's default capacity); the evaluation path
     also memoizes network/policy builds, lowered IRs and their GEMM
     shapes, per-spec multiplier/energy lookup tables, and factor pairs.
     True-cold benchmarking (and tests that must observe first-fill
@@ -201,13 +268,3 @@ def evaluate_points(points: Sequence[SweepPoint]) -> list[dict]:
         for i, point_metrics in zip(indices, metrics):
             records[i] = _record(points[i], point_metrics)
     return records  # type: ignore[return-value]
-
-
-def evaluate_cached(point: SweepPoint) -> dict:
-    """Evaluate through the per-process memo."""
-    key = point.config_hash()
-    record = _MEMO.get(key)
-    if record is None:
-        record = evaluate_point(point)
-        _MEMO[key] = record
-    return record

@@ -1,7 +1,7 @@
 """A thread-safe, stdlib-only metrics registry for the serving stack.
 
 The service's counters used to live as ad-hoc instance attributes
-(``Fleet.leases_granted``, ``RecordCache.hits``) surfaced only through
+(e.g. ``Fleet.leases_granted``) surfaced only through
 ``GET /stats`` JSON -- fine for a quick poll, useless for a scraper or
 a rate panel.  :class:`MetricsRegistry` is the shared substrate:
 
@@ -10,7 +10,7 @@ a rate panel.  :class:`MetricsRegistry` is the shared substrate:
   ``count``), all label-aware with a bounded, fixed label-name set per
   family;
 * one process-global default registry (:func:`get_registry`) that the
-  server, engine, journal, and record cache instrument into, plus
+  server, engine, journal, and record memo instrument into, plus
   private per-instance registries where isolation matters (each
   :class:`~repro.serve.fleet.FleetWorker` keeps its own so heartbeats
   carry worker-local numbers even when embedded in-process);

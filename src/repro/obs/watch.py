@@ -5,8 +5,8 @@ it pulls ``GET /stats``, ``GET /jobs``, ``GET /workers``, ``GET
 /readyz``, and ``GET /metrics``, folds them into one snapshot dict,
 and redraws -- a job table (state, progress, current phase, duration),
 a worker table (liveness, leases, last-heartbeat age, reported
-throughput), frontier-so-far sizes for running sweeps, and cache/eval
-hit rates derived from the scrape.
+throughput), frontier-so-far sizes for running sweeps, and the memo's
+share of resolved sweep points derived from the scrape.
 
 Rendering is layered for testability: :func:`build_snapshot` (pure
 HTTP -> dict), :func:`render_text` (dict -> str), and :func:`watch`
@@ -96,12 +96,6 @@ def _series_total(samples: dict, name: str, **where) -> float | None:
     )
 
 
-def _hit_rate(hits: float | None, misses: float | None) -> float | None:
-    if hits is None or misses is None or hits + misses == 0:
-        return None
-    return hits / (hits + misses)
-
-
 def _derive(samples: dict[str, list[dict]]) -> dict:
     """The headline numbers the dashboard derives from a scrape."""
     tiers = {
@@ -109,13 +103,11 @@ def _derive(samples: dict[str, list[dict]]) -> dict:
         or 0.0
         for tier in ("memo", "store", "evaluated")
     }
+    points = sum(tiers.values())
     return {
         "http_requests": _series_total(samples, "repro_http_requests_total"),
         "eval_points": tiers,
-        "record_cache_hit_rate": _hit_rate(
-            _series_total(samples, "repro_record_cache_hits_total"),
-            _series_total(samples, "repro_record_cache_misses_total"),
-        ),
+        "memo_share": tiers["memo"] / points if points else None,
         "journal_degraded_writes": _series_total(
             samples, "repro_journal_writes_total", result="degraded"
         ),
@@ -223,12 +215,11 @@ def render_text(snapshot: dict) -> str:
         f"eval v{stats.get('eval_version', '?')}"
     )
     cache = stats.get("record_cache") or {}
-    cache_rate = derived.get("record_cache_hit_rate")
+    memo_share = derived.get("memo_share")
     lines.append(
         f"store: {store.get('backend', '-')} {store.get('records', 0)} records"
-        f" | memo: {stats.get('memo_records', 0)}"
-        f" | cache: {cache.get('records', 0)}/{cache.get('capacity', 0)}"
-        + (f" ({cache_rate:.0%} hit)" if cache_rate is not None else "")
+        f" | memo: {stats.get('memo_records', 0)}/{cache.get('capacity', 0)}"
+        + (f" ({memo_share:.0%} of points)" if memo_share is not None else "")
     )
     tiers = derived.get("eval_points") or {}
     if tiers:

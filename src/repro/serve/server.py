@@ -1,12 +1,12 @@
 """The sweep service: a stdlib-only HTTP server over the DSE engine.
 
 One long-lived process owns a result store and the warm in-process
-memo; many clients submit sweeps, stream records, and run server-side
-reductions against the shared cache instead of each re-evaluating (or
-re-loading) the design space.  The protocol is deliberately plain --
-JSON requests, JSON or NDJSON responses, ``http.server`` underneath --
-so any HTTP client works; :class:`repro.serve.client.ServeClient` is
-the thin reference client.
+memo (bounded by ``record_cache`` records); many clients submit sweeps,
+stream records, and run server-side reductions against the shared store
+instead of each re-evaluating (or re-loading) the design space.  The
+protocol is deliberately plain -- JSON requests, JSON or NDJSON
+responses, ``http.server`` underneath -- so any HTTP client works;
+:class:`repro.serve.client.ServeClient` is the thin reference client.
 
 Sweeps run through an async job queue (:mod:`repro.serve.jobs`):
 ``POST /sweep`` validates the spec and returns a job id immediately,
@@ -24,10 +24,10 @@ Endpoints
     accepting work; 503 while starting, draining, or closed.
 ``GET /metrics``
     The process metrics registry in Prometheus text exposition format
-    (requests, jobs, fleet, cache, journal, evaluator series).
+    (requests, jobs, fleet, memo, journal, evaluator series).
 ``GET /stats``
-    Store metadata (backend, records, bytes) + memo size + job counts
-    + aggregated job phase timings.
+    Store metadata (backend, records, bytes) + memo size, capacity and
+    evictions + job counts + aggregated job phase timings.
 ``GET /records``
     ``?after=HASH&limit=N``: one keyset page of current-version
     records in hash order, ending with ``{"count": n, "next": cursor}``
@@ -117,14 +117,13 @@ from typing import Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from ..dse.engine import iter_sweep
-from ..dse.evaluate import _MEMO, EVAL_VERSION
+from ..dse.evaluate import _MEMO, DEFAULT_RECORD_CACHE, EVAL_VERSION
 from ..dse.queries import pareto_frontier, run_query
 from ..dse.spec import SweepSpec
 from ..dse.store import ResultStoreBase, open_store
 from ..obs.logs import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
-from .cache import DEFAULT_RECORD_CACHE, RecordCache
 from .fleet import (
     DEFAULT_FLEET_CHUNKS,
     DEFAULT_HEARTBEAT_TTL,
@@ -287,7 +286,7 @@ class SweepService:
         max_queue_depth: int | None = None,
         job_retention: int | None = None,
         job_ttl: float | None = None,
-        record_cache: int | None = DEFAULT_RECORD_CACHE,
+        record_cache: int = DEFAULT_RECORD_CACHE,
     ):
         self.store = open_store(store) if store is not None else None
         if self.store is not None and self.store.is_gzipped():
@@ -298,6 +297,9 @@ class SweepService:
                 f"copy (repro dse-merge plain.jsonl {self.store.path}) "
                 "or a SQLite store path (e.g. store.sqlite)"
             )
+        # The process-wide record memo is the only record cache; the
+        # service sizes it (0 keeps no records).
+        _MEMO.resize(record_cache)
         self.workers = workers
         self.vectorize = vectorize
         self.sweeps_served = 0
@@ -314,11 +316,6 @@ class SweepService:
         # they stream whole lines (JSONL, one write per record) or
         # upserts (SQLite) straight into the shared store.
         self._store_lock = threading.Lock()
-        # The query snapshot, bounded to ``record_cache`` records (0 or
-        # None disables), synced against the store's change token.
-        self.record_cache = (
-            RecordCache(record_cache) if record_cache else None
-        )
         self._stats_cache: tuple | None = None  # (change token, store stats)
         self._draining = False
         self._closed = False
@@ -398,11 +395,6 @@ class SweepService:
         for state, count in fleet_stats["chunks"].items():
             if state != "total":
                 chunks.set(count, state=state)
-        if self.record_cache is not None:
-            registry.gauge(
-                "repro_record_cache_records",
-                "Records held by the record cache's query snapshot.",
-            ).set(self.record_cache.stats().get("records", 0))
         registry.gauge(
             "repro_draining", "1 while the server is draining, else 0."
         ).set(1 if self._draining else 0)
@@ -519,8 +511,8 @@ class SweepService:
         self._evict_terminal()  # /stats is polled: the TTL clock tick
         store_stats = None
         if self.store is not None:
-            # Cached like records(): a JSONL store's record count is a
-            # full parse, and /stats is the endpoint monitors poll.
+            # Cached per change token: a JSONL store's record count is
+            # a full parse, and /stats is the endpoint monitors poll.
             key = self.store.change_token()
             cached = self._stats_cache
             if key is not None and cached is not None and cached[0] == key:
@@ -540,11 +532,10 @@ class SweepService:
             "sweeps_served": self.sweeps_served,
             "phases": self._job_phase_summary(),
             "memo_records": len(_MEMO),
-            "record_cache": (
-                self.record_cache.stats()
-                if self.record_cache is not None
-                else None
-            ),
+            "record_cache": {
+                "capacity": _MEMO.capacity,
+                "evictions": _MEMO.evictions,
+            },
             "store": store_stats,
             "jobs": self.jobs.counts(),
             "fleet": self.fleet.stats(),
@@ -578,42 +569,21 @@ class SweepService:
     def records(self) -> list[dict]:
         """Every current-version record the service can serve.
 
-        Backed by the store when there is one, else by the in-process
-        memo -- a storeless server still answers queries over what it
-        evaluated this lifetime.  Store reads go through the bounded
-        :class:`RecordCache` keyed by the store's change token alone
-        (``None`` -- no store file yet, or an unreadable token --
-        disables caching for that call), so back-to-back queries over
-        an unchanged store that fits the cache parse it once; any
-        write -- a job, an ingest, an external process -- moves the
-        token (SQLite's ``PRAGMA data_version``, the JSONL file's size
-        and head/tail fingerprint) and invalidates.  Stores past the
-        cache capacity are re-read per call.  Pages
+        Backed by the store when there is one, streamed afresh on every
+        call, so a query sees every write -- a job, an ingest, an
+        external process -- at once.  A storeless service answers from
+        the in-process memo: what it evaluated and still holds.  Pages
         (:meth:`record_page_stream`) never come through here.
         """
         if self.store is None:
-            # Snapshot first: concurrent job threads append to the
-            # memo while we filter.
-            memo = list(_MEMO.values())
-            return [r for r in memo if r.get("version") == EVAL_VERSION]
-        cache = self.record_cache
-        key = self.store.change_token() if cache is not None else None
-        if cache is not None:
-            cache.sync(key)
-            if key is not None:
-                snapshot = cache.snapshot()
-                if snapshot is not None:
-                    return snapshot
+            return [r for r in _MEMO.values() if r.get("version") == EVAL_VERSION]
         # iter_records pushes the version filter into the backend
         # (SQLite: ``WHERE version = ?``) instead of post-filtering a
         # full load() in Python.
-        records = sorted(
+        return sorted(
             self.store.iter_records(version=EVAL_VERSION),
             key=lambda record: record["hash"],
         )
-        if cache is not None and key is not None:
-            cache.fill(records)
-        return records
 
     def record_page_stream(
         self, after: str | None = None, limit: int | None = None
@@ -637,7 +607,7 @@ class SweepService:
             memo = sorted(
                 (
                     record
-                    for record in list(_MEMO.values())
+                    for record in _MEMO.values()
                     if record.get("version") == EVAL_VERSION
                     and record.get("hash")
                     and (after is None or record["hash"] > after)
@@ -1419,7 +1389,7 @@ def serve(
     max_queue_depth: int | None = None,
     job_retention: int | None = DEFAULT_JOB_RETENTION,
     job_ttl: float | None = None,
-    record_cache: int | None = DEFAULT_RECORD_CACHE,
+    record_cache: int = DEFAULT_RECORD_CACHE,
     verbose: bool = False,
     announce=_announce_stdout,
     ready=None,
@@ -1445,8 +1415,9 @@ def serve(
     detection; ``max_queue_depth`` bounds accepted-but-unstarted jobs
     (beyond it submissions 429 with ``Retry-After``); ``job_retention``
     / ``job_ttl`` evict old terminal jobs from memory and journal;
-    ``record_cache`` bounds the in-memory query snapshot in records
-    (``repro serve --record-cache``, 0 disables).
+    ``record_cache`` bounds the in-process record memo in records,
+    least recently used evicted first (``repro serve --record-cache``,
+    0 keeps none).
     ``ready``, when given, receives the :class:`SweepServer` right
     before the loop starts -- the hook tests and embedders use to reach
     the live server object.

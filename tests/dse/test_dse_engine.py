@@ -1,19 +1,26 @@
 """Tests for the sweep engine: caching tiers, dedup, multiprocessing,
 and the streaming ``iter_sweep`` API the batch API is built on."""
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro.dse import (
+    DEFAULT_RECORD_CACHE,
     EVAL_VERSION,
     DSEEngine,
     ResultStore,
     SweepPoint,
     SweepSpec,
+    clear_caches,
     clear_memo,
     evaluate_point,
     iter_sweep,
     run_sweep,
 )
+from repro.dse.evaluate import _MEMO
 from repro.hw import BPVEC, DDR4, HBM2
 
 
@@ -412,3 +419,81 @@ class TestShouldCancel:
             for sr in iter_sweep(points, should_cancel=lambda: False)
         ]
         assert hooked == plain
+
+
+class TestBoundedMemo:
+    def test_evicts_least_recently_used_first(self):
+        _MEMO.resize(2)
+        run_sweep(_points("LSTM", "RNN"))
+        assert run_sweep(_points("LSTM")).from_memo == 1  # refreshes LSTM
+        run_sweep(_points("AlexNet"))  # evicts RNN, the least recent
+        assert (len(_MEMO), _MEMO.evictions) == (2, 1)
+        again = run_sweep(_points("LSTM", "AlexNet", "RNN"))
+        assert (again.from_memo, again.evaluated) == (2, 1)
+
+    def test_hit_moves_the_entry_to_the_end(self):
+        _MEMO.resize(2)
+        _MEMO.put("a", {"hash": "a"})
+        _MEMO.put("b", {"hash": "b"})
+        assert _MEMO.get("a") == {"hash": "a"}
+        _MEMO.put("c", {"hash": "c"})
+        assert _MEMO.get("b") is None
+        assert [r["hash"] for r in _MEMO.values()] == ["a", "c"]
+
+    def test_zero_capacity_keeps_nothing(self):
+        _MEMO.resize(0)
+        first = run_sweep(_points("LSTM", "RNN"))
+        second = run_sweep(_points("LSTM", "RNN"))
+        assert len(_MEMO) == 0 and second.evaluated == 2
+        assert second.records == first.records
+
+    def test_shrinking_evicts_at_once(self):
+        run_sweep(_points("LSTM", "RNN", "AlexNet"))
+        _MEMO.resize(1)
+        assert [r["workload"] for r in _MEMO.values()] == ["AlexNet"]
+        with pytest.raises(ValueError):
+            _MEMO.resize(-1)
+
+    def test_clear_caches_restores_the_default_capacity(self):
+        _MEMO.resize(1)
+        run_sweep(_points("LSTM", "RNN"))
+        assert _MEMO.evictions == 1
+        clear_caches()
+        assert _MEMO.capacity == DEFAULT_RECORD_CACHE
+        assert (len(_MEMO), _MEMO.evictions) == (0, 0)
+
+    def test_concurrent_sweeps_past_capacity(self):
+        # Each thread's 3 points fit the memo, all threads' 6 do not:
+        # one thread's lookups hit while another's inserts evict.
+        _MEMO.resize(4)
+        halves = [
+            _points("LSTM", "RNN", "AlexNet"),
+            _points("LSTM", "RNN", "AlexNet", memory=HBM2),
+        ]
+        expected = [run_sweep(half).records for half in halves]
+        errors, results = [], []
+        workers = (os.cpu_count() or 1) + 1
+
+        def sweep(half):
+            try:
+                for _ in range(30):
+                    results.append(run_sweep(halves[half]).records == expected[half])
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=sweep, args=(i % 2,)) for i in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: widen races
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == 30 * workers and all(results)
+        assert len(_MEMO) <= 4 and _MEMO.evictions > 0

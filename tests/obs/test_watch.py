@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.watch import parse_prometheus_text, render_text, watch
+from repro.obs.watch import _derive, parse_prometheus_text, render_text, watch
 
 
 SCRAPE = """\
@@ -10,8 +10,7 @@ SCRAPE = """\
 # TYPE repro_eval_points_total counter
 repro_eval_points_total{tier="evaluated"} 7
 repro_eval_points_total{tier="memo"} 3
-repro_record_cache_hits_total 9
-repro_record_cache_misses_total 1
+repro_memo_evictions_total 9
 repro_job_phase_seconds_bucket{kind="sweep",phase="evaluate",le="+Inf"} 2
 repro_job_phase_seconds_sum{kind="sweep",phase="evaluate"} 0.5
 repro_job_phase_seconds_count{kind="sweep",phase="evaluate"} 2
@@ -27,8 +26,8 @@ class TestParsePrometheusText:
             for s in samples["repro_eval_points_total"]
         }
         assert points == {"evaluated": 7.0, "memo": 3.0}
-        (hits,) = samples["repro_record_cache_hits_total"]
-        assert hits["labels"] == {} and hits["value"] == 9.0
+        (evictions,) = samples["repro_memo_evictions_total"]
+        assert evictions["labels"] == {} and evictions["value"] == 9.0
 
     def test_histogram_series_keep_suffixed_names(self):
         samples = parse_prometheus_text(SCRAPE)
@@ -56,7 +55,7 @@ class TestRenderText:
                 "eval_version": 1,
                 "store": {"backend": "sqlite", "records": 12},
                 "memo_records": 4,
-                "record_cache": {"records": 3, "capacity": 100},
+                "record_cache": {"capacity": 100, "evictions": 0},
                 "jobs": {"running": 1, "queued": 0, "total": 2},
                 "fleet": {
                     "workers": {"registered": 2, "alive": 1},
@@ -97,7 +96,7 @@ class TestRenderText:
             "metrics": {
                 "http_requests": 15,
                 "eval_points": {"evaluated": 7, "store": 0, "memo": 3},
-                "record_cache_hit_rate": 0.9,
+                "memo_share": 0.3,
                 "journal_degraded_writes": 0,
             },
             "frontiers": {"j1": 3},
@@ -105,12 +104,16 @@ class TestRenderText:
         text = render_text(snapshot)
         assert "[ready]" in text
         assert "sqlite 12 records" in text
-        assert "(90% hit)" in text
+        assert "memo: 4/100 (30% of points)" in text
         assert "7 evaluated" in text
         assert "evaluate" in text  # the running job's open phase
         assert "box-a" in text
         assert "1 alive / 2 registered" in text
         assert "2/4 done" in text
+
+    def test_memo_share_is_memo_points_over_all_tiers(self):
+        assert _derive(parse_prometheus_text(SCRAPE))["memo_share"] == 0.3
+        assert _derive({})["memo_share"] is None  # nothing resolved yet
 
     def test_degrades_on_missing_fields(self):
         text = render_text({"url": "http://x", "ready": None})

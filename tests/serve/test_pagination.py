@@ -1,11 +1,10 @@
-"""Server-side pagination of ``GET /records`` + the query snapshot cache.
+"""Server-side pagination of ``GET /records``, and reads with no cache.
 
 Store-level keyset-pagination semantics (cursor exactness, concurrent
 upserts, version filtering) live in ``tests/dse/test_store_pagination``;
 this file covers the HTTP protocol on top -- the page terminal, client
 page-following, the stored-bytes pass-through of pages and job streams
--- and the :class:`RecordCache` snapshot that serves repeated queries
-from memory.
+-- and that pages and queries read the store afresh on every call.
 """
 
 import json
@@ -14,9 +13,8 @@ import urllib.request
 
 import pytest
 
-from repro.dse import EVAL_VERSION, clear_memo
+from repro.dse import DEFAULT_RECORD_CACHE, EVAL_VERSION, clear_memo
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService
-from repro.serve.cache import RecordCache
 from repro.serve.server import BLOCK_RECORDS
 
 GRID = {
@@ -275,56 +273,27 @@ class TestStorelessPagination:
 
 
 class TestRecordCacheUnit:
-    def test_sync_keeps_matching_token(self):
-        cache = RecordCache(10)
-        cache.sync(("t", 1))
-        assert cache.fill(_records(3))
-        cache.sync(("t", 1))
-        assert cache.snapshot() is not None
-
-    def test_sync_clears_on_token_change_or_none(self):
-        for new_token in (("t", 2), None):
-            cache = RecordCache(10)
-            cache.sync(("t", 1))
-            cache.fill(_records(3))
-            cache.sync(new_token)
-            assert cache.snapshot() is None
-            assert cache.stats()["invalidations"] == 1
-
-    def test_fill_refuses_past_capacity(self):
-        cache = RecordCache(2)
-        assert not cache.fill(_records(3))
-        assert cache.snapshot() is None
-
-    def test_snapshot_identity(self):
-        cache = RecordCache(10)
-        records = _records(4)
-        cache.fill(records)
-        assert cache.snapshot() is records
-
     def test_oversized_page_is_not_cached(self, tmp_path):
-        # No page is cached, whatever its size: pages read the store.
+        # No page is cached, whatever its size: a page past the memo's
+        # capacity still streams whole, and pages never fill the memo.
         service = SweepService(store=tmp_path / "s.sqlite", record_cache=2)
         service.ingest(_records(5))
         records, terminal = _decode(service.record_page_stream(limit=5))
         assert len(records) == 5 and terminal["next"] == records[-1]["hash"]
-        assert service.record_cache.stats()["records"] == 0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RecordCache(0)
+        assert service.stats()["memo_records"] == 0
 
 
 class TestServiceCacheIntegration:
     def test_stats_exposes_the_record_cache(self, client):
-        cache_stats = client.stats()["record_cache"]
-        assert cache_stats["capacity"] > 0
-        assert cache_stats["complete"] is False
+        assert client.stats()["record_cache"] == {
+            "capacity": DEFAULT_RECORD_CACHE,
+            "evictions": 0,
+        }
 
     def test_pages_always_read_the_store(self, tmp_path):
-        service = SweepService(store=tmp_path / "s.sqlite", record_cache=100)
+        service = SweepService(store=tmp_path / "s.sqlite", record_cache=2)
         service.ingest(_records(10))
-        assert len(service.records()) == 10  # a complete snapshot
+        assert len(service.records()) == 10
         calls = []
         original = service.store.iter_page_json
 
@@ -336,9 +305,7 @@ class TestServiceCacheIntegration:
         first = _decode(service.record_page_stream(limit=2))
         again = _decode(service.record_page_stream(limit=2))
         assert again == first
-        assert len(calls) == 2  # the snapshot never serves pages
-        stats = service.record_cache.stats()
-        assert stats["records"] == 10 and stats["hits"] == 0
+        assert len(calls) == 2  # every page reads the store
 
     def test_local_write_invalidates_pages(self, tmp_path):
         service = SweepService(store=tmp_path / "s.sqlite", record_cache=3)
@@ -351,13 +318,11 @@ class TestServiceCacheIntegration:
         # the old one (the upgraded record leaves the current version).
         after, _ = _decode(service.record_page_stream(limit=2))
         assert after == _records(4)[1:3]
-        assert service.record_cache.stats()["records"] == 0
 
     def test_disabled_cache_still_pages(self, tmp_path):
-        service = SweepService(store=tmp_path / "s.sqlite", record_cache=None)
-        assert service.record_cache is None
+        service = SweepService(store=tmp_path / "s.sqlite", record_cache=0)
         service.ingest(_records(5))
         page, terminal = _decode(service.record_page_stream(limit=3))
         assert terminal["next"] == page[-1]["hash"]
         assert len(service.records()) == 5
-        assert service.stats()["record_cache"] is None
+        assert service.stats()["record_cache"]["capacity"] == 0

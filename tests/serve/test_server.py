@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.dse import EVAL_VERSION, clear_memo
+from repro.dse import EVAL_VERSION, ResultStore, clear_memo
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService, serve
 
 GRID = {
@@ -288,45 +288,24 @@ def _run_job(service, payload):
 
 
 class TestRecordsCache:
-    def test_store_parsed_once_until_it_changes(self, tmp_path):
+    def test_query_sees_an_ingest_at_once(self, tmp_path):
         service = SweepService(store=tmp_path / "s.jsonl")
         _run_job(service, {"spec": GRID})
-        loads = []
-        original_load = service.store.load
-        service.store.load = lambda: loads.append(1) or original_load()
-        first = service.records()
-        assert len(first) == 2
-        assert service.records() is first  # served from the cache
-        assert len(loads) == 1
-        # Any append (sweep, ingest, external writer) grows the file
-        # and moves the change token: the next read sees the write.
-        before = service.record_cache.stats()["invalidations"]
+        assert len(service.records()) == 2
+        # Queries stream the store on every call, so any append -- an
+        # ingest, an external writer -- shows in the very next read.
         service.ingest([{"hash": "z" * 64, "version": EVAL_VERSION, "metrics": {}}])
-        loads.clear()
-        fresh = service.records()
-        assert len(fresh) == 3 and len(loads) == 1
-        assert service.record_cache.stats()["invalidations"] == before + 1
-        assert service.records() is fresh and len(loads) == 1
-
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
-    def test_warm_job_keeps_the_query_snapshot(self, tmp_path, suffix):
-        service = SweepService(store=tmp_path / f"s{suffix}")
-        _run_job(service, {"spec": GRID})  # cold: evaluates and writes
-        service.query("pareto")  # fills the snapshot
-        before = service.record_cache.stats()
-        _run_job(service, {"spec": GRID})  # warm: memo hits, writes nothing
-        assert service.record_cache.stats()["invalidations"] == (
-            before["invalidations"]
+        assert len(service.records()) == 3
+        ResultStore(service.store.path).append(
+            [{"hash": "y" * 64, "version": EVAL_VERSION, "metrics": {}}]
         )
-        service.query("pareto")
-        assert service.record_cache.stats()["hits"] == before["hits"] + 1
+        assert len(service.records()) == 4
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
     def test_job_that_evaluates_invalidates(self, tmp_path, suffix):
         service = SweepService(store=tmp_path / f"s{suffix}")
         _run_job(service, {"spec": GRID})
-        service.query("pareto")
-        before = service.record_cache.stats()["invalidations"]
+        assert len(service.query("top-k", {"k": 10})) == 2
         cold = {
             "grid": {
                 "workloads": ["AlexNet"],
@@ -335,9 +314,8 @@ class TestRecordsCache:
             }
         }
         _run_job(service, {"spec": cold})
-        # The next query sees the job's write and counts invalidating.
+        # The next query sees the job's write.
         assert len(service.query("top-k", {"k": 10})) == 3
-        assert service.record_cache.stats()["invalidations"] == before + 1
 
     def test_store_stats_cached_until_the_store_changes(self, tmp_path):
         service = SweepService(store=tmp_path / "s.jsonl")
@@ -427,6 +405,62 @@ class TestStorelessServer:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+#: 6 points: every platform x every memory.
+LSTM_GRID = {"grid": {"workloads": ["LSTM"]}}
+
+
+def _stream_bytes(service, job) -> bytes:
+    return b"".join(
+        block for block in service.job_record_stream(job) if isinstance(block, bytes)
+    )
+
+
+class TestMemoBound:
+    def test_storeless_service_holds_at_most_its_capacity(self):
+        service = SweepService(record_cache=4)
+        try:
+            job = _run_job(service, {"spec": LSTM_GRID})
+            assert service.job_summary(job)["evaluated"] == 6
+            stats = service.stats()
+            assert stats["memo_records"] == 4
+            assert stats["record_cache"] == {"capacity": 4, "evictions": 2}
+            assert len(service.records()) == 4  # storeless reads: the memo
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_store_serves_what_the_memo_evicted(self, tmp_path, suffix):
+        service = SweepService(store=tmp_path / f"s{suffix}", record_cache=2)
+        try:
+            cold = _run_job(service, {"spec": LSTM_GRID})
+            warm = _run_job(service, {"spec": LSTM_GRID})
+            summary = service.job_summary(warm)
+            assert (summary["store_hits"], summary["evaluated"]) == (6, 0)
+            assert _stream_bytes(service, warm) == _stream_bytes(service, cold)
+            assert service.stats()["memo_records"] == 2
+        finally:
+            service.close()
+
+    def test_concurrent_jobs_stay_within_capacity(self, tmp_path):
+        service = SweepService(
+            store=tmp_path / "s.sqlite", job_workers=2, record_cache=3
+        )
+        try:
+            specs = [
+                {"grid": {"workloads": [workload]}}
+                for workload in ("LSTM", "RNN", "AlexNet", "LSTM", "RNN")
+            ]
+            jobs = [service.submit({"spec": spec}) for spec in specs]
+            for job in jobs:
+                assert job.wait(timeout=120) and job.state == "done", job.error
+            assert len(service.query("top-k", {"k": 100})) == 18
+            stats = service.stats()
+            assert stats["memo_records"] <= 3
+            assert stats["record_cache"]["evictions"] >= 15
+        finally:
+            service.close()
 
 
 class TestServeLifecycle:
