@@ -910,12 +910,13 @@ def _run_dse(args) -> None:
             return
         if args.stream:
             if args.server:
-                stream = ServeClient(args.server, timeout=args.timeout).submit(
-                    spec.to_dict(), **_server_options(args)
-                )
+                client = ServeClient(args.server, timeout=args.timeout)
+                stream = client.submit(spec.to_dict(), **_server_options(args))
+                lines = (json.dumps(record, sort_keys=True) for record in stream)
             else:
-                stream = (
-                    sweep_record.record
+                # The records' canonical text, as stored: no re-encode.
+                lines = (
+                    sweep_record.text
                     for sweep_record in iter_sweep(
                         spec,
                         store=_open_cli_store(args),
@@ -923,8 +924,8 @@ def _run_dse(args) -> None:
                         vectorize=vectorize,
                     )
                 )
-            for record in stream:
-                print(json.dumps(record, sort_keys=True), flush=True)
+            for line in lines:
+                print(line, flush=True)
             return
         result = None
         fleet_status: dict | None = None

@@ -9,6 +9,8 @@ reusable engine:
   point lists) that canonicalize to stable config hashes;
 * :mod:`~repro.dse.evaluate` -- one-point evaluation producing flat,
   JSON-able records, memoized per process;
+* :mod:`~repro.dse.entry` -- a record's dict and its canonical JSON
+  text, each derived from the other once, on first use;
 * :mod:`~repro.dse.store` / :mod:`~repro.dse.sqlite_store` /
   :mod:`~repro.dse.partitioned` -- persistent result stores keyed by
   config hash (append-only JSONL, SQLite with indexed point lookups
@@ -39,6 +41,7 @@ study, and the ``repro dse`` CLI subcommand run on this engine.
 """
 
 from .engine import DSEEngine, SweepRecord, SweepResult, iter_sweep, run_sweep
+from .entry import RecordEntry
 from .evaluate import (
     DEFAULT_RECORD_CACHE,
     EVAL_VERSION,
@@ -93,6 +96,7 @@ __all__ = [
     "DSEEngine",
     "SweepRecord",
     "SweepResult",
+    "RecordEntry",
     "iter_sweep",
     "run_sweep",
     "EVAL_VERSION",

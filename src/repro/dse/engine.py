@@ -15,6 +15,13 @@ finish.
 ``run_sweep`` is the batch API, reimplemented on top of the stream: it
 drains the generator and returns records in point order plus per-tier
 hit counts.
+
+Each record travels as a :class:`~repro.dse.entry.RecordEntry`, so its
+canonical JSON text is made at most once: when the record is evaluated
+(the store append encodes it, the job stream reuses it) or when the
+store reads it (SQLite hands back its stored text).  Memo, store
+appender and stream all share that one entry; the dict is decoded only
+when a consumer reads :attr:`SweepRecord.record`.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ..obs.metrics import get_registry
+from .entry import RecordEntry
 from .evaluate import _MEMO, EVAL_VERSION, evaluate_point, evaluate_points
 from .spec import SweepPoint, SweepSpec
 from .store import ResultStoreBase, open_store
@@ -57,12 +65,22 @@ class SweepRecord:
 
     index: int  # position of the first point with this hash in the sweep
     point: SweepPoint
-    record: dict = field(repr=False)
+    entry: RecordEntry = field(repr=False)
     source: str  # "memo" | "store" | "evaluated"
 
     @property
     def hash(self) -> str:
-        return self.record["hash"]
+        return self.entry.hash
+
+    @property
+    def record(self) -> dict:
+        """The record dict (decoded from the stored text on first use)."""
+        return self.entry.record
+
+    @property
+    def text(self) -> str:
+        """The canonical JSON text (encoded from the dict on first use)."""
+        return self.entry.text
 
 
 @dataclass
@@ -171,14 +189,15 @@ def iter_sweep(
     first: dict[str, int] = {}
     for index, point in enumerate(points):
         first.setdefault(point.config_hash(), index)
-    stored: dict[str, dict] = {}
+    stored: dict[str, RecordEntry] = {}
     if store is not None:
         # Only the sweep's own hashes, only at the current version: the
         # JSONL backend scans the file but decodes only lines that may
         # hold one of them, the SQLite backend answers from an indexed
-        # point lookup -- a huge warm SQLite store costs time
-        # proportional to the sweep, not the store.
-        stored = store.records_for(list(first), version=EVAL_VERSION)
+        # point lookup with its stored text, undecoded -- a huge warm
+        # SQLite store costs time proportional to the sweep, not the
+        # store.
+        stored = store.entries_for(list(first), version=EVAL_VERSION)
 
     # One held-open append handle for the whole stream: each completed
     # record is flushed to disk without a file open (or, on gzipped
@@ -191,20 +210,20 @@ def iter_sweep(
             for key, index in first.items():
                 if cancelled():
                     return
-                record = _MEMO.get(key)
-                if record is not None:
+                entry = _MEMO.get(key)
+                if entry is not None:
                     if persist is not None and key not in stored:
-                        persist(record)
+                        persist(entry)
                     tiers["memo"] += 1
-                    yield SweepRecord(index, points[index], record, "memo")
+                    yield SweepRecord(index, points[index], entry, "memo")
                 elif key in stored:
                     # A store hit warms the in-process memo: the next
                     # sweep over this config is served without touching
                     # the store.
-                    record = stored[key]
-                    _MEMO.put(key, record)
+                    entry = stored[key]
+                    _MEMO.put(key, entry)
                     tiers["store"] += 1
-                    yield SweepRecord(index, points[index], record, "store")
+                    yield SweepRecord(index, points[index], entry, "store")
                 else:
                     pending.append(key)
 
@@ -212,13 +231,17 @@ def iter_sweep(
                 return
 
             def _emit(record: dict) -> SweepRecord:
+                # One entry per fresh record: the store write encodes
+                # its text once, and the memo and every consumer share
+                # both forms from then on.
                 key = record["hash"]
-                _MEMO.put(key, record)
+                entry = RecordEntry(key, record=record)
+                _MEMO.put(key, entry)
                 if persist is not None:
-                    persist(record)
+                    persist(entry)
                 index = first[key]
                 tiers["evaluated"] += 1
-                return SweepRecord(index, points[index], record, "evaluated")
+                return SweepRecord(index, points[index], entry, "evaluated")
 
             pending_points = [points[first[key]] for key in pending]
             if vectorize:

@@ -37,6 +37,7 @@ from ..sim.lowered import LoweredNetwork, evaluate_lowered_many, lower_network
 from ..sim.simulator import simulate_network
 from . import policies as _policies
 from . import spec as _spec
+from .entry import RecordEntry
 from .spec import SweepPoint, cached_network
 
 __all__ = [
@@ -63,7 +64,13 @@ _EVICTIONS = get_registry().counter(
 
 
 class _Memo:
-    """The process's record cache: a lock-guarded LRU, hash -> record.
+    """The process's record cache: a lock-guarded LRU, hash -> entry.
+
+    Values are :class:`~repro.dse.entry.RecordEntry` objects, not
+    dicts: an entry keeps the form its producer had (an evaluation's
+    dict, a SQLite row's text) and derives the other on first use, so
+    a served memo hit streams its cached text and an in-process one
+    reads its cached dict, neither re-encoding nor re-decoding.
 
     Every lookup is one :meth:`get` under the lock (a hit moves its key
     to the end), so a concurrent eviction can never strike between a
@@ -74,27 +81,27 @@ class _Memo:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._records: OrderedDict[str, dict] = OrderedDict()
+        self._records: OrderedDict[str, RecordEntry] = OrderedDict()
         self.capacity = DEFAULT_RECORD_CACHE
         self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> RecordEntry | None:
         with self._lock:
-            record = self._records.get(key)
-            if record is not None:
+            entry = self._records.get(key)
+            if entry is not None:
                 self._records.move_to_end(key)
-            return record
+            return entry
 
-    def put(self, key: str, record: dict) -> None:
+    def put(self, key: str, entry: RecordEntry) -> None:
         with self._lock:
-            self._records[key] = record
+            self._records[key] = entry
             self._records.move_to_end(key)
             self._evict()
 
-    def values(self) -> list[dict]:  # a snapshot, least recent first
+    def values(self) -> list[RecordEntry]:  # a snapshot, least recent first
         with self._lock:
             return list(self._records.values())
 

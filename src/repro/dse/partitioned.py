@@ -57,9 +57,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .entry import RecordEntry
 from .store import (
     ResultStore,
     ResultStoreBase,
+    _as_entry,
     _durable_replace,
     _keyed,
     _supersedes,
@@ -476,7 +478,7 @@ class PartitionedStore(ResultStoreBase):
         return len(to_write), lines + len(to_write), len(current)
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
+    def appender(self) -> Iterator[Callable[[dict | RecordEntry], None]]:
         """Streaming writes, one held-open handle per touched part.
 
         Flush-per-record like the JSONL appender (each part's appender
@@ -490,21 +492,22 @@ class PartitionedStore(ResultStoreBase):
         state: dict[str, int] = {}
         try:
             with ExitStack() as stack:
-                writers: dict[int, Callable[[dict], None]] = {}
+                writers: dict[int, Callable[[RecordEntry], None]] = {}
 
-                def write(record: dict) -> None:
-                    if not _keyed(record, self.path):
+                def write(record: dict | RecordEntry) -> None:
+                    entry = _as_entry(record, self.path)
+                    if entry is None:
                         return
                     if "parts" not in state:
                         state["parts"] = self._ensure_manifest()["parts"]
-                    index = part_index(record["hash"], state["parts"])
+                    index = part_index(entry.hash, state["parts"])
                     writer = writers.get(index)
                     if writer is None:
                         writer = stack.enter_context(
                             self._part(index).appender()
                         )
                         writers[index] = writer
-                    writer(record)
+                    writer(entry)
                     writes[index] = writes.get(index, 0) + 1
 
                 yield write

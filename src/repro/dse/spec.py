@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..baselines.gpu import RTX_2080_TI, GPUSpec
@@ -262,6 +262,31 @@ class _Resolver:
         return spec
 
 
+def _wire_ref(ref):
+    """A grid axis value as JSON: names stay names, specs become the
+    flat field dicts :meth:`SweepPoint.to_dict` spells them as."""
+    if isinstance(ref, Mapping):
+        return dict(ref)
+    if is_dataclass(ref) and not isinstance(ref, type):
+        return _flat_spec_dict(ref)
+    return ref
+
+
+def _wire_axes(axes: dict) -> dict | None:
+    """``axes`` when it survives a JSON round trip unchanged, else None.
+
+    ``SweepSpec.grid`` is deterministic, so axes that come back from
+    JSON equal to themselves rebuild the same points in the same
+    order.  A value JSON would change or reject (a tuple field, NaN,
+    a numpy integer) leaves explicit points as the only faithful wire
+    form.
+    """
+    try:
+        return axes if json.loads(json.dumps(axes)) == axes else None
+    except (TypeError, ValueError):
+        return None
+
+
 _HASH_BITS = 256  # SHA-256 config hashes
 
 
@@ -416,6 +441,11 @@ class SweepSpec:
     """
 
     points: tuple[SweepPoint, ...] = field(default_factory=tuple)
+    #: The JSON grid a :meth:`grid` build came from, kept when
+    #: ``from_dict({"grid": axes})`` rebuilds exactly these points in
+    #: this order; :meth:`to_dict` then ships the axes, not every point.
+    #: Derived specs (shards, chunks) hold explicit points only.
+    axes: Mapping | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -479,7 +509,10 @@ class SweepSpec:
         gpus: Sequence = (),
         gpu_precisions: Sequence[int] = (8,),
     ) -> "SweepSpec":
-        """Expand a grid over the named axes into explicit points."""
+        """Expand a grid over the named axes into explicit points.
+
+        The spec also keeps the axes, as JSON, for :meth:`to_dict`.
+        """
         platform, memory = _Resolver(resolve_platform), _Resolver(resolve_memory)
         gpu_spec = _Resolver(resolve_gpu)
         points = []
@@ -506,16 +539,32 @@ class SweepSpec:
                             gpu=gpu_spec(gpu), gpu_precision=precision, **cell
                         )
                     )
-        return cls(points=tuple(points))
+        axes = _wire_axes(
+            {
+                "workloads": list(workloads),
+                "platforms": [_wire_ref(ref) for ref in platforms],
+                "memories": [_wire_ref(ref) for ref in memories],
+                "policies": [policy_name(ref) for ref in policies],
+                "batches": list(batches),
+                "gpus": [_wire_ref(ref) for ref in gpus],
+                "gpu_precisions": list(gpu_precisions),
+            }
+        )
+        return cls(points=tuple(points), axes=axes)
 
     def to_dict(self) -> dict:
-        """The JSON wire spelling (explicit points; grids stay local).
+        """The JSON wire spelling: the grid it was built from, or points.
 
         ``SweepSpec.from_dict(spec.to_dict())`` rebuilds an identical
-        spec: same points, same order, same config hashes.  This is the
-        payload format of ``POST /sweep`` and of the spec file
-        ``repro dse-launch --print-cmds`` writes for an inline grid.
+        spec: same points, same order, same config hashes.  A
+        :meth:`grid` build ships its axes (a few hundred bytes however
+        many points they expand to); any other spec ships explicit
+        points.  This is the payload format of ``POST /sweep`` and of
+        the spec file ``repro dse-launch --print-cmds`` writes for an
+        inline grid.
         """
+        if self.axes is not None:
+            return {"grid": dict(self.axes)}
         return {"points": [point.to_dict() for point in self.points]}
 
     @classmethod

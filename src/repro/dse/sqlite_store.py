@@ -5,10 +5,10 @@ version-aware last-write-wins, ``merge``/``compact`` parity, records
 bit-identical through the JSON round-trip -- but the resolution rule is
 applied *at write time* by a conditional upsert, so the table always
 holds exactly the surviving record per hash.  That turns the engine's
-warm path (:meth:`~repro.dse.store.ResultStoreBase.records_for`) into
+warm path (:meth:`~repro.dse.store.ResultStoreBase.entries_for`) into
 an indexed point lookup instead of a full-file parse: a million-record
 store resolves a sweep in time proportional to the sweep, not the
-store.
+store, and hands back each hit's stored text without decoding it.
 
 Durability comes from SQLite's transactional writes: there is no torn
 tail to tolerate, every committed record survives a crash whole.  The
@@ -27,8 +27,10 @@ import sqlite3
 import threading
 import warnings
 from contextlib import closing, contextmanager
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
+from .entry import RecordEntry
 from .store import ResultStoreBase, StoreWarning, _source_records
 
 __all__ = ["SQLiteStore"]
@@ -63,8 +65,15 @@ _SELECT_CHUNK = 500
 APPEND_BATCH_ROWS = 5_000
 
 
-def _row(record: dict, path=None) -> tuple[str, int, str] | None:
-    """The (hash, version, json) row for a record; None when keyless."""
+def _row(record: dict | RecordEntry, path=None) -> tuple[str, int, str] | None:
+    """The (hash, version, json) row for a record; None when keyless.
+
+    An entry's text is stored as is (encoded once, when it has none
+    yet), so a streamed record is encoded at most once on its way to
+    the table and the wire.
+    """
+    if isinstance(record, RecordEntry):
+        return (record.hash, record.record.get("version", 0), record.text)
     key = record.get("hash") if isinstance(record, dict) else None
     if not key:
         if path is not None:
@@ -202,6 +211,11 @@ class SQLiteStore(ResultStoreBase):
             for row in (_row(record, self.path) for record in records)
             if row is not None
         ]
+        # Hash order: random 64-hex keys inserted as they come split
+        # pages all over the WITHOUT ROWID B-tree; sorted, each batch
+        # walks it once.  The sort is stable, so duplicates within one
+        # call keep their order and the last write still wins.
+        rows.sort(key=itemgetter(0))
         changed = 0
         with self._guard(), closing(self._connect()) as db:
             for start in range(0, len(rows), APPEND_BATCH_ROWS):
@@ -214,18 +228,19 @@ class SQLiteStore(ResultStoreBase):
         return changed
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
+    def appender(self) -> Iterator[Callable[[dict | RecordEntry], None]]:
         """One held-open connection, one committed transaction per record.
 
         Commit-per-record mirrors the JSONL flush-per-record contract:
         every completed record is durable before the next evaluation
         starts, so an interrupted run keeps its partials.  The database
-        file is only created once something is written.
+        file is only created once something is written.  Writes take
+        dicts or entries (see :func:`_row`).
         """
         db: sqlite3.Connection | None = None
         try:
 
-            def write(record: dict) -> None:
+            def write(record: dict | RecordEntry) -> None:
                 nonlocal db
                 row = _row(record, self.path)
                 if row is None:
@@ -241,19 +256,18 @@ class SQLiteStore(ResultStoreBase):
             if db is not None:
                 db.close()
 
-    def records_for(
-        self, hashes: Iterable[str], version: int | None = None
-    ) -> dict[str, dict]:
-        """Indexed point lookup -- the engine's warm path.
+    def _rows_for(
+        self, hashes: Iterable[str], version: int | None
+    ) -> list[tuple[str, str]]:
+        """Indexed point lookup: ``(hash, stored text)`` of each hit.
 
-        Unlike the JSONL backend, only the requested rows are read and
-        parsed, so resolving a sweep against a huge warm store costs
-        time proportional to the sweep.
+        Only the requested rows are read, so resolving a sweep against
+        a huge warm store costs time proportional to the sweep.
         """
         keys = list(dict.fromkeys(hashes))
         if not keys or not self.exists():
-            return {}
-        out: dict[str, dict] = {}
+            return []
+        rows: list[tuple[str, str]] = []
         with self._guard(), closing(self._connect()) as db:
             for start in range(0, len(keys), _SELECT_CHUNK):
                 chunk = keys[start : start + _SELECT_CHUNK]
@@ -263,9 +277,29 @@ class SQLiteStore(ResultStoreBase):
                 if version is not None:
                     sql += " AND version = ?"
                     params.append(version)
-                for key, blob in db.execute(sql, params):
-                    out[key] = json.loads(blob)
-        return out
+                rows.extend(db.execute(sql, params))
+        return rows
+
+    def records_for(
+        self, hashes: Iterable[str], version: int | None = None
+    ) -> dict[str, dict]:
+        """Indexed point lookup, decoded (see :meth:`_rows_for`)."""
+        return {key: json.loads(blob) for key, blob in self._rows_for(hashes, version)}
+
+    def entries_for(
+        self, hashes: Iterable[str], version: int | None = None
+    ) -> dict[str, RecordEntry]:
+        """The engine's warm path: hits as their stored text, undecoded.
+
+        The ``record`` column holds ``json.dumps(record,
+        sort_keys=True)`` (see :func:`_row`), exactly an entry's text,
+        so a served store hit streams without a decode or an encode;
+        its dict is only built if a consumer reads it.
+        """
+        return {
+            key: RecordEntry(key, text=blob)
+            for key, blob in self._rows_for(hashes, version)
+        }
 
     def iter_records(self, version: int | None = None) -> Iterator[dict]:
         """Stream rows, with the version filter pushed into SQL.

@@ -47,6 +47,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Container, Iterable, Iterator, Mapping
 
+from .entry import RecordEntry
+
 __all__ = [
     "ResultStore",
     "ResultStoreBase",
@@ -134,7 +136,7 @@ def _plain_hash(raw: bytes) -> str | None:
         return None
 
 
-def _keyed(record, path) -> bool:
+def _keyed(record, path, stacklevel: int = 3) -> bool:
     """Whether a record has the ``hash`` key every backend requires.
 
     Keyless records are unloadable in any backend -- ``iter_lines``
@@ -148,9 +150,24 @@ def _keyed(record, path) -> bool:
         f"{path}: dropping keyless record on append (records need a "
         '"hash" key to ever be read back)',
         StoreWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
     return False
+
+
+def _as_entry(record: dict | RecordEntry, path) -> RecordEntry | None:
+    """A streamed write as an entry; ``None`` (warned) when keyless.
+
+    Appenders take either form: the engine hands them entries, so a
+    record whose text already exists is written without re-encoding,
+    and whatever text a write encodes stays on the entry for the next
+    consumer (the job stream).
+    """
+    if isinstance(record, RecordEntry):
+        return record
+    if _keyed(record, path, stacklevel=4):
+        return RecordEntry.of(record)
+    return None
 
 
 class ResultStoreBase:
@@ -207,6 +224,22 @@ class ResultStoreBase:
         # SQLite column default -- the backends must agree on
         # versionless records.
         raise NotImplementedError
+
+    def entries_for(
+        self, hashes: Iterable[str], version: int | None = None
+    ) -> dict[str, RecordEntry]:
+        """:meth:`records_for` as entries, in the backend's native form.
+
+        The engine's warm lookup.  Entries carry whatever the backend
+        already had: this default wraps the decoded records of
+        :meth:`records_for`, and SQLite overrides it to hand back its
+        stored column text undecoded, so a served store hit goes to the
+        wire without a decode or an encode.
+        """
+        return {
+            key: RecordEntry(key, record=record)
+            for key, record in self.records_for(hashes, version=version).items()
+        }
 
     # -- derived queries (overridden where the backend can do better) --
     def hashes(self, version: int | None = None) -> set[str]:
@@ -529,10 +562,12 @@ class ResultStore(ResultStoreBase):
         return len(lines)
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict], None]]:
+    def appender(self) -> Iterator[Callable[[dict | RecordEntry], None]]:
         """One held-open append handle for streaming writers.
 
-        The yielded callable writes and flushes one record, so every
+        The yielded callable writes and flushes one record (a dict or a
+        :class:`~repro.dse.entry.RecordEntry`, whose text is written
+        as is), so every
         completed record is on disk for crash recovery (gzip flushes
         with a sync point) without paying a file open per record, and
         concurrent appenders on a plain file (the sweep service's jobs)
@@ -547,14 +582,15 @@ class ResultStore(ResultStoreBase):
         handle: IO[str] | None = None
         try:
 
-            def write(record: dict) -> None:
+            def write(record: dict | RecordEntry) -> None:
                 nonlocal handle
-                if not _keyed(record, self.path):
+                entry = _as_entry(record, self.path)
+                if entry is None:
                     return
                 if handle is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     handle = self._open_append()
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(entry.text + "\n")
                 handle.flush()
 
             yield write

@@ -42,6 +42,7 @@ import time
 import uuid
 from typing import Callable, Iterator
 
+from ..dse.entry import RecordEntry
 from ..dse.spec import SweepSpec
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
@@ -135,7 +136,10 @@ class Job:
         self.priority = priority
         self.state = QUEUED
         self.error: str | None = None
-        self.records: list[dict] = []  # completed records, completion order
+        #: Completed records in completion order, as the engine's
+        #: entries: the record stream sends their text, status and
+        #: frontier reads decode their dicts.
+        self.entries: list[RecordEntry] = []
         self.counts = {"memo": 0, "store": 0, "evaluated": 0}
         # Wall timestamps are for display and the journal; every
         # *duration* comes from the trace's monotonic clock so an NTP
@@ -182,10 +186,10 @@ class Job:
         self._journal_transition()
         return True
 
-    def append(self, record: dict, source: str) -> None:
+    def append(self, entry: RecordEntry, source: str) -> None:
         """Record one completed point (memo/store/evaluated tier)."""
         with self._changed:
-            self.records.append(record)
+            self.entries.append(entry)
             self.counts[source] += 1
             self._changed.notify_all()
 
@@ -245,19 +249,20 @@ class Job:
 
     def completed(self) -> int:
         with self._changed:
-            return len(self.records)
+            return len(self.entries)
 
     def snapshot_records(self, after: int = 0) -> list[dict]:
-        """The completed records past index ``after`` (a copy)."""
+        """The completed records past index ``after``, decoded on demand."""
         with self._changed:
-            return list(self.records[after:])
+            entries = self.entries[after:]
+        return [entry.record for entry in entries]
 
     def stream(
         self, after: int = 0, keepalive: float = STREAM_KEEPALIVE_SECONDS
-    ) -> Iterator[list[dict] | None]:
-        """Yield completed records from index ``after`` until terminal.
+    ) -> Iterator[list[RecordEntry] | None]:
+        """Yield completed entries from index ``after`` until terminal.
 
-        Each wake-up yields every record that landed since the last one
+        Each wake-up yields every entry that landed since the last one
         as one non-empty list (completion order), so a transport can
         write them in one go.  Blocks between batches; yields ``None``
         after ``keepalive`` seconds of silence so a transport can touch
@@ -271,10 +276,10 @@ class Job:
         while True:
             with self._changed:
                 self._changed.wait_for(
-                    lambda: len(self.records) > cursor or self.done,
+                    lambda: len(self.entries) > cursor or self.done,
                     timeout=keepalive,
                 )
-                batch = list(self.records[cursor:])
+                batch = self.entries[cursor:]
                 finished = self.done
             if not batch and not finished:
                 yield None  # keepalive tick
@@ -290,7 +295,7 @@ class Job:
         with self._changed:
             return {
                 "points": len(self.spec) if self.spec is not None else 0,
-                "completed": len(self.records),
+                "completed": len(self.entries),
                 "evaluated": self.counts["evaluated"],
                 "store_hits": self.counts["store"],
                 "memo_hits": self.counts["memo"],

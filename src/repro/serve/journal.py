@@ -74,7 +74,7 @@ _SCHEMA = (
     " id TEXT PRIMARY KEY,"
     " seq INTEGER NOT NULL,"  # submission order, the FIFO replay key
     " kind TEXT NOT NULL,"
-    " spec TEXT,"  # SweepSpec.to_dict() JSON (round-trips config hashes)
+    " spec TEXT,"  # sweep-spec JSON as submitted (SweepSpec.from_dict form)
     " workers INTEGER,"
     " vectorize INTEGER,"
     " priority INTEGER NOT NULL DEFAULT 10,"
@@ -196,16 +196,24 @@ class JobJournal:
                 pass
 
     # -- lifecycle writes ----------------------------------------------
-    def record_submit(self, job: "Job") -> None:
+    def record_submit(self, job: "Job", spec: Mapping | None = None) -> None:
         """Journal an accepted job (critical: accepted work must be durable).
 
         Runs before the submission response leaves the server, so a job
         id a client holds always has a journal entry behind it.  Fleet
         jobs journal their full chunk table alongside.
+
+        ``spec`` is the sweep-spec mapping the job's spec was parsed
+        from: the service journals the spec as the client sent it (a
+        grid stays a grid) instead of re-serializing every point, and
+        recovery re-journals the spec it replayed.  Without it the
+        job's ``spec.to_dict()`` is journaled.  Either form rebuilds
+        the same points through ``SweepSpec.from_dict``.
         """
-        spec = None
-        if job.spec is not None:
-            spec = json.dumps(job.spec.to_dict(), sort_keys=True)
+        if spec is None and job.spec is not None:
+            spec = job.spec.to_dict()
+        if spec is not None:
+            spec = json.dumps(spec, sort_keys=True)
         statements: list[tuple[str, tuple]] = [
             (
                 "INSERT OR REPLACE INTO jobs"

@@ -437,8 +437,9 @@ class SweepService:
     def _recover_pool_job(self, row: dict, info: dict) -> None:
         if not row["spec"]:
             return  # nothing actionable without a spec
+        source = json.loads(row["spec"])
         job = Job(
-            spec=SweepSpec.from_dict(json.loads(row["spec"])),
+            spec=SweepSpec.from_dict(source),
             workers=int(row["workers"] or self.workers),
             vectorize=bool(
                 self.vectorize if row["vectorize"] is None else row["vectorize"]
@@ -469,13 +470,15 @@ class SweepService:
             return
         was_running = row["state"] == RUNNING
         job.started_at = None  # it will start again, on this server
-        self.journal.record_submit(job)  # normalize the row back to queued
+        # Normalize the row back to queued, keeping its spec as sent.
+        self.journal.record_submit(job, spec=source)
         self.jobs.submit(job)
         info["recovered_running" if was_running else "recovered_queued"] += 1
 
     def _recover_fleet_job(self, row: dict, info: dict) -> None:
+        source = json.loads(row["spec"])
         job = FleetJob(
-            spec=SweepSpec.from_dict(json.loads(row["spec"])),
+            spec=SweepSpec.from_dict(source),
             chunks=int(row["chunks"] or DEFAULT_FLEET_CHUNKS),
             priority=int(row["priority"]),
             job_id=row["id"],
@@ -504,7 +507,8 @@ class SweepService:
             job.mark_running()
             job.started_at = row["started_at"] or job.started_at
             self.fleet.add_job(job)
-        self.journal.record_submit(job)  # re-snapshot the lease table
+        # Re-snapshot the lease table, keeping the spec as sent.
+        self.journal.record_submit(job, spec=source)
         info["recovered_fleet"] += 1
 
     def stats(self) -> dict:
@@ -576,7 +580,11 @@ class SweepService:
         (:meth:`record_page_stream`) never come through here.
         """
         if self.store is None:
-            return [r for r in _MEMO.values() if r.get("version") == EVAL_VERSION]
+            return [
+                entry.record
+                for entry in _MEMO.values()
+                if entry.record.get("version") == EVAL_VERSION
+            ]
         # iter_records pushes the version filter into the backend
         # (SQLite: ``WHERE version = ?``) instead of post-filtering a
         # full load() in Python.
@@ -597,8 +605,8 @@ class SweepService:
         end of the store.  Store pages come off the backend's keyset
         index as JSON text (``iter_page_json``; SQLite hands back its
         stored column, never decoded), which is byte-for-byte the wire
-        line.  Pages are never cached, and the server never holds more
-        than one.
+        line; a storeless page sends its memo entries' text.  Pages
+        are never cached, and the server never holds more than one.
         """
         limit = DEFAULT_PAGE_LIMIT if limit is None else limit
         if limit < 1:
@@ -606,15 +614,14 @@ class SweepService:
         if self.store is None:
             memo = sorted(
                 (
-                    record
-                    for record in _MEMO.values()
-                    if record.get("version") == EVAL_VERSION
-                    and record.get("hash")
-                    and (after is None or record["hash"] > after)
+                    entry
+                    for entry in _MEMO.values()
+                    if (after is None or entry.hash > after)
+                    and entry.record.get("version") == EVAL_VERSION
                 ),
-                key=lambda record: record["hash"],
+                key=lambda entry: entry.hash,
             )[:limit]
-            lines = ((r["hash"], json.dumps(r, sort_keys=True)) for r in memo)
+            lines = ((entry.hash, entry.text) for entry in memo)
         else:
             lines = self.store.iter_page_json(
                 after=after, limit=limit, version=EVAL_VERSION
@@ -688,7 +695,8 @@ class SweepService:
         # phase of every accepted job (rejected specs never make a job,
         # so their trace dies here with the exception).
         trace = Trace("validate")
-        spec = SweepSpec.from_dict(payload.get("spec") or {})
+        source = payload.get("spec") or {}
+        spec = SweepSpec.from_dict(source)
         workers = payload.get("workers")
         workers = self.workers if workers is None else int(workers)
         if workers < 1:
@@ -701,7 +709,7 @@ class SweepService:
         self._evict_terminal()
         fleet = payload.get("fleet")
         if fleet:
-            job = self._submit_fleet(spec, fleet, priority, trace)
+            job = self._submit_fleet(spec, fleet, priority, trace, source)
         else:
             # Fleet jobs are exempt from the queue-depth bound: they
             # never occupy the pool queue (workers pull their chunks).
@@ -725,9 +733,11 @@ class SweepService:
             # Journal before the id is visible: a submission the client
             # heard about always survives a crash.  A journal write
             # failure here fails the submission (503), not the journal.
+            # The spec is journaled as sent (a grid stays a grid), not
+            # re-serialized point by point.
             if self.journal is not None:
                 job.journal = self.journal
-                self.journal.record_submit(job)
+                self.journal.record_submit(job, spec=source)
             self.jobs.submit(job)
         self.sweeps_served += 1
         _LOG.info(
@@ -738,7 +748,12 @@ class SweepService:
         return job
 
     def _submit_fleet(
-        self, spec: SweepSpec, fleet, priority: int, trace: Trace | None = None
+        self,
+        spec: SweepSpec,
+        fleet,
+        priority: int,
+        trace: Trace | None = None,
+        source: Mapping | None = None,
     ) -> Job:
         """Register a fleet job on the lease queue (workers drive it)."""
         if self.store is None:
@@ -761,7 +776,7 @@ class SweepService:
         job = FleetJob(spec=spec, chunks=chunks, priority=priority, trace=trace)
         if self.journal is not None:
             job.journal = self.journal
-            self.journal.record_submit(job)
+            self.journal.record_submit(job, spec=source)
         # Registered, not pool-submitted: the job occupies no worker
         # thread and is "running" from the moment it is leasable.
         self.jobs.register(job)
@@ -841,7 +856,7 @@ class SweepService:
                 vectorize=job.vectorize,
                 should_cancel=job.cancel_requested,
             ):
-                job.append(sweep_record.record, sweep_record.source)
+                job.append(sweep_record.entry, sweep_record.source)
         except Exception as failure:  # noqa: BLE001 - job boundary
             job.finish(FAILED, error=str(failure))
         else:
@@ -871,8 +886,10 @@ class SweepService:
         the job runs; ``None`` keepalive ticks let the transport probe
         the socket), then exactly one terminal line so a client can
         tell completion from a torn connection.  Each batch of records
-        the job has gathered goes out encoded as NDJSON ``bytes``
-        blocks of at most :data:`BLOCK_RECORDS` records.
+        the job has gathered goes out as NDJSON ``bytes`` blocks of at
+        most :data:`BLOCK_RECORDS` records, joined from the entries'
+        canonical text: a record read from SQLite or encoded once on
+        its way into the store is never encoded again here.
         """
         if after < 0:
             raise ValueError("after must be >= 0")
@@ -881,9 +898,7 @@ class SweepService:
                 yield None
                 continue
             for block in _chunks(batch, BLOCK_RECORDS):
-                yield _ndjson_block(
-                    json.dumps(record, sort_keys=True) for record in block
-                )
+                yield _ndjson_block(entry.text for entry in block)
         if job.state == DONE:
             yield {"summary": self.job_summary(job)}
         elif job.state == FAILED:

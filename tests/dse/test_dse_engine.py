@@ -11,6 +11,7 @@ from repro.dse import (
     DEFAULT_RECORD_CACHE,
     EVAL_VERSION,
     DSEEngine,
+    RecordEntry,
     ResultStore,
     SweepPoint,
     SweepSpec,
@@ -433,12 +434,13 @@ class TestBoundedMemo:
 
     def test_hit_moves_the_entry_to_the_end(self):
         _MEMO.resize(2)
-        _MEMO.put("a", {"hash": "a"})
-        _MEMO.put("b", {"hash": "b"})
-        assert _MEMO.get("a") == {"hash": "a"}
-        _MEMO.put("c", {"hash": "c"})
+        entries = {key: RecordEntry.of({"hash": key}) for key in "abc"}
+        _MEMO.put("a", entries["a"])
+        _MEMO.put("b", entries["b"])
+        assert _MEMO.get("a") is entries["a"]
+        _MEMO.put("c", entries["c"])
         assert _MEMO.get("b") is None
-        assert [r["hash"] for r in _MEMO.values()] == ["a", "c"]
+        assert [entry.hash for entry in _MEMO.values()] == ["a", "c"]
 
     def test_zero_capacity_keeps_nothing(self):
         _MEMO.resize(0)
@@ -450,7 +452,7 @@ class TestBoundedMemo:
     def test_shrinking_evicts_at_once(self):
         run_sweep(_points("LSTM", "RNN", "AlexNet"))
         _MEMO.resize(1)
-        assert [r["workload"] for r in _MEMO.values()] == ["AlexNet"]
+        assert [e.record["workload"] for e in _MEMO.values()] == ["AlexNet"]
         with pytest.raises(ValueError):
             _MEMO.resize(-1)
 

@@ -14,7 +14,9 @@ Five invariants pinned down across issues:
 * ``simulate_layer`` cycles are monotone non-increasing as the array
   grows (more columns can only help or tie, never hurt);
 * a point's config hash is the SHA-256 of its canonical ``config()``
-  JSON, however the point was built.
+  JSON, however the point was built;
+* a grid-built spec's wire form (its axes) rebuilds the same points in
+  the same order, whatever spelling each axis value used.
 """
 
 import dataclasses
@@ -304,3 +306,50 @@ def test_config_hash_is_sha256_of_config(points):
         assert point.config_hash() == _reference_hash(point)
         assert again.config_hash() == _reference_hash(again)
         assert again.config_hash() == point.config_hash()
+
+
+# ----------------------------------------------------------------------
+# Invariant 6: a grid's wire form rebuilds its points, in order
+# ----------------------------------------------------------------------
+def _spellings(names, specs):
+    """An axis value as a registry name, a spec object or a field dict."""
+    return st.one_of(st.sampled_from(names), specs, specs.map(dataclasses.asdict))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workloads=st.lists(
+        st.sampled_from(sorted(WORKLOAD_BUILDERS) + ["lstm"]),
+        min_size=1,
+        max_size=2,
+    ),
+    platforms=st.lists(
+        _spellings(["tpu", "BitFusion", "bpvec"], _custom_platforms), max_size=2
+    ),
+    memories=st.lists(
+        _spellings(["ddr4", "HBM2"], _custom_memories), min_size=1, max_size=2
+    ),
+    policies=st.lists(_policies, min_size=1, max_size=2),
+    batches=st.lists(_batches, min_size=1, max_size=2),
+    gpus=st.lists(_spellings(["rtx-2080-ti"], _custom_gpus), max_size=2),
+    precisions=st.lists(st.sampled_from([4, 8]), min_size=1, max_size=2),
+)
+def test_grid_wire_form_rebuilds_the_same_points(
+    workloads, platforms, memories, policies, batches, gpus, precisions
+):
+    spec = SweepSpec.grid(
+        workloads=workloads,
+        platforms=platforms,
+        memories=memories,
+        policies=policies,
+        batches=batches,
+        gpus=gpus,
+        gpu_precisions=precisions,
+    )
+    wire = json.loads(json.dumps(spec.to_dict()))
+    assert set(wire) == {"grid"}
+    rebuilt = SweepSpec.from_dict(wire)
+    assert [p.config_hash() for p in rebuilt.points] == [
+        p.config_hash() for p in spec.points
+    ]
+    assert rebuilt.points == spec.points

@@ -717,6 +717,38 @@ class TestSqliteSpecific:
         assert sum(1 for _ in store.iter_lines()) == 1
         assert store.load()["a"]["metrics"]["total_seconds"] == 3.0
 
+    def test_hash_sorted_bulk_append_stores_what_arrival_order_does(
+        self, tmp_path, monkeypatch
+    ):
+        # Unsorted hashes with in-call duplicates at stale, equal and
+        # newer versions, across batch boundaries: the hash-sorted bulk
+        # append must store exactly what upserting the same records one
+        # by one, in arrival order, stores -- and count the same changes.
+        import random
+        import sqlite3
+        from contextlib import closing
+
+        from repro.dse import sqlite_store
+        from repro.dse.store import _resolve
+
+        monkeypatch.setattr(sqlite_store, "APPEND_BATCH_ROWS", 7)
+        rng = random.Random(7)
+        records = [
+            _record(f"{rng.randrange(16):02x}", float(i), version=rng.randrange(3))
+            for i in range(60)
+        ]
+        bulk = SQLiteStore(tmp_path / "bulk.sqlite")
+        one_by_one = SQLiteStore(tmp_path / "one.sqlite")
+        changed = bulk.append(records)
+        assert changed == sum(one_by_one.append([r]) for r in records)
+
+        def rows(store):
+            with closing(sqlite3.connect(store.path)) as db:
+                return db.execute("SELECT * FROM records ORDER BY hash").fetchall()
+
+        assert rows(bulk) == rows(one_by_one)
+        assert bulk.load() == _resolve(records)
+
     def test_keyless_records_are_skipped(self, tmp_path):
         store = SQLiteStore(tmp_path / "s.sqlite")
         with pytest.warns(StoreWarning, match="keyless"):

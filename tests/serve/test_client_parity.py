@@ -55,6 +55,30 @@ class TestWireFormat:
         ]
         assert rebuilt.points == spec.points
 
+    def test_grid_ships_its_axes_and_derived_specs_ship_points(self):
+        spec = _spec()
+        assert set(spec.to_dict()) == {"grid"}
+        grid = json.dumps(spec.to_dict())
+        points = json.dumps({"points": [p.to_dict() for p in spec.points]})
+        assert len(grid) < 2048 < len(points)
+        shard = spec.shard(0, 2)
+        assert set(shard.to_dict()) == {"points"}
+        rebuilt = SweepSpec.from_dict(shard.to_dict())
+        assert rebuilt.points == shard.points
+
+    def test_grid_a_json_round_trip_would_change_ships_points(self):
+        import dataclasses
+
+        from repro.hw import DDR4
+
+        odd = dataclasses.replace(DDR4, bandwidth_gb_s=float("nan"))
+        spec = SweepSpec.grid(workloads=["RNN"], platforms=["bpvec"], memories=[odd])
+        assert set(spec.to_dict()) == {"points"}
+        rebuilt = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert [p.config_hash() for p in rebuilt.points] == [
+            p.config_hash() for p in spec.points
+        ]
+
     def test_gpu_points_round_trip(self):
         from repro.dse import resolve_gpu, SweepPoint
 
@@ -108,6 +132,31 @@ class TestCliParity:
         clear_memo()
         served = self._run(capsys, *argv, "--server", live_server.url)
         assert served == local
+
+    def test_cli_grid_submission_body_is_small(
+        self, capsys, live_server, monkeypatch
+    ):
+        import urllib.request
+
+        bodies = []
+        urlopen = urllib.request.urlopen
+
+        def spy(request, *args, **kwargs):
+            if request.full_url.endswith("/sweep"):
+                bodies.append(request.data)
+            return urlopen(request, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", spy)
+        argv = ["dse", "--format", "jsonl", "--server", live_server.url]
+        argv += ["--policy", "homogeneous-8bit", "--policy", "uniform-4x4"]
+        for batch in ("1", "2", "4", "8"):
+            argv += ["--batch", batch]
+        out = self._run(capsys, *argv)
+        # 6 workloads x 3 platforms x 2 memories x 2 policies x 4 batches.
+        assert len(out.splitlines()) == 288
+        (body,) = bodies
+        assert len(body) < 2048
+        assert set(json.loads(body)["spec"]) == {"grid"}
 
     def test_cli_server_mode_table_reports_server_tiers(
         self, capsys, live_server

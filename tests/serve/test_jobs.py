@@ -250,7 +250,7 @@ class TestConcurrencyContract:
             # store: no half-written lines, no phantom second record.
             assert job.completed() == 1
             stored = list(service.store.load().values())
-            assert stored == job.records
+            assert stored == job.snapshot_records()
             # Written straight into the store: no side files.
             assert [path.name for path in tmp_path.iterdir()] == ["s.jsonl"]
         finally:
@@ -303,7 +303,7 @@ class TestConcurrencyContract:
             service.close()
         expected = {record["hash"]: record for record in ingested}
         for job in jobs:
-            expected.update((r["hash"], r) for r in job.records)
+            expected.update((r["hash"], r) for r in job.snapshot_records())
         assert len(expected) == 3 * 42
         assert stored == expected
 

@@ -289,6 +289,54 @@ class TestRecovery:
         }
         service.close()
 
+    def test_old_and_submitted_spec_forms_recover_the_same_points(self, paths):
+        """Rows journaled with ``to_dict()``'s explicit points (the old
+        form) and rows holding the spec as the client sent it -- points
+        or a grid -- replay to the same point hashes, and recovery
+        re-journals each row's spec text unchanged."""
+        store, jpath = paths
+        spec = SweepSpec.from_dict(GRID)
+        hashes = [point.config_hash() for point in spec.points]
+        forms = {
+            "old to_dict": {"points": [p.to_dict() for p in spec.points]},
+            "submitted points": {
+                "points": [
+                    {"workload": w, "platform": "bpvec", "memory": "ddr4"}
+                    for w in GRID["grid"]["workloads"]
+                ]
+            },
+            "submitted grid": GRID,
+        }
+        journal = JobJournal(jpath)
+        texts = {}
+        for name, form in forms.items():
+            job = Job(spec=SweepSpec.from_dict(form), job_id=f"{len(texts):x}")
+            texts[job.id] = json.dumps(form, sort_keys=True)
+            journal.record_submit(job, spec=form)
+        journal.close()
+
+        service = SweepService(store=store, journal=jpath)
+        try:
+            assert service.recovery_info["recovered_queued"] == len(forms)
+            for job_id in texts:
+                recovered = _wait_done(service.jobs.get(job_id))
+                assert [p.config_hash() for p in recovered.spec.points] == hashes
+            rows = {row["id"]: row["spec"] for row in service.journal.jobs()}
+            assert rows == texts
+        finally:
+            service.close()
+
+    def test_submit_journals_the_spec_as_sent(self, paths):
+        store, jpath = paths
+        service = SweepService(store=store, journal=jpath)
+        try:
+            job = _wait_done(service.submit({"spec": GRID}))
+            (row,) = service.journal.jobs()
+            assert row["spec"] == json.dumps(GRID, sort_keys=True)
+            assert row["id"] == job.id
+        finally:
+            service.close()
+
     def test_journal_with_merged_records_column_replays(self, paths):
         """A journal written before the ``merged_records`` column went
         away still opens, journals, and replays its jobs."""

@@ -13,7 +13,7 @@ import urllib.request
 
 import pytest
 
-from repro.dse import DEFAULT_RECORD_CACHE, EVAL_VERSION, clear_memo
+from repro.dse import DEFAULT_RECORD_CACHE, EVAL_VERSION, RecordEntry, clear_memo
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService
 from repro.serve.server import BLOCK_RECORDS
 
@@ -182,12 +182,11 @@ class TestStoredBytesPassThrough:
         summary = client.last_summary
         raw = _get_raw(f"{any_server.url}/jobs/{job_id}/records")
         job = any_server.service.job(job_id)
-        assert raw == b"".join(map(_line, job.records)) + _line(
-            {"summary": summary}
-        )
-        assert records == job.records
+        stored = job.snapshot_records()
+        assert raw == b"".join(map(_line, stored)) + _line({"summary": summary})
+        assert records == stored
         raw = _get_raw(f"{any_server.url}/jobs/{job_id}/records?after=1")
-        assert raw == _line(job.records[1]) + _line({"summary": summary})
+        assert raw == _line(stored[1]) + _line({"summary": summary})
 
     def test_job_stream_splits_big_batches_into_blocks(self, tmp_path):
         from repro.serve import Job
@@ -195,7 +194,7 @@ class TestStoredBytesPassThrough:
         service = SweepService(store=tmp_path / "s.sqlite")
         job = Job(spec=None)
         for record in _records(2 * BLOCK_RECORDS + 1):
-            job.append(record, "store")
+            job.append(RecordEntry.of(record), "store")
         job.finish("done")
         items = list(service.job_record_stream(job))
         blocks, terminal = items[:-1], items[-1]
@@ -204,7 +203,7 @@ class TestStoredBytesPassThrough:
             BLOCK_RECORDS,
             1,
         ]
-        assert b"".join(blocks) == b"".join(map(_line, job.records))
+        assert b"".join(blocks) == b"".join(map(_line, job.snapshot_records()))
         assert "summary" in terminal
 
 
