@@ -1,15 +1,19 @@
 """DSE engine at scale: a 1000+-point sweep, cold vs warm store.
 
 The acceptance bar for the engine: evaluate a >= 1000-point design-space
-sweep, persist it to the JSONL result store, and show that re-running
-the identical sweep against the warm store is at least 5x faster than
-the cold run (in practice it is orders of magnitude faster -- the warm
-path is pure hashing plus one JSONL load, no simulation).
+sweep, persist it to the JSONL result store, and re-run the identical
+sweep against the warm store.  The warm run must evaluate nothing,
+serve every point from the store bit-identically, and cost at most 3x a
+plain ``ResultStore.load()`` of the same file (medians of interleaved
+runs): the warm path is hashing plus one store read, no simulation.
+The gate is on the warm path's own cost, so a faster cold path cannot
+tighten it; the cold/warm ratio is reported, not gated.
 """
 
+import statistics
 import time
 
-from repro.dse import SweepSpec, clear_memo, pareto_frontier, run_sweep
+from repro.dse import ResultStore, SweepSpec, clear_memo, pareto_frontier, run_sweep
 from repro.hw import DDR4, HBM2, scaled_memory
 from repro.sim import format_table
 
@@ -56,19 +60,28 @@ def test_dse_engine_cold_vs_warm(benchmark, show, tmp_path):
     assert warm.from_store == len(spec)
     assert warm.records == cold.records  # bit-identical through the store
 
-    t0 = time.perf_counter()
-    warm_run()
-    warm_seconds = time.perf_counter() - t0
-    speedup = cold_seconds / warm_seconds
-    assert speedup >= 5.0, (
-        f"warm store run only {speedup:.1f}x faster than cold "
-        f"({cold_seconds:.2f}s vs {warm_seconds:.2f}s)"
+    warm_times, load_times = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        warm_run()
+        warm_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        loaded = ResultStore(store).load()
+        load_times.append(time.perf_counter() - t0)
+    assert len(loaded) == len(spec)
+    warm_seconds = statistics.median(warm_times)
+    load_seconds = statistics.median(load_times)
+    assert warm_seconds <= 3.0 * load_seconds, (
+        f"warm store run {warm_seconds * 1e3:.0f} ms is more than 3x a plain "
+        f"store load ({load_seconds * 1e3:.0f} ms)"
     )
+    speedup = cold_seconds / warm_seconds
 
     frontier = pareto_frontier(cold.records)
     show(
         f"DSE engine: {len(spec)}-point sweep, cold {cold_seconds * 1e3:.0f} ms "
-        f"vs warm {warm_seconds * 1e3:.0f} ms ({speedup:.0f}x); "
+        f"vs warm {warm_seconds * 1e3:.0f} ms ({speedup:.0f}x; store load "
+        f"{load_seconds * 1e3:.0f} ms); "
         f"Pareto frontier {len(frontier)} points",
         format_table(
             ["Workload", "Platform", "Memory", "Policy", "Batch", "Time (ms)"],
@@ -84,6 +97,7 @@ def test_dse_engine_cold_vs_warm(benchmark, show, tmp_path):
     benchmark.extra_info["points"] = len(spec)
     benchmark.extra_info["cold_seconds"] = round(cold_seconds, 3)
     benchmark.extra_info["warm_vs_cold_speedup"] = round(speedup, 1)
+    benchmark.extra_info["warm_vs_load"] = round(warm_seconds / load_seconds, 2)
 
 
 def test_dse_engine_multiprocessing_consistency(show):
@@ -97,7 +111,8 @@ def test_dse_engine_multiprocessing_consistency(show):
     clear_memo()
     serial = run_sweep(spec)
     clear_memo()
-    parallel = run_sweep(spec, workers=4)
+    # Small chunks, so the pool gets work: 3 chunks of 2 groups each.
+    parallel = run_sweep(spec, workers=4, chunk_size=8)
     assert parallel.records == serial.records
     show(
         "DSE engine: multiprocessing fan-out",

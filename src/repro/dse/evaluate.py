@@ -8,11 +8,15 @@ what the engine memoizes, the store persists, and the queries consume.
 ``evaluate_points`` is the batched, vectorized sibling: it groups a
 chunk of points by their lowered-workload key -- (workload, batch,
 policy) -- lowers each group's network **once** into a
-:class:`~repro.sim.lowered.LoweredNetwork`, and evaluates all of the
-group's hardware points as numpy array expressions.  Records are
-bit-identical to ``evaluate_point``'s (the equivalence and golden tests
-pin this), just much cheaper to produce: a 1008-point grid typically
-shares a few dozen lowered networks.
+:class:`~repro.sim.lowered.LoweredNetwork`, and evaluates every group
+of the chunk in **one** pass of numpy array expressions: spec work runs
+once per distinct spec of the pass, each point reads its own network's
+layers, and float energies are summed over a zero-padded
+(max-layers x points) matrix (the padding is exact;
+:mod:`repro.sim.lowered` says why).  Records
+are bit-identical to ``evaluate_point``'s (the equivalence and golden
+tests pin this), just much cheaper to produce: a 1008-point grid
+typically shares a few dozen lowered networks.
 
 The metrics are read off :class:`~repro.sim.simulator.NetworkResult`
 (or :class:`~repro.baselines.gpu.GPUResult`) verbatim, so a record is
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import threading
+import time
 from collections import OrderedDict
 from typing import Sequence
 
@@ -33,7 +38,7 @@ from ..hw import platforms as _platforms
 from ..obs.metrics import get_registry
 from ..sim import lowered as _lowered
 from ..sim import performance as _performance
-from ..sim.lowered import LoweredNetwork, evaluate_lowered_many, lower_network
+from ..sim.lowered import LoweredNetwork, evaluate_lowered_groups, lower_network
 from ..sim.simulator import simulate_network
 from . import policies as _policies
 from . import spec as _spec
@@ -60,6 +65,11 @@ DEFAULT_RECORD_CACHE = 100_000
 _EVICTIONS = get_registry().counter(
     "repro_memo_evictions_total",
     "Records the in-process eval memo evicted (least recently used first).",
+)
+_PHASE_SECONDS = get_registry().histogram(
+    "repro_eval_phase_seconds",
+    "Latency of one evaluate_points pass, by phase (lower, kernel, records).",
+    labelnames=("phase",),
 )
 
 
@@ -254,24 +264,43 @@ def evaluate_points(points: Sequence[SweepPoint]) -> list[dict]:
     """Evaluate a chunk of design points, vectorized, in input order.
 
     ASIC points are grouped by lowered-workload key; each group shares
-    one :class:`~repro.sim.lowered.LoweredNetwork` and is evaluated as a
-    batch of array expressions.  GPU points fall back to the scalar
-    path.  Records are bit-identical to :func:`evaluate_point`.
+    one :class:`~repro.sim.lowered.LoweredNetwork`, and every group of
+    the chunk is evaluated in one array pass
+    (:func:`~repro.sim.lowered.evaluate_lowered_groups`), with spec
+    work once per distinct spec of the pass.  GPU points fall back to
+    the scalar path.  Records are bit-identical to
+    :func:`evaluate_point`.  The pass's ``lower``, ``kernel`` and
+    ``records`` phases are each observed once into
+    ``repro_eval_phase_seconds``.
     """
-    records: list[dict | None] = [None] * len(points)
+    started = time.monotonic()
     groups: dict[tuple[str, int | None, str], list[int]] = {}
+    gpu: list[int] = []
     for index, point in enumerate(points):
         if point.kind == "gpu":
-            records[index] = evaluate_point(point)
+            gpu.append(index)
         else:
             key = (point.workload, point.batch, point.policy.lower())
             groups.setdefault(key, []).append(index)
-    for (workload, batch, policy), indices in groups.items():
-        lowered = lowered_for(workload, batch, policy)
-        metrics = evaluate_lowered_many(
-            lowered,
-            [(points[i].platform, points[i].memory) for i in indices],
-        )
-        for i, point_metrics in zip(indices, metrics):
-            records[i] = _record(points[i], point_metrics)
-    return records  # type: ignore[return-value]
+    networks = [lowered_for(*key) for key in groups]
+    lowered_at = time.monotonic()
+
+    metrics: list[dict | None] = [None] * len(points)
+    for index in gpu:
+        metrics[index] = _gpu_metrics(points[index])
+    passes = evaluate_lowered_groups(
+        [
+            (network, [(points[i].platform, points[i].memory) for i in indices])
+            for network, indices in zip(networks, groups.values())
+        ]
+    )
+    for indices, group_metrics in zip(groups.values(), passes):
+        for index, point_metrics in zip(indices, group_metrics):
+            metrics[index] = point_metrics
+    evaluated_at = time.monotonic()
+
+    records = [_record(point, m) for point, m in zip(points, metrics)]
+    _PHASE_SECONDS.observe(lowered_at - started, phase="lower")
+    _PHASE_SECONDS.observe(evaluated_at - lowered_at, phase="kernel")
+    _PHASE_SECONDS.observe(time.monotonic() - evaluated_at, phase="records")
+    return records

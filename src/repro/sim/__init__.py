@@ -4,6 +4,7 @@ from .lowered import (
     LoweredNetwork,
     compute_cycles_batch,
     evaluate_lowered,
+    evaluate_lowered_groups,
     evaluate_lowered_many,
     lower_network,
     traffic_batch,
@@ -31,6 +32,7 @@ __all__ = [
     "traffic_batch",
     "evaluate_lowered",
     "evaluate_lowered_many",
+    "evaluate_lowered_groups",
     "Comparison",
     "compare",
     "format_table",

@@ -24,8 +24,27 @@ golden-value tests and a byte-for-byte golden store pin this.
 Work is done once per distinct input: a network's GEMM shapes once per
 (workload, batch) -- each bitwidth policy adds only its bitwidth arrays
 and byte counts -- and the spec-derived tables, buffer partitions and
-per-GEMM cycle and traffic matrices once per distinct spec object of an
-:func:`evaluate_lowered_many` call.
+per-GEMM cycles and traffic once per distinct spec of a pass, over the
+GEMMs of the networks that spec's points run.
+
+One pass, many networks: :func:`evaluate_lowered_groups` evaluates
+every ``(lowered, targets)`` group of a chunk in a single array pass
+(:func:`evaluate_lowered_many` is its one-network case).  The GEMM
+columns of every (network, spec) pair a point runs are concatenated,
+layer sums come from ``np.add.reduceat`` over the shifted layer
+offsets, and each point gathers its own network's layers.  Per-layer
+terms and integer totals are computed over the points' real layers
+only.  The float energies are summed from a zero-padded (max-layers x
+points) matrix, where layers past a point's network end hold ``+0.0``.
+That padding is exact: ``sequential_sum``'s running total starts at
+``+0.0`` and so can never be ``-0.0`` (``+0.0 + -0.0 == +0.0``, and
+terms that cancel round to ``+0.0``), and ``x + 0.0`` is ``x`` for
+every ``x`` other than ``-0.0``, so trailing zero layers change no
+total.  Every real element sees the same operation, in the same order
+and dtype, as in a one-network pass, so records do not depend on how a
+chunk groups its points.  Only (spec, GEMM) pairs some point runs are
+evaluated, so a spec that cannot run a network's bitwidths raises the
+scalar path's error only when one of its points runs that network.
 """
 
 from __future__ import annotations
@@ -52,7 +71,12 @@ __all__ = [
     "traffic_batch",
     "evaluate_lowered",
     "evaluate_lowered_many",
+    "evaluate_lowered_groups",
 ]
+
+
+#: One design point's hardware: a (platform, memory) pair.
+Target = tuple[AcceleratorSpec, MemorySpec]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -209,90 +233,116 @@ def lower_network(network: Network) -> LoweredNetwork:
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernels (P design points x G GEMMs)
+# Vectorized kernels (one element per (spec, GEMM) pair a pass runs)
 # ----------------------------------------------------------------------
-def _compute_cycles_matrix(
-    lowered: LoweredNetwork, specs: Sequence[AcceleratorSpec]
-) -> np.ndarray:
-    """Per-GEMM best-factorisation compute cycles, shape ``(P, G)``.
+class _Columns(NamedTuple):
+    """The per-GEMM columns the kernels read, gathered for one pass.
 
-    The scalar kernel (:func:`~repro.sim.performance.gemm_compute_cycles`)
-    enumerates factor pairs of the throughput multiplier per GEMM; here
-    each distinct multiplier value's pairs are enumerated once across all
-    GEMMs (and points) sharing it.
+    :class:`LoweredNetwork` carries the same attributes, so a lone
+    network is its own column set.
     """
-    reduction = np.array([s.reduction_lanes for s in specs], dtype=np.int64)[:, None]
-    cols = np.array([s.array_cols for s in specs], dtype=np.int64)[:, None]
-    mult = np.stack(
-        [s.multiplier_table()[lowered.bw_act - 1, lowered.bw_w - 1] for s in specs]
-    )
+
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+    count: np.ndarray
+    bw_act: np.ndarray
+    bw_w: np.ndarray
+    weight_bytes: np.ndarray
+    input_bytes: np.ndarray
+    output_bytes: np.ndarray
+    macs: np.ndarray
+
+
+def _compute_cycles(
+    gemms: _Columns | LoweredNetwork,
+    specs: Sequence[AcceleratorSpec],
+    rows: np.ndarray,
+    mult: np.ndarray,
+) -> np.ndarray:
+    """Best-factorisation compute cycles of GEMM ``i`` on ``specs[rows[i]]``.
+
+    ``mult[i]`` is that spec's throughput multiplier for the GEMM's
+    bitwidth pair.  The scalar kernel
+    (:func:`~repro.sim.performance.gemm_compute_cycles`) enumerates
+    factor pairs of the multiplier per GEMM; here each distinct
+    multiplier value's pairs are enumerated once across every element
+    sharing it.
+    """
     if not mult.all():
         # Sentinel 0: this spec cannot run that bitwidth pair.  Re-ask the
         # scalar kernel so the caller sees the exact scalar-path error.
-        point, gemm = map(int, np.argwhere(mult == 0)[0])
-        specs[point].throughput_multiplier(
-            int(lowered.bw_act[gemm]), int(lowered.bw_w[gemm])
+        first = int(np.argmin(mult != 0))
+        specs[rows[first]].throughput_multiplier(
+            int(gemms.bw_act[first]), int(gemms.bw_w[first])
         )
         raise AssertionError("multiplier sentinel without a scalar error")
-    best = np.zeros_like(mult)
+    reduction = np.array([s.reduction_lanes for s in specs], dtype=np.int64)[rows]
+    cols = np.array([s.array_cols for s in specs], dtype=np.int64)[rows]
+    work = gemms.count * gemms.m
+    best = np.empty_like(mult)
     for value in np.unique(mult):
+        at = np.flatnonzero(mult == value)
+        k, n, lanes, width = gemms.k[at], gemms.n[at], reduction[at], cols[at]
+        steps = work[at]
         candidate = None
         for k_ext, n_ext in factor_pairs(int(value)):
             # Same float-divide-then-ceil as math.ceil in the scalar path.
-            k_passes = np.ceil(lowered.k / (reduction * k_ext)).astype(np.int64)
-            n_passes = np.ceil(lowered.n / (cols * n_ext)).astype(np.int64)
-            cycles = lowered.count * lowered.m * k_passes * n_passes
+            k_passes = np.ceil(k / (lanes * k_ext)).astype(np.int64)
+            n_passes = np.ceil(n / (width * n_ext)).astype(np.int64)
+            cycles = steps * k_passes * n_passes
             candidate = cycles if candidate is None else np.minimum(candidate, cycles)
-        best = np.where(mult == value, candidate, best)
+        best[at] = candidate
     return best
 
 
-def _traffic_matrix(
-    lowered: LoweredNetwork,
+def _traffic(
+    gemms: _Columns | LoweredNetwork,
     specs: Sequence[AcceleratorSpec],
+    rows: np.ndarray,
     split: BufferSplit,
 ) -> np.ndarray:
-    """Per-GEMM cheapest-schedule DRAM traffic (bytes), shape ``(P, G)``.
+    """Cheapest-schedule DRAM traffic (bytes) of GEMM ``i`` on ``specs[rows[i]]``.
 
     All three :func:`~repro.sim.tiling.plan_traffic` schedules as array
     expressions, reduced with an elementwise min (the scalar ``min()``
     over candidates picks the same total).
     """
     partitions = [buffer_partition(spec, split) for spec in specs]
-    w_buf = np.array([p[0] for p in partitions], dtype=np.int64)[:, None]
-    a_buf = np.array([p[1] for p in partitions], dtype=np.int64)[:, None]
-    acc_elems = np.array([p[2] for p in partitions], dtype=np.int64)[:, None]
+    w_buf = np.array([p[0] for p in partitions], dtype=np.int64)[rows]
+    a_buf = np.array([p[1] for p in partitions], dtype=np.int64)[rows]
+    acc_elems = np.array([p[2] for p in partitions], dtype=np.int64)[rows]
     tile = np.array(
         [max(1, int(math.sqrt(p[2]))) for p in partitions], dtype=np.int64
-    )[:, None]
+    )[rows]
 
-    weight_bytes, input_bytes = lowered.weight_bytes, lowered.input_bytes
-    output_traffic = lowered.output_bytes * lowered.count
+    weight_bytes, input_bytes = gemms.weight_bytes, gemms.input_bytes
+    output_traffic = gemms.output_bytes * gemms.count
 
     # Weight-stationary.
     w_passes = np.maximum(1, np.ceil(weight_bytes / w_buf).astype(np.int64))
     weight_stationary = (
-        np.where(weight_bytes <= w_buf, weight_bytes, weight_bytes * lowered.count)
-        + input_bytes * w_passes * lowered.count
+        np.where(weight_bytes <= w_buf, weight_bytes, weight_bytes * gemms.count)
+        + input_bytes * w_passes * gemms.count
         + output_traffic
     )
 
     # Activation-stationary.
     a_passes = np.maximum(1, np.ceil(input_bytes / a_buf).astype(np.int64))
     activation_stationary = (
-        weight_bytes * a_passes * lowered.count
-        + input_bytes * lowered.count
+        weight_bytes * a_passes * gemms.count
+        + input_bytes * gemms.count
         + output_traffic
     )
 
     # Output-stationary.
-    m_tile = np.minimum(lowered.m, tile)
-    n_tile = np.minimum(lowered.n, np.maximum(1, acc_elems // m_tile))
-    m_passes = np.ceil(lowered.m / m_tile).astype(np.int64)
-    n_passes = np.ceil(lowered.n / n_tile).astype(np.int64)
+    m_tile = np.minimum(gemms.m, tile)
+    n_tile = np.minimum(gemms.n, np.maximum(1, acc_elems // m_tile))
+    m_passes = np.ceil(gemms.m / m_tile).astype(np.int64)
+    n_passes = np.ceil(gemms.n / n_tile).astype(np.int64)
     output_stationary = (
-        weight_bytes * m_passes * lowered.count
-        + input_bytes * n_passes * lowered.count
+        weight_bytes * m_passes * gemms.count
+        + input_bytes * n_passes * gemms.count
         + output_traffic
     )
 
@@ -305,7 +355,9 @@ def compute_cycles_batch(
     lowered: LoweredNetwork, spec: AcceleratorSpec
 ) -> np.ndarray:
     """Compute cycles of every GEMM on ``spec``, shape ``(G,)``."""
-    return _compute_cycles_matrix(lowered, (spec,))[0]
+    mult = spec.multiplier_table()[lowered.bw_act - 1, lowered.bw_w - 1]
+    rows = np.zeros(lowered.num_gemms, dtype=np.intp)
+    return _compute_cycles(lowered, (spec,), rows, mult)
 
 
 def traffic_batch(
@@ -314,92 +366,167 @@ def traffic_batch(
     split: BufferSplit = BufferSplit(),
 ) -> np.ndarray:
     """Cheapest-schedule traffic of every GEMM on ``spec``, shape ``(G,)``."""
-    return _traffic_matrix(lowered, (spec,), split)[0]
+    rows = np.zeros(lowered.num_gemms, dtype=np.intp)
+    return _traffic(lowered, (spec,), rows, split)
 
 
-def evaluate_lowered_many(
-    lowered: LoweredNetwork,
-    targets: Sequence[tuple[AcceleratorSpec, MemorySpec]],
-    split: BufferSplit = BufferSplit(),
-) -> list[dict]:
-    """Evaluate many (platform, memory) design points against one IR.
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each run of ``counts`` begins."""
+    return np.cumsum(counts) - counts
 
-    Returns one metrics dict per target, with exactly the keys -- and
-    bit-for-bit the values -- of the scalar path's
-    :class:`~repro.sim.simulator.NetworkResult`-derived record metrics.
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    return np.arange(int(counts.sum())) + np.repeat(starts - _starts(counts), counts)
+
+
+def _stacked(tables: list[np.ndarray]) -> np.ndarray:
+    """Per-spec bitwidth-pair tables as one ``(S, B, B)`` array.
+
+    Tables cover ``1..max(8, max_bitwidth)``; cut to the block they all
+    share, which holds every bitwidth a layer can have.
     """
-    if not targets:
-        return []
-    # Spec-derived work runs once per distinct spec object -- a sweep
-    # chunk holds a handful of platforms -- and ``which`` gathers each
-    # point's row back out.
-    rows: dict[int, int] = {}
+    size = min(len(table) for table in tables)
+    return np.stack([table[:size, :size] for table in tables])
+
+
+def evaluate_lowered_groups(
+    groups: Sequence[tuple[LoweredNetwork, Sequence[Target]]],
+    split: BufferSplit = BufferSplit(),
+) -> list[list[dict]]:
+    """Evaluate every ``(lowered, targets)`` group of a pass in one array pass.
+
+    Returns, per group, one metrics dict per target, with exactly the
+    keys -- and bit-for-bit the values -- of the scalar path's
+    :class:`~repro.sim.simulator.NetworkResult`-derived record metrics.
+    A spec that cannot run some bitwidth pair of a network raises the
+    scalar path's ``ValueError`` only if one of its points runs that
+    network.
+    """
+    # A pair is one distinct (network, spec object) that some point
+    # runs, in group order and, within a group, by first appearance --
+    # the order the sentinel check meets unsupported pairs in.
+    networks = [lowered for lowered, _ in groups]
+    spec_rows: dict[int, int] = {}
     specs: list[AcceleratorSpec] = []
-    for spec, _ in targets:
-        if id(spec) not in rows:
-            rows[id(spec)] = len(specs)
-            specs.append(spec)
-    which = np.array([rows[id(spec)] for spec, _ in targets], dtype=np.intp)
-    offsets = lowered.layer_offsets
+    pair_net: list[int] = []
+    pair_spec: list[int] = []
+    point_pair: list[int] = []
+    points: list[Target] = []
+    sizes: list[int] = []
+    for net, (_, targets) in enumerate(groups):
+        local: dict[int, int] = {}
+        for spec, memory in targets:
+            pair = local.get(id(spec))
+            if pair is None:
+                if id(spec) not in spec_rows:
+                    spec_rows[id(spec)] = len(specs)
+                    specs.append(spec)
+                pair = local[id(spec)] = len(pair_net)
+                pair_net.append(net)
+                pair_spec.append(spec_rows[id(spec)])
+            point_pair.append(pair)
+            points.append((spec, memory))
+        sizes.append(len(targets))
+    if not points:
+        return [[] for _ in groups]
 
-    spec_cycles = _compute_cycles_matrix(lowered, specs)
-    spec_traffic = _traffic_matrix(lowered, specs, split)
-    compute_cycles = np.add.reduceat(spec_cycles, offsets, axis=1)[which]
-    traffic = np.add.reduceat(spec_traffic, offsets, axis=1)[which]
-    macs = np.add.reduceat(lowered.macs, offsets)
+    # GEMM columns of every pair, concatenated: spec-only work runs once
+    # per (distinct spec, GEMM of a network that spec's points run).
+    pair_nets = np.array(pair_net, dtype=np.intp)
+    pair_rows = np.array(pair_spec, dtype=np.intp)
+    gemm_counts = np.array([n.num_gemms for n in networks], dtype=np.intp)
+    layer_counts = np.array([n.num_layers for n in networks], dtype=np.intp)
+    pair_gemms = gemm_counts[pair_nets]
+    pair_layers = layer_counts[pair_nets]
+    gemm_index = _ragged_arange(_starts(gemm_counts)[pair_nets], pair_gemms)
+    gemms = _Columns._make(
+        np.concatenate([getattr(n, name) for n in networks])[gemm_index]
+        for name in _Columns._fields
+    )
+    rows = np.repeat(pair_rows, pair_gemms)
+    multipliers = _stacked([s.multiplier_table() for s in specs])
+    mult = multipliers[rows, gemms.bw_act - 1, gemms.bw_w - 1]
+    gemm_cycles = _compute_cycles(gemms, specs, rows, mult)
+    gemm_traffic = _traffic(gemms, specs, rows, split)
 
+    # Layer sums per pair.
+    layer_offsets = np.concatenate([n.layer_offsets for n in networks])
+    layer_index = _ragged_arange(_starts(layer_counts)[pair_nets], pair_layers)
+    offsets = layer_offsets[layer_index] + np.repeat(_starts(pair_gemms), pair_layers)
+    layer_compute = np.add.reduceat(gemm_cycles, offsets)
+    layer_traffic = np.add.reduceat(gemm_traffic, offsets)
+    layer_macs = np.add.reduceat(gemms.macs, offsets)
+    energy_tables = _stacked([s.mac_energy_table() for s in specs])
+    layer_rows = np.repeat(pair_rows, pair_layers)
+    layer_bw_act = np.concatenate([n.layer_bw_act for n in networks])[layer_index]
+    layer_bw_w = np.concatenate([n.layer_bw_w for n in networks])[layer_index]
+    layer_mac_energy = energy_tables[layer_rows, layer_bw_act - 1, layer_bw_w - 1]
+
+    # Each point's own layers, flattened point by point: element ``r``
+    # is layer ``step[r]`` of point ``owner[r]``.  Per-point values
+    # reach a layer through ``owner``, so every element sees the
+    # scalar per-layer expression.
+    point_pairs = np.array(point_pair, dtype=np.intp)
+    point_layers = pair_layers[point_pairs]
+    firsts = _starts(point_layers)
+    at = _ragged_arange(_starts(pair_layers)[point_pairs], point_layers)
+    owner = np.repeat(np.arange(len(point_pairs)), point_layers)
+    step = np.arange(len(at)) - firsts[owner]
+    compute_cycles = layer_compute[at]
+    traffic = layer_traffic[at]
+    macs = layer_macs[at]
+
+    which = pair_rows[point_pairs]
     bytes_per_cycle = np.array(
-        [memory.bytes_per_cycle(spec.frequency_hz) for spec, memory in targets]
-    )[:, None]
-    memory_cycles = np.ceil(traffic / bytes_per_cycle).astype(np.int64)
+        [memory.bytes_per_cycle(spec.frequency_hz) for spec, memory in points]
+    )
+    memory_cycles = np.ceil(traffic / bytes_per_cycle[owner]).astype(np.int64)
     layer_cycles = np.maximum(compute_cycles, memory_cycles)
 
-    mac_energy = np.stack(
-        [
-            spec.mac_energy_table()[lowered.layer_bw_act - 1, lowered.layer_bw_w - 1]
-            for spec in specs
-        ]
-    )[which]
     sram_per_byte = np.array([s.scratchpad.energy_per_byte_pj for s in specs])[which]
     frequency = np.array([s.frequency_hz for s in specs])[which]
     uncore_w_pj = np.array([s.uncore_power_mw * 1e-3 for s in specs])[which]
-    dram_pj_per_bit = np.array([memory.energy_pj_per_bit for _, memory in targets])[
-        :, None
-    ]
-    background_w = np.array([memory.background_power_w for _, memory in targets])[
-        :, None
-    ]
+    dram_pj_per_bit = np.array([memory.energy_pj_per_bit for _, memory in points])
+    background_w = np.array([memory.background_power_w for _, memory in points])
 
     # Same operation order as simulate_layer's scalar energy accounting.
-    layer_seconds = layer_cycles / frequency[:, None]
-    compute_energy = macs * mac_energy
-    sram_energy = traffic * sram_per_byte[:, None]
-    dram_energy = (
-        (traffic * 8) * dram_pj_per_bit + (background_w * layer_seconds) * 1e12
-    )
-    uncore_energy = (uncore_w_pj[:, None] * layer_seconds) * 1e12
+    layer_seconds = layer_cycles / frequency[owner]
+    compute_energy = macs * layer_mac_energy[at]
+    sram_energy = traffic * sram_per_byte[owner]
+    background_energy = (background_w[owner] * layer_seconds) * 1e12
+    dram_energy = (traffic * 8) * dram_pj_per_bit[owner] + background_energy
+    uncore_energy = (uncore_w_pj[owner] * layer_seconds) * 1e12
+
+    # Float energies are summed in layer order by sequential_sum over a
+    # zero-padded (max layers, 4, P) matrix: a point's layers past its
+    # network's end stay +0.0, which changes no total (see the module
+    # docstring).  Integer totals are exact under any grouping.
+    width = len(points)
+    energies = np.zeros((int(point_layers.max()), 4, width))
+    slots = energies.reshape(-1)
+    slot = step * (4 * width) + owner
+    terms = (compute_energy, sram_energy, dram_energy, uncore_energy)
+    for term, values in enumerate(terms):
+        slots[slot + term * width] = values
+    compute_pj, sram_pj, dram_pj, uncore_pj = sequential_sum(energies)
 
     # Network-level aggregates, as (P,) arrays with NetworkResult's
-    # operations: float energies in layer order via sequential_sum, one
-    # column at a time; every GEMM takes >= 1 cycle, so total_cycles > 0.
-    total_cycles = layer_cycles.sum(axis=1)
+    # operations; every GEMM takes >= 1 cycle, so total_cycles > 0.
+    total_cycles = np.add.reduceat(layer_cycles, firsts)
     total_seconds = total_cycles / frequency
-    total_macs = int(macs.sum())
-    energies = np.stack((compute_energy, sram_energy, dram_energy, uncore_energy))
-    compute_pj, sram_pj, dram_pj, uncore_pj = sequential_sum(
-        energies.transpose(2, 0, 1)
-    )
+    total_macs = np.add.reduceat(macs, firsts)
     total_pj = compute_pj + sram_pj + dram_pj + uncore_pj
     total_j = total_pj * 1e-12
     average_power_w = total_j / total_seconds
     ops_per_second = 2.0 * total_macs / total_seconds
     memory_bound = memory_cycles > compute_cycles
-    bound_cycles = np.where(memory_bound, layer_cycles, 0).sum(axis=1)
+    bound_cycles = np.add.reduceat(np.where(memory_bound, layer_cycles, 0), firsts)
     columns = {
         "total_cycles": total_cycles,
         "total_seconds": total_seconds,
-        "total_macs": np.full(len(targets), total_macs),
-        "total_traffic_bytes": traffic.sum(axis=1),
+        "total_macs": total_macs,
+        "total_traffic_bytes": np.add.reduceat(traffic, firsts),
         "compute_energy_pj": compute_pj,
         "sram_energy_pj": sram_pj,
         "dram_energy_pj": dram_pj,
@@ -412,10 +539,21 @@ def evaluate_lowered_many(
         "memory_bound_fraction": bound_cycles / total_cycles,
     }
     names = tuple(columns)
-    return [
+    metrics = [
         dict(zip(names, row))
         for row in zip(*(column.tolist() for column in columns.values()))
     ]
+    ends = np.cumsum(sizes).tolist()
+    return [metrics[end - size : end] for size, end in zip(sizes, ends)]
+
+
+def evaluate_lowered_many(
+    lowered: LoweredNetwork,
+    targets: Sequence[Target],
+    split: BufferSplit = BufferSplit(),
+) -> list[dict]:
+    """Evaluate many (platform, memory) design points against one IR."""
+    return evaluate_lowered_groups(((lowered, targets),), split)[0]
 
 
 def evaluate_lowered(

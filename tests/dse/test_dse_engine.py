@@ -22,7 +22,9 @@ from repro.dse import (
     run_sweep,
 )
 from repro.dse.evaluate import _MEMO
-from repro.hw import BPVEC, DDR4, HBM2
+from repro.hw import BPVEC, DDR4, HBM2, scaled_memory
+
+MEMORIES = (DDR4, HBM2, scaled_memory(DDR4, 64), scaled_memory(HBM2, 512))
 
 
 @pytest.fixture(autouse=True)
@@ -116,7 +118,8 @@ class TestRunSweep:
         )
         serial = run_sweep(spec)
         clear_memo()
-        parallel = run_sweep(spec, workers=2)
+        # Small chunks, so the 12 points reach the pool as 6 chunks.
+        parallel = run_sweep(spec, workers=2, chunk_size=2)
         assert parallel.records == serial.records
         assert parallel.evaluated == len(spec)
 
@@ -334,7 +337,7 @@ class TestVectorizedEvaluation:
         spec = self._grid()
         serial = run_sweep(spec, vectorize=True)
         clear_memo()
-        pooled = run_sweep(spec, workers=4, vectorize=True)
+        pooled = run_sweep(spec, workers=4, chunk_size=8, vectorize=True)
         assert pooled.records == serial.records
         assert pooled.evaluated == len(spec)
 
@@ -344,6 +347,82 @@ class TestVectorizedEvaluation:
         clear_memo()
         default = run_sweep(spec)
         assert result.records == default.records
+
+    @staticmethod
+    def _spy_chunks(monkeypatch):
+        import repro.dse.engine as engine_module
+
+        chunks = []
+        real = engine_module.evaluate_points
+
+        def spy(points):
+            chunks.append(list(points))
+            return real(points)
+
+        monkeypatch.setattr(engine_module, "evaluate_points", spy)
+        return chunks
+
+    @staticmethod
+    def _group(point):
+        return (point.kind, point.workload, point.batch, point.policy.lower())
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 8, 13, 24, 512])
+    def test_chunks_pack_whole_groups(self, monkeypatch, chunk_size):
+        # Twelve groups of 8 (AlexNet/RNN/LSTM x batch x policy over 2
+        # platforms and 4 memories), one of which grows to 12 (a third
+        # platform on LSTM, batch 1), and a one-point GPU group.
+        from repro.dse import resolve_gpu
+
+        points = list(
+            SweepSpec.grid(
+                workloads=("AlexNet", "RNN", "LSTM"),
+                platforms=("tpu", "bpvec"),
+                memories=MEMORIES,
+                policies=("homogeneous-8bit", "uniform-4x4"),
+                batches=(1, 4),
+            ).points
+        )
+        points += list(
+            SweepSpec.grid(
+                workloads=("LSTM",),
+                platforms=("bitfusion",),
+                memories=MEMORIES,
+                batches=(1,),
+            ).points
+        )
+        points.insert(3, SweepPoint(workload="RNN", gpu=resolve_gpu("rtx-2080-ti")))
+        chunks = self._spy_chunks(monkeypatch)
+        result = run_sweep(points, chunk_size=chunk_size)
+
+        assert all(0 < len(chunk) <= chunk_size for chunk in chunks)
+        hashes = sorted(p.config_hash() for c in chunks for p in c)
+        assert hashes == sorted({p.config_hash() for p in points})
+        sizes: dict[tuple, int] = {}
+        spans: dict[tuple, set[int]] = {}
+        for number, chunk in enumerate(chunks):
+            for point in chunk:
+                key = self._group(point)
+                sizes[key] = sizes.get(key, 0) + 1
+                spans.setdefault(key, set()).add(number)
+        for key, size in sizes.items():
+            if size <= chunk_size:
+                assert len(spans[key]) == 1, key  # a group that fits never splits
+            else:
+                assert len(spans[key]) == -(-size // chunk_size), key
+        if chunk_size >= len(points):
+            assert len(chunks) == 1
+        for point, record in zip(points, result.records):
+            assert record == evaluate_point(point)
+
+    def test_default_chunk_is_one_pass_over_many_groups(self, monkeypatch):
+        from repro.dse.engine import DEFAULT_CHUNK_SIZE
+
+        assert DEFAULT_CHUNK_SIZE == 512
+        chunks = self._spy_chunks(monkeypatch)
+        spec = self._grid()  # 48 points in 12 lowered groups
+        run_sweep(spec)
+        assert len(chunks) == 1
+        assert len({self._group(p) for p in chunks[0]}) == 12
 
     def test_mixed_gpu_and_asic_chunk(self):
         from repro.dse import resolve_gpu
@@ -403,6 +482,7 @@ class TestShouldCancel:
         stream = iter_sweep(
             _points("LSTM", "RNN", "AlexNet"),
             workers=2,
+            chunk_size=1,
             should_cancel=lambda: len(yielded) >= 1,
         )
         for sweep_record in stream:

@@ -238,7 +238,7 @@ class TestConcurrencyContract:
         monkeypatch.setattr(engine_module, "evaluate_points", gated)
         service = SweepService(store=tmp_path / "s.jsonl")
         try:
-            job = service.submit({"spec": GRID})  # two one-point chunks
+            job = service.submit({"spec": GRID})  # one chunk of two points
             assert first_chunk.wait(10)
             response = service.cancel(job)
             assert response["cancel_requested"]

@@ -114,6 +114,13 @@ class TestMetricsEndpoint:
             for s in samples["repro_eval_points_total"]
         }
         assert tiers.get("evaluated", 0) >= 2
+        # The two cold points are one evaluation pass: each phase is
+        # observed once per pass, never per record.
+        passes = {
+            s["labels"]["phase"]: s["value"]
+            for s in samples["repro_eval_phase_seconds_count"]
+        }
+        assert passes == {"lower": 1, "kernel": 1, "records": 1}
         assert "repro_lowered_cache" in samples
         assert samples["repro_memo_records"][0]["value"] >= 2
 

@@ -11,7 +11,8 @@ memory x workload x policy in the registry, kernel-level equivalence of
 the batched compute-cycles and traffic arrays against the exposed scalar
 kernels, and hypothesis property tests over randomized
 ``AcceleratorSpec`` / ``MemorySpec`` / bitwidth-policy draws (including
-fully random networks that never touch the registry).
+fully random networks that never touch the registry), plus one-pass
+evaluation of many networks at once against each network alone.
 """
 
 import dataclasses
@@ -42,6 +43,7 @@ from repro.nn import (
 from repro.sim import (
     compute_cycles_batch,
     evaluate_lowered,
+    evaluate_lowered_groups,
     evaluate_lowered_many,
     gemm_compute_cycles,
     lower_network,
@@ -364,3 +366,131 @@ def test_lowered_metrics_bit_identical_on_random_networks(net, spec, memory):
     scalar = _network_metrics(simulate_network(net, spec, memory))
     vectorized = evaluate_lowered(lower_network(net), spec, memory)
     assert _dumps(vectorized) == _dumps(scalar)
+
+
+# ----------------------------------------------------------------------
+# One pass over many networks
+# ----------------------------------------------------------------------
+@st.composite
+def _pass(draw):
+    """Groups of (random network, targets), sharing some spec objects."""
+    shared = draw(st.lists(_spec_strategy(), min_size=1, max_size=3))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        net = draw(_random_network())
+        targets = [
+            (
+                draw(st.one_of(st.sampled_from(shared), _spec_strategy())),
+                draw(st.one_of(st.sampled_from([DDR4, HBM2]), _memory_strategy())),
+            )
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        groups.append((net, targets))
+    return groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups=_pass())
+def test_one_pass_matches_each_network_alone(groups):
+    lowered = [(lower_network(net), targets) for net, targets in groups]
+    together = evaluate_lowered_groups(lowered)
+    assert len(together) == len(groups)
+    for (net, targets), (ir, _), metrics in zip(groups, lowered, together):
+        alone = evaluate_lowered_many(ir, targets)
+        scalar = [
+            _network_metrics(simulate_network(net, spec, memory))
+            for spec, memory in targets
+        ]
+        assert [_dumps(m) for m in metrics] == [_dumps(m) for m in alone]
+        assert [_dumps(m) for m in metrics] == [_dumps(m) for m in scalar]
+
+
+_MIXED_POINT = st.tuples(
+    st.sampled_from(sorted(WORKLOAD_BUILDERS)),
+    st.sampled_from(POLICIES + ("uniform-2x4",)),
+    st.sampled_from([None, 1, 4]),
+    st.one_of(
+        st.sampled_from(PLATFORM_NAMES).map(resolve_platform),
+        _spec_strategy(),
+        st.just("gpu"),
+    ),
+    st.one_of(st.sampled_from([DDR4, HBM2]), _memory_strategy()),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(draws=st.lists(_MIXED_POINT, min_size=1, max_size=12))
+def test_mixed_chunk_matches_scalar_records(draws):
+    # Registry networks of 1 to ~60 layers (RNN/LSTM cells lower to
+    # several GEMMs per layer), custom platforms and memories, and GPU
+    # points, all in one evaluate_points chunk.
+    from repro.dse import resolve_gpu
+
+    gpu = resolve_gpu("rtx-2080-ti")
+    points = []
+    for workload, policy, batch, spec, memory in draws:
+        if spec == "gpu":
+            points.append(SweepPoint(workload=workload, gpu=gpu, batch=batch))
+        else:
+            points.append(
+                SweepPoint(
+                    workload=workload,
+                    policy=policy,
+                    platform=spec,
+                    memory=memory,
+                    batch=batch,
+                )
+            )
+    records = evaluate_points(points)
+    assert [_dumps(r) for r in records] == [_dumps(evaluate_point(p)) for p in points]
+
+
+def _rnn(policy):
+    return lower_network(cached_network("RNN", 1, policy))
+
+
+def test_narrow_spec_on_a_narrow_network_beside_a_wide_one_raises_nothing(monkeypatch):
+    # A 4-bit BPVeC cannot compose 8-bit pairs (sentinel 0 in its table).
+    # Paired only with the 4-bit group, it must not trip the sentinel on
+    # the 8-bit group's GEMMs, nor hand a 0 to factor_pairs.
+    import repro.sim.lowered as lowered_module
+
+    real = lowered_module.factor_pairs
+
+    def checked(value):
+        assert value > 0
+        return real(value)
+
+    monkeypatch.setattr(lowered_module, "factor_pairs", checked)
+    narrow = _reduced_max_bitwidth_spec("bpvec")
+    wide = resolve_platform("bpvec")
+    four, eight = _rnn("uniform-4x4"), _rnn("uniform-8x8")
+    groups = [(four, [(narrow, DDR4), (wide, HBM2)]), (eight, [(wide, DDR4)])]
+    together = evaluate_lowered_groups(groups)
+    alone = [evaluate_lowered_many(ir, targets) for ir, targets in groups]
+    dumped = [[_dumps(m) for m in g] for g in together]
+    assert dumped == [[_dumps(m) for m in g] for g in alone]
+    points = [
+        SweepPoint(workload="RNN", policy="uniform-4x4", platform=narrow, memory=DDR4),
+        SweepPoint(workload="RNN", policy="uniform-8x8", platform=wide, memory=DDR4),
+    ]
+    assert evaluate_points(points) == [evaluate_point(p) for p in points]
+
+
+def test_narrow_spec_on_the_wide_network_raises_the_scalar_error():
+    narrow = _reduced_max_bitwidth_spec("bpvec")
+    wide = resolve_platform("bpvec")
+    bad = SweepPoint(workload="RNN", policy="uniform-8x8", platform=narrow, memory=DDR4)
+    with pytest.raises(ValueError) as scalar:
+        evaluate_point(bad)
+    groups = [
+        (_rnn("uniform-4x4"), [(narrow, DDR4)]),
+        (_rnn("uniform-8x8"), [(wide, DDR4), (narrow, HBM2)]),
+    ]
+    with pytest.raises(ValueError) as vectorized:
+        evaluate_lowered_groups(groups)
+    assert str(vectorized.value) == str(scalar.value)
+    fine = SweepPoint(workload="RNN", policy="uniform-4x4", platform=narrow, memory=DDR4)
+    with pytest.raises(ValueError) as chunk:
+        evaluate_points([fine, bad])
+    assert str(chunk.value) == str(scalar.value)
