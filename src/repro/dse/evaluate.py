@@ -38,12 +38,25 @@ from ..hw import platforms as _platforms
 from ..obs.metrics import get_registry
 from ..sim import lowered as _lowered
 from ..sim import performance as _performance
-from ..sim.lowered import LoweredNetwork, evaluate_lowered_groups, lower_network
+from ..sim.lowered import (
+    LoweredNetwork,
+    assemble_lowered,
+    evaluate_lowered_groups,
+    gemm_shapes,
+    layer_bitwidths,
+)
 from ..sim.simulator import simulate_network
 from . import policies as _policies
 from . import spec as _spec
 from .entry import RecordEntry
-from .spec import SweepPoint, cached_network
+from .policies import policy_name
+from .spec import (
+    SweepPoint,
+    build_network,
+    cached_network,
+    resolve_policy,
+    resolve_workload,
+)
 
 __all__ = [
     "EVAL_VERSION",
@@ -147,17 +160,24 @@ def clear_caches() -> None:
     """Drop the record memo *and* every evaluation-path cache.
 
     ``clear_memo`` only forgets finished records (and restores the
-    memo's default capacity); the evaluation path
-    also memoizes network/policy builds, lowered IRs and their GEMM
-    shapes, per-spec multiplier/energy lookup tables, and factor pairs.
-    True-cold benchmarking (and tests that must observe first-fill
-    behavior) go through this single hook instead of reaching into the
-    private caches module by module.
+    memo's default capacity); the evaluation path also memoizes point
+    validation (workload/policy pairs, per-layer counts), config-hash
+    fragments, network/policy builds, lowered IRs with their GEMM
+    shapes and layer bitwidths, per-spec multiplier/energy lookup
+    tables, and factor pairs.  True-cold benchmarking (and tests that
+    must observe first-fill behavior) go through this single hook
+    instead of reaching into the private caches module by module.
     """
     clear_memo()
     lowered_for.cache_clear()
+    _shapes_for.cache_clear()
+    _bitwidths_for.cache_clear()
     _lowered._gemm_shapes.cache_clear()
     _spec._cached_network.cache_clear()
+    _spec._weighted_layer_count.cache_clear()
+    _spec._checked_pair.cache_clear()
+    _spec._asic_hash_head.cache_clear()
+    _spec._hash_tail.cache_clear()
     _spec._resolve_policy.cache_clear()
     _policies._string_policy_name.cache_clear()
     _platforms._throughput_multiplier.cache_clear()
@@ -171,12 +191,37 @@ def clear_caches() -> None:
 def lowered_for(workload: str, batch: int | None, policy: str) -> LoweredNetwork:
     """The cached lowered IR of a (workload, batch, policy) combination.
 
-    Sized above the policy-axis working set: a quant-dse-shaped sweep
+    Assembled from two cached halves: GEMM shapes per (workload,
+    batch) and layer bitwidths per (workload, policy), so a sweep
+    builds and walks each workload's network once per distinct batch
+    plus once per distinct policy, not once per combination.  Sized
+    above the policy-axis working set: a quant-dse-shaped sweep
     multiplies (workload, batch) by generated per-layer policies (the
     policy-axis bench alone holds 168 distinct IRs), and an undersized
     LRU would evict cyclically and re-lower every warm pass.
     """
-    return lower_network(cached_network(workload, batch, policy))
+    workload = resolve_workload(workload)
+    return assemble_lowered(
+        _shapes_for(workload, batch), _bitwidths_for(workload, policy_name(policy))
+    )
+
+
+@functools.lru_cache(maxsize=128)
+def _shapes_for(workload: str, batch: int | None):
+    """GEMM shapes of a canonical workload at ``batch`` (policy-free)."""
+    return gemm_shapes(build_network(workload, batch))
+
+
+@functools.lru_cache(maxsize=512)
+def _bitwidths_for(workload: str, policy: str):
+    """Layer bitwidths of a canonical workload under ``policy``.
+
+    Batch-free: built at the workload's default batch, because its
+    layer list is the same at every batch.
+    """
+    network = build_network(workload)
+    resolve_policy(policy)(network)
+    return layer_bitwidths(network)
 
 
 def _collect_evaluator(registry) -> None:

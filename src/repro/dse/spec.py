@@ -226,9 +226,10 @@ def _spec_json(spec) -> str:
     return cached
 
 
-#: Field types whose ``repr`` pins both type and value (``1`` vs
-#: ``1.0``, ``0.0`` vs ``-0.0``), so a field dict made only of them can
-#: key the per-call spelling cache by its reprs.
+#: Field types whose values, with their types, pin their JSON spelling
+#: (``1`` vs ``1.0`` vs ``True``; zeros and NaN aside, see
+#: :class:`_Resolver`), so a field dict made only of them can key the
+#: per-call spelling cache.
 _EXACT_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
@@ -238,11 +239,16 @@ class _Resolver:
     A sweep repeats a handful of platforms and memories across every
     point; resolving each spelling once makes those points share one
     spec object, so its memoized JSON (:func:`_spec_json`) is built
-    once.  Field dicts key on their field reprs, so spellings that
-    compare equal but hash differently (``1`` vs ``1.0``, ``0.0`` vs
-    ``-0.0``) stay distinct specs.  Names and spec objects pass
-    straight through: registry specs are shared already.  One instance
-    lives for one build, so nothing needs clearing.
+    once.  A field dict keys on its keys, values and value types:
+    among same-typed values ``==`` implies the same JSON spelling
+    except for ``0.0 == -0.0``, so a dict holding a value ``== 0``
+    keys on its field reprs instead.  NaN equals nothing but itself,
+    so a NaN spelling at worst resolves once per dict object.
+    Spellings that compare equal but hash differently (``1`` vs
+    ``1.0`` vs ``True``, ``0.0`` vs ``-0.0``) thus stay distinct specs.
+    Names and spec objects pass straight through: registry specs are
+    shared already.  One instance lives for one build, so nothing needs
+    clearing.
     """
 
     def __init__(self, resolve: Callable[[object], object]):
@@ -250,12 +256,16 @@ class _Resolver:
         self._specs: dict[tuple, object] = {}
 
     def __call__(self, ref):
-        if not isinstance(ref, Mapping):
+        if type(ref) is not dict and not isinstance(ref, Mapping):
             return self._resolve(ref)
         values = tuple(ref.values())
-        if not _EXACT_TYPES.issuperset(map(type, values)):
+        types = tuple(map(type, values))
+        if not _EXACT_TYPES.issuperset(types):
             return self._resolve(ref)
-        key = (tuple(ref), tuple(map(repr, values)))
+        if 0 in values:
+            key = (tuple(ref), tuple(map(repr, values)))
+        else:
+            key = (tuple(ref), values, types)
         spec = self._specs.get(key)
         if spec is None:
             spec = self._specs[key] = self._resolve(ref)
@@ -285,6 +295,46 @@ def _wire_axes(axes: dict) -> dict | None:
         return axes if json.loads(json.dumps(axes)) == axes else None
     except (TypeError, ValueError):
         return None
+
+
+@functools.lru_cache(maxsize=1024)
+def _asic_hash_head(batch: int | None) -> str:
+    """An ASIC config blob up to its memory spec (batch is validated)."""
+    return f'{{"batch":{json.dumps(batch)},"kind":"asic","memory":'
+
+
+@functools.lru_cache(maxsize=4096)
+def _hash_tail(policy: str, workload: str) -> str:
+    """A config blob's last two keys (both canonical strings)."""
+    return (
+        f',"policy":{json.dumps(policy.lower())},'
+        f'"workload":{json.dumps(workload)}}}'
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _checked_pair(workload: str, policy: str) -> tuple[str, str]:
+    """A point's canonical (workload, policy) names, validated once per pair.
+
+    Every point of a sweep validates its policy eagerly, against its
+    workload; a sweep repeats a few dozen pairs.  Errors are not
+    cached, so an invalid pair raises on every point.
+    """
+    workload = resolve_workload(workload)
+    policy = policy_name(policy)
+    applier = resolve_policy(policy)
+    if isinstance(applier, PolicySpec):
+        # Per-layer policies are workload-shaped; catching a count
+        # mismatch here turns an unusable cross-product (e.g. a
+        # multi-workload grid against one workload's policy axis)
+        # into an upfront error instead of a mid-sweep abort.
+        count = _weighted_layer_count(workload)
+        if applier.num_layers != count:
+            raise ValueError(
+                f"policy {policy!r} assigns {applier.num_layers} "
+                f"layers but {workload} has {count} weighted layers"
+            )
+    return workload, policy
 
 
 _HASH_BITS = 256  # SHA-256 config hashes
@@ -328,20 +378,14 @@ class SweepPoint:
     batch: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload", resolve_workload(self.workload))
-        object.__setattr__(self, "policy", policy_name(self.policy))
-        applier = resolve_policy(self.policy)  # validate eagerly
-        if isinstance(applier, PolicySpec):
-            # Per-layer policies are workload-shaped; catching a count
-            # mismatch here turns an unusable cross-product (e.g. a
-            # multi-workload grid against one workload's policy axis)
-            # into an upfront error instead of a mid-sweep abort.
-            count = _weighted_layer_count(self.workload)
-            if applier.num_layers != count:
-                raise ValueError(
-                    f"policy {self.policy!r} assigns {applier.num_layers} "
-                    f"layers but {self.workload} has {count} weighted layers"
-                )
+        workload, policy = self.workload, self.policy
+        if type(workload) is not str:
+            workload = resolve_workload(workload)
+        if type(policy) is not str:
+            policy = policy_name(policy)
+        workload, policy = _checked_pair(workload, policy)
+        object.__setattr__(self, "workload", workload)
+        object.__setattr__(self, "policy", policy)
         if self.gpu is not None:
             if self.platform is not None or self.memory is not None:
                 raise ValueError("a point is either a GPU or an ASIC, not both")
@@ -350,8 +394,13 @@ class SweepPoint:
         else:
             if self.platform is None or self.memory is None:
                 raise ValueError("ASIC points need both a platform and a memory")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        batch = self.batch
+        if batch is not None and (
+            type(batch) is bool or not isinstance(batch, int) or batch < 1
+        ):
+            # Only an int batch has one JSON spelling: 2.0 or true would
+            # evaluate the same network as 2 or 1 under another hash.
+            raise ValueError(f"batch must be None or an int >= 1, got {batch!r}")
 
     @property
     def kind(self) -> str:
@@ -384,12 +433,14 @@ class SweepPoint:
         The hashed blob is ``json.dumps(self.config(), sort_keys=True,
         separators=(",", ":"))``, spelled out here in sorted key order
         so the hardware specs contribute their memoized fragments
-        instead of being re-serialized for every point.
+        instead of being re-serialized for every point.  An ASIC
+        point's batch and its (policy, workload) pair contribute
+        memoized fragments too: a sweep repeats a handful of each.
         """
         cached = self.__dict__.get("_config_hash")
         if cached is None:
-            dumps = json.dumps
             if self.gpu is not None:
+                dumps = json.dumps
                 blob = (
                     f'{{"batch":{dumps(self.batch)},"gpu":{_spec_json(self.gpu)},'
                     f'"kind":"gpu","policy":{dumps(self.policy.lower())},'
@@ -398,11 +449,9 @@ class SweepPoint:
                 )
             else:
                 blob = (
-                    f'{{"batch":{dumps(self.batch)},"kind":"asic",'
-                    f'"memory":{_spec_json(self.memory)},'
-                    f'"platform":{_spec_json(self.platform)},'
-                    f'"policy":{dumps(self.policy.lower())},'
-                    f'"workload":{dumps(self.workload)}}}'
+                    f"{_asic_hash_head(self.batch)}{_spec_json(self.memory)}"
+                    f',"platform":{_spec_json(self.platform)}'
+                    f"{_hash_tail(self.policy, self.workload)}"
                 )
             cached = hashlib.sha256(blob.encode()).hexdigest()
             object.__setattr__(self, "_config_hash", cached)

@@ -21,11 +21,17 @@ is pinned rather than left to builtin ``sum()``, which compensates since
 Python 3.12, so records do not depend on the interpreter.  The
 golden-value tests and a byte-for-byte golden store pin this.
 
-Work is done once per distinct input: a network's GEMM shapes once per
-(workload, batch) -- each bitwidth policy adds only its bitwidth arrays
-and byte counts -- and the spec-derived tables, buffer partitions and
-per-GEMM cycles and traffic once per distinct spec of a pass, over the
-GEMMs of the networks that spec's points run.
+Work is done once per distinct input.  A lowering has two halves:
+GEMM shapes (:func:`gemm_shapes`), which depend on the layers and the
+batch, and per-layer bitwidths (:func:`layer_bitwidths`), which depend
+on the layers and the policy; :func:`assemble_lowered` joins them into
+the bitwidth arrays and byte counts.  :func:`lower_network` runs all
+three on one network, and the DSE's
+:func:`~repro.dse.evaluate.lowered_for` caches the halves separately,
+so a sweep walks each workload's layers once per distinct batch plus
+once per distinct policy.  The spec-derived tables, buffer partitions
+and per-GEMM cycles and traffic run once per distinct spec of a pass,
+over the GEMMs of the networks that spec's points run.
 
 One pass, many networks: :func:`evaluate_lowered_groups` evaluates
 every ``(lowered, targets)`` group of a chunk in a single array pass
@@ -67,6 +73,9 @@ from .tiling import OUTPUT_BYTES_PER_ELEMENT, BufferSplit, buffer_partition
 __all__ = [
     "LoweredNetwork",
     "lower_network",
+    "gemm_shapes",
+    "layer_bitwidths",
+    "assemble_lowered",
     "compute_cycles_batch",
     "traffic_batch",
     "evaluate_lowered",
@@ -129,9 +138,16 @@ class LoweredNetwork:
 
 
 class _GemmShapes(NamedTuple):
-    """The bitwidth-free part of a lowering: per-GEMM shape columns."""
+    """The bitwidth-free half of a lowering: per-GEMM shape columns.
 
+    ``layer_index[l]`` is the position, in the network's ``layers``, of
+    simulatable layer ``l``.
+    """
+
+    network_name: str
+    batch: int
     layer_names: tuple[str, ...]
+    layer_index: np.ndarray
     layer_offsets: np.ndarray
     layer_sizes: np.ndarray
     m: np.ndarray
@@ -144,23 +160,36 @@ class _GemmShapes(NamedTuple):
     output_bytes: np.ndarray
 
 
+class _LayerBitwidths(NamedTuple):
+    """The shape-free half of a lowering: every layer's operand widths.
+
+    One entry per layer of the network's ``layers``, weighted or not, so
+    a (workload, policy) pair has one value at every batch.
+    """
+
+    activations: np.ndarray
+    weights: np.ndarray
+
+
 @functools.lru_cache(maxsize=128)
-def _gemm_shapes(batch: int, layers: tuple[Layer, ...]) -> _GemmShapes:
+def _gemm_shapes(name: str, batch: int, layers: tuple[Layer, ...]) -> _GemmShapes:
     """GEMM shape columns of ``layers`` at ``batch``, shared by every policy.
 
-    Layers are frozen and hashable, so ``(batch, layers)`` identifies the
-    shapes; a sweep's bitwidth policies over one (workload, batch) then
-    walk the layers once.  Bounded: sweeps touch a few dozen
-    (workload, batch) pairs.
+    Layers are frozen and hashable, so ``(name, batch, layers)``
+    identifies the shapes; a sweep's bitwidth policies over one
+    (workload, batch) then walk the layers once.  Bounded: sweeps touch
+    a few dozen (workload, batch) pairs.
     """
     layer_names: list[str] = []
+    positions: list[int] = []
     offsets: list[int] = []
     rows: list[tuple[int, int, int, int, int, int]] = []
-    for layer in layers:
+    for position, layer in enumerate(layers):
         gemms = layer.gemms(batch)
         if not gemms:
             continue
         layer_names.append(layer.name)
+        positions.append(position)
         offsets.append(len(rows))
         for gemm in gemms:
             unique = (
@@ -178,7 +207,10 @@ def _gemm_shapes(batch: int, layers: tuple[Layer, ...]) -> _GemmShapes:
     m, k, n, count = column(0), column(1), column(2), column(3)
     layer_offsets = np.array(offsets, dtype=np.int64)
     return _GemmShapes(
+        network_name=name,
+        batch=batch,
         layer_names=tuple(layer_names),
+        layer_index=_frozen(np.array(positions, dtype=np.intp)),
         layer_offsets=_frozen(layer_offsets),
         layer_sizes=_frozen(np.diff(np.append(layer_offsets, len(rows)))),
         m=_frozen(m),
@@ -192,26 +224,38 @@ def _gemm_shapes(batch: int, layers: tuple[Layer, ...]) -> _GemmShapes:
     )
 
 
-def lower_network(network: Network) -> LoweredNetwork:
-    """Lower every weighted layer of ``network`` to flat GEMM descriptors.
+def gemm_shapes(network: Network) -> _GemmShapes:
+    """The shape half of :func:`lower_network`, cached by name, batch, layers."""
+    return _gemm_shapes(network.name, network.batch, tuple(network.layers))
 
-    Mirrors :func:`~repro.sim.simulator.simulate_network`'s layer walk:
-    compute-free layers are skipped, and a network with nothing to
-    simulate raises the same ``ValueError``.  The shape columns come
-    from a cache keyed by ``(batch, layers)``; only the bitwidth arrays
-    and byte counts are built per call.
+
+def layer_bitwidths(network: Network) -> _LayerBitwidths:
+    """The bitwidth half of :func:`lower_network`: one entry per layer."""
+    widths = [network.bitwidth(layer.name) for layer in network.layers]
+    return _LayerBitwidths(
+        activations=_frozen(np.array([bw.activations for bw in widths], np.int64)),
+        weights=_frozen(np.array([bw.weights for bw in widths], np.int64)),
+    )
+
+
+def assemble_lowered(shapes: _GemmShapes, bitwidths: _LayerBitwidths) -> LoweredNetwork:
+    """A :class:`LoweredNetwork` from its shape and bitwidth halves.
+
+    The halves may come from two builds of one workload -- one at the
+    batch, one with the policy applied -- because a workload's layer
+    list does not depend on its batch.  Raises
+    :func:`~repro.sim.simulator.simulate_network`'s ``ValueError`` for a
+    network with nothing to simulate.
     """
-    shapes = _gemm_shapes(network.batch, tuple(network.layers))
     if not shapes.layer_names:
-        raise ValueError(f"{network.name} has no simulatable layers")
-    bitwidths = [network.bitwidth(name) for name in shapes.layer_names]
-    layer_bw_act = np.array([bw.activations for bw in bitwidths], dtype=np.int64)
-    layer_bw_w = np.array([bw.weights for bw in bitwidths], dtype=np.int64)
+        raise ValueError(f"{shapes.network_name} has no simulatable layers")
+    layer_bw_act = _frozen(bitwidths.activations[shapes.layer_index])
+    layer_bw_w = _frozen(bitwidths.weights[shapes.layer_index])
     bw_act = np.repeat(layer_bw_act, shapes.layer_sizes)
     bw_w = np.repeat(layer_bw_w, shapes.layer_sizes)
     return LoweredNetwork(
-        network_name=network.name,
-        batch=network.batch,
+        network_name=shapes.network_name,
+        batch=shapes.batch,
         layer_names=shapes.layer_names,
         m=shapes.m,
         k=shapes.k,
@@ -227,9 +271,21 @@ def lower_network(network: Network) -> LoweredNetwork:
         input_bytes=_frozen(-((-shapes.unique_input_elements * bw_act) // 8)),
         output_bytes=shapes.output_bytes,
         layer_offsets=shapes.layer_offsets,
-        layer_bw_act=_frozen(layer_bw_act),
-        layer_bw_w=_frozen(layer_bw_w),
+        layer_bw_act=layer_bw_act,
+        layer_bw_w=layer_bw_w,
     )
+
+
+def lower_network(network: Network) -> LoweredNetwork:
+    """Lower every weighted layer of ``network`` to flat GEMM descriptors.
+
+    Mirrors :func:`~repro.sim.simulator.simulate_network`'s layer walk:
+    compute-free layers are skipped, and a network with nothing to
+    simulate raises the same ``ValueError``.  The shape columns come
+    from a cache keyed by ``(name, batch, layers)``; only the bitwidth
+    arrays and byte counts are built per call.
+    """
+    return assemble_lowered(gemm_shapes(network), layer_bitwidths(network))
 
 
 # ----------------------------------------------------------------------

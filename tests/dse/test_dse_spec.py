@@ -1,6 +1,8 @@
 """Tests for sweep specs, registries, and config hashing."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -130,6 +132,26 @@ class TestSweepPoint:
         with pytest.raises(ValueError):
             SweepPoint(workload="LSTM", platform=BPVEC, memory=DDR4, batch=0)
 
+    @pytest.mark.parametrize("batch", [2.5, 2.0, True, False, "2", 0, -3])
+    def test_batch_must_be_a_positive_int(self, batch):
+        # 2.0 or True would evaluate the network of 2 or 1 under another
+        # config hash: one design point, two records.
+        match = re.escape(repr(batch))
+        with pytest.raises(ValueError, match=match):
+            SweepPoint(workload="LSTM", platform=BPVEC, memory=DDR4, batch=batch)
+        point = {"workload": "LSTM", "platform": "tpu", "memory": "ddr4"}
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_dict({"points": [{**point, "batch": batch}]})
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_dict({"grid": {"workloads": ["LSTM"], "batches": [batch]}})
+
+    def test_int_batches_still_accepted(self):
+        points = [
+            SweepPoint(workload="LSTM", platform=BPVEC, memory=DDR4, batch=batch)
+            for batch in (None, 1, 2, 256)
+        ]
+        assert [point.batch for point in points] == [None, 1, 2, 256]
+
 
 class TestSweepSpec:
     def test_grid_count_and_order(self):
@@ -190,14 +212,19 @@ class TestSweepSpec:
         [
             ("bandwidth_gb_s", 1, 1.0),
             ("energy_pj_per_bit", 0.0, -0.0),
+            ("bandwidth_gb_s", True, 1),
+            ("energy_pj_per_bit", False, 0),
+            ("energy_pj_per_bit", math.nan, 0.0),
+            ("bandwidth_gb_s", math.nan, math.inf),
         ],
     )
     def test_from_dict_keeps_equal_but_distinct_spellings_apart(
         self, field, a, b
     ):
-        # 1 == 1.0 and 0.0 == -0.0, but JSON spells them differently, so
-        # their config hashes differ -- sharing one resolved spec between
-        # such points would silently merge two configs.
+        # 1 == 1.0 == True and 0.0 == -0.0, but JSON spells them
+        # differently, so their config hashes differ -- sharing one
+        # resolved spec between such points would silently merge two
+        # configs.  NaN equals nothing, itself included.
         base = dataclasses.asdict(DDR4)
         memories = [{**base, field: a}, {**base, field: b}]
         points = [
