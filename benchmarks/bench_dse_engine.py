@@ -98,23 +98,3 @@ def test_dse_engine_cold_vs_warm(benchmark, show, tmp_path):
     benchmark.extra_info["cold_seconds"] = round(cold_seconds, 3)
     benchmark.extra_info["warm_vs_cold_speedup"] = round(speedup, 1)
     benchmark.extra_info["warm_vs_load"] = round(warm_seconds / load_seconds, 2)
-
-
-def test_dse_engine_multiprocessing_consistency(show):
-    """A pool-evaluated sweep returns records identical to the serial run."""
-    spec = SweepSpec.grid(
-        workloads=("AlexNet", "RNN", "LSTM"),
-        platforms=("tpu", "bpvec"),
-        memories=(DDR4, HBM2),
-        batches=(1, 8),
-    )
-    clear_memo()
-    serial = run_sweep(spec)
-    clear_memo()
-    # Small chunks, so the pool gets work: 3 chunks of 2 groups each.
-    parallel = run_sweep(spec, workers=4, chunk_size=8)
-    assert parallel.records == serial.records
-    show(
-        "DSE engine: multiprocessing fan-out",
-        f"{len(spec)} points identical across serial and 4-worker pool runs",
-    )

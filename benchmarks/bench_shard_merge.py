@@ -148,11 +148,11 @@ def test_streaming_sweep_yields_all_records(show):
     batch = run_sweep(spec)
     by_hash = {r["hash"]: r for r in batch.records}
     clear_memo()
-    streamed = list(iter_sweep(spec, workers=4, chunk_size=1))
+    streamed = list(iter_sweep(spec))
     assert {s.hash for s in streamed} == set(by_hash)
     assert all(s.record == by_hash[s.hash] for s in streamed)
     show(
-        "DSE engine: streaming fan-out",
-        f"{len(streamed)} records streamed in completion order across a "
-        f"4-worker pool, identical to the batch run",
+        "DSE engine: streaming sweep",
+        f"{len(streamed)} records streamed in completion order, identical "
+        f"to the batch run",
     )

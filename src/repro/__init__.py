@@ -20,8 +20,8 @@ baselines:
     TPU-like, BitFusion, and RTX 2080 Ti comparison models.
 dse:
     Batched, cached design-space exploration: declarative sweep specs,
-    a memoized evaluation layer with a persistent JSONL result store,
-    multiprocessing fan-out, and Pareto/top-k/geomean queries.
+    a memoized, vectorized evaluation layer with persistent result
+    stores, and Pareto/top-k/geomean queries.
 experiments:
     Drivers that regenerate every figure and table of the evaluation
     (running on the DSE engine).

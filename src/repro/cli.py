@@ -9,7 +9,7 @@ Examples
     python -m repro simulate --model ResNet-18 --platform bpvec --memory hbm2
     python -m repro roofline --model LSTM --platform bpvec --memory ddr4
     python -m repro dse --workload LSTM --workload RNN --store results.jsonl
-    python -m repro dse --spec sweep.json --workers 4 --format jsonl
+    python -m repro dse --spec sweep.json --format jsonl
     python -m repro dse --shard 0/2 --store shard0.jsonl --stream
     python -m repro dse --workload RNN --policy-axis policies.json
     python -m repro dse --workload LSTM --store results.sqlite --format json
@@ -233,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_arguments(dse)
     _add_store_arguments(dse)
-    # Default None, not 1: in --server mode an unset flag must defer to
-    # the server's own configured default instead of overriding it.
-    dse.add_argument("--workers", type=int, default=None)
     dse.add_argument(
         "--no-vectorize",
         action="store_true",
@@ -349,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     quant.add_argument("--objective", default="total_seconds")
     quant.add_argument("--sense", choices=("min", "max"), default="min")
     _add_store_arguments(quant)
-    quant.add_argument("--workers", type=int, default=1)
     quant.add_argument(
         "--no-vectorize",
         action="store_true",
@@ -415,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--host", default="127.0.0.1")
     server.add_argument(
         "--port", type=int, default=8000, help="0 binds an ephemeral port"
-    )
-    server.add_argument(
-        "--workers", type=int, default=1, help="default workers per sweep"
     )
     server.add_argument(
         "--job-workers",
@@ -547,9 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="socket timeout for server requests",
     )
-    worker.add_argument(
-        "--workers", type=int, default=1, help="processes per chunk evaluation"
-    )
     worker.add_argument("--no-vectorize", action="store_true")
     worker.add_argument(
         "--exit-when-drained",
@@ -635,12 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --print-cmds: how many shard command lines to print",
     )
-    dse_launch.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="with --print-cmds: --workers of each printed shard line",
-    )
     dse_launch.add_argument("--no-vectorize", action="store_true")
     dse_launch.add_argument(
         "--print-cmds",
@@ -720,11 +704,9 @@ def _server_options(args) -> dict:
     """Engine options to forward to a server: only the explicit ones.
 
     Flags the user did not pass are omitted from the request so the
-    server's own ``--workers`` / ``--no-vectorize`` defaults apply.
+    server's own ``--no-vectorize`` default applies.
     """
     options: dict = {}
-    if args.workers is not None:
-        options["workers"] = args.workers
     if args.no_vectorize:
         options["vectorize"] = False
     if getattr(args, "priority", None) is not None:
@@ -886,9 +868,6 @@ def _run_dse(args) -> None:
                 )
                 return
         vectorize = not args.no_vectorize
-        # Local default; servers keep their own (0 still reaches the
-        # engine's workers >= 1 validation).
-        workers = 1 if args.workers is None else args.workers
         if args.detach:
             if len(spec) == 0:
                 raise ValueError("empty sweep")
@@ -918,10 +897,7 @@ def _run_dse(args) -> None:
                 lines = (
                     sweep_record.text
                     for sweep_record in iter_sweep(
-                        spec,
-                        store=_open_cli_store(args),
-                        workers=workers,
-                        vectorize=vectorize,
+                        spec, store=_open_cli_store(args), vectorize=vectorize
                     )
                 )
             for line in lines:
@@ -936,10 +912,7 @@ def _run_dse(args) -> None:
             records = result.records
         else:
             result = run_sweep(
-                spec,
-                store=_open_cli_store(args),
-                workers=workers,
-                vectorize=vectorize,
+                spec, store=_open_cli_store(args), vectorize=vectorize
             )
             records = result.records
         if args.pareto:
@@ -990,7 +963,6 @@ def _run_quant_dse(args) -> None:
             objective=args.objective,
             sense=args.sense,
             store=_open_cli_store(args),
-            workers=args.workers,
             vectorize=not args.no_vectorize,
         )
     except (KeyError, TypeError, ValueError, OSError) as error:
@@ -1143,7 +1115,6 @@ def _run_serve(args) -> int:
             store=_open_cli_store(args),
             host=args.host,
             port=args.port,
-            workers=args.workers,
             vectorize=not args.no_vectorize,
             job_workers=args.job_workers,
             client_timeout=args.client_timeout,
@@ -1171,7 +1142,6 @@ def _run_worker(args) -> int:
         capacity=args.capacity,
         poll=args.poll,
         timeout=args.timeout,
-        workers=args.workers,
         vectorize=not args.no_vectorize,
         exit_when_drained=args.exit_when_drained,
         max_chunks=args.max_chunks,
@@ -1247,11 +1217,7 @@ def _run_dse_launch(args) -> None:
     except (KeyError, TypeError, ValueError, OSError, RuntimeError) as error:
         raise SystemExit(f"dse-launch: {error}")
     commands = shard_commands(
-        spec_path,
-        args.shards,
-        args.store,
-        workers=args.workers,
-        vectorize=not args.no_vectorize,
+        spec_path, args.shards, args.store, vectorize=not args.no_vectorize
     )
     merge = ["repro", "dse-merge", str(args.store)]
     merge += [str(shard_store_path(args.store, i)) for i in range(args.shards)]

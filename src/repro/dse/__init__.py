@@ -21,8 +21,8 @@ reusable engine:
   stores stay small (``compact``, optionally gzipped for single-file
   JSONL, per-part for partitioned);
 * :mod:`~repro.dse.engine` -- ``iter_sweep``: memo -> store -> simulate
-  resolution streamed in completion order with optional
-  multiprocessing fan-out, and ``run_sweep``, the batch API on top;
+  resolution streamed in completion order, one chunked kernel pass at
+  a time, and ``run_sweep``, the batch API on top;
 * :mod:`~repro.dse.queries` -- Pareto frontier (batch and incremental),
   top-k, geomean-speedup, accuracy-vs-performance frontiers, and
   rendering over record sets;
@@ -40,7 +40,7 @@ Every figure driver (:mod:`repro.experiments.figures`), the scaling
 study, and the ``repro dse`` CLI subcommand run on this engine.
 """
 
-from .engine import DSEEngine, SweepRecord, SweepResult, iter_sweep, run_sweep
+from .engine import SweepRecord, SweepResult, iter_sweep, run_sweep
 from .entry import RecordEntry
 from .evaluate import (
     DEFAULT_RECORD_CACHE,
@@ -93,7 +93,6 @@ from .sqlite_store import SQLiteStore
 from .store import ResultStore, ResultStoreBase, StoreWarning, open_store
 
 __all__ = [
-    "DSEEngine",
     "SweepRecord",
     "SweepResult",
     "RecordEntry",

@@ -5,12 +5,11 @@ sweep against three cache tiers -- the per-process memo, an optional
 persistent store (JSONL or SQLite), and finally a cold evaluation --
 and yields a
 :class:`SweepRecord` per unique config *as it completes*.  Cache hits
-stream out immediately; cold evaluations follow in completion order
-(``imap_unordered`` over a ``multiprocessing`` pool when ``workers >
-1``), each appended to the store the moment it lands so an interrupted
-run keeps its partial results.  Callers can render partial Pareto
-frontiers or pipe records downstream without waiting for the sweep to
-finish.
+stream out immediately; cold evaluations follow one pass at a time in
+this process, each record appended to the store the moment it lands so
+an interrupted run keeps its partial results.  Callers can render
+partial Pareto frontiers or pipe records downstream without waiting
+for the sweep to finish.
 
 ``run_sweep`` is the batch API, reimplemented on top of the stream: it
 drains the generator and returns records in point order plus per-tier
@@ -27,10 +26,7 @@ when a consumer reads :attr:`SweepRecord.record`.
 from __future__ import annotations
 
 import contextlib
-import math
-import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -41,12 +37,12 @@ from .evaluate import _MEMO, EVAL_VERSION, evaluate_point, evaluate_points
 from .spec import SweepPoint, SweepSpec
 from .store import ResultStoreBase, open_store
 
-__all__ = ["SweepRecord", "SweepResult", "DSEEngine", "iter_sweep", "run_sweep"]
+__all__ = ["SweepRecord", "SweepResult", "iter_sweep", "run_sweep"]
 
-#: Most points one cold evaluation pass takes (``chunk_size``).  A pass
-#: has a fixed cost; on 972-point sweeps (2-vCPU VM, lowering cached) a
-#: sweep took ~68 ms at 32, ~45 ms at 128, ~34 ms at 256-512 and ~39 ms
-#: at 1024, and one 512-point pass takes ~10-30 ms.
+#: Most points one cold evaluation pass takes.  A pass has a fixed
+#: cost; on 972-point sweeps (2-vCPU VM, lowering cached) a sweep took
+#: ~68 ms at 32, ~45 ms at 128, ~34 ms at 256-512 and ~39 ms at 1024,
+#: and one 512-point pass takes ~10-30 ms.
 DEFAULT_CHUNK_SIZE = 512
 
 # Tier counts are accumulated in plain locals on the hot path and
@@ -61,7 +57,7 @@ _EVAL_POINTS = _METRICS.counter(
 )
 _EVAL_CHUNK_SECONDS = _METRICS.histogram(
     "repro_eval_chunk_seconds",
-    "Latency of one vectorized evaluation chunk (serial in-process path).",
+    "Latency of one vectorized evaluation chunk.",
 )
 
 
@@ -113,22 +109,6 @@ class SweepResult:
         )
 
 
-def _pool_context():
-    # fork shares the already-imported simulator with workers -- but
-    # forking a multi-threaded process (e.g. a sweep running inside a
-    # `repro serve` handler thread) copies other threads' locks in
-    # whatever state they are in and can deadlock a child, so fork is
-    # only picked while the process is single-threaded.  Threaded
-    # processes use spawn explicitly (the platform default may still
-    # be fork); platforms without either fall back to their default.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "spawn" in methods:
-        return multiprocessing.get_context("spawn")
-    return multiprocessing.get_context()
-
-
 def _lowered_chunks(
     points: list[SweepPoint], chunk_size: int
 ) -> list[list[SweepPoint]]:
@@ -162,36 +142,33 @@ def _lowered_chunks(
 def iter_sweep(
     sweep: SweepSpec | Iterable[SweepPoint],
     store: ResultStoreBase | str | os.PathLike | None = None,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     vectorize: bool = True,
     should_cancel: Callable[[], bool] | None = None,
 ) -> Iterator[SweepRecord]:
     """Stream a sweep's records in completion order, one per unique config.
 
     Memo and store hits yield first (they are already complete); cold
-    evaluations follow as the serial loop or the worker pool finishes
-    them.  Fresh records -- and memo hits the store has not seen -- are
-    appended to the store as they are yielded, so a consumer that stops
-    early (or crashes) leaves a store warm up to that point.  An empty
-    sweep, e.g. an empty shard of a fine partition, yields nothing.
+    evaluations follow pass by pass.  Fresh records -- and memo hits the
+    store has not seen -- are appended to the store as they are yielded,
+    so a consumer that stops early (or crashes) leaves a store warm up
+    to that point.  An empty sweep, e.g. an empty shard of a fine
+    partition, yields nothing.
 
     With ``vectorize`` (the default) cold points are evaluated through
-    the numpy evaluator in chunks of at most ``chunk_size`` points
-    (default :data:`DEFAULT_CHUNK_SIZE`, 512): whole lowered-workload
-    groups are packed into a chunk, only a group larger than
-    ``chunk_size`` splits, and each chunk is **one** kernel pass however
-    many groups it spans.  Workers receive whole chunks instead of
-    single points.  ``vectorize=False`` is the scalar escape hatch
-    (``chunk_size`` then only caps the pool's ``imap`` chunks); records
-    are bit-identical either way.
+    the numpy evaluator in chunks of at most :data:`DEFAULT_CHUNK_SIZE`
+    points: whole lowered-workload groups are packed into a chunk, only
+    a larger group splits, and each chunk is **one** kernel pass however
+    many groups it spans.  ``vectorize=False`` is the scalar oracle, one
+    point at a time; records are bit-identical either way.  The sweep
+    runs in this process: multi-process evaluation is the fleet's job
+    (``repro dse-launch --fleet N``, ``repro worker``).
 
     ``should_cancel`` is polled at record boundaries -- after a record
     is appended and yielded, before the next one is touched.  When it
     turns true the generator returns early: every record already
-    yielded is fully persisted, nothing half-written follows, and a
-    worker pool mid-chunk is torn down on exit.  The sweep-service job
-    queue uses this for cooperative ``POST /jobs/{id}/cancel``.
+    yielded is fully persisted, nothing half-written follows, and no
+    further pass starts.  The sweep-service job queue uses this for
+    cooperative ``POST /jobs/{id}/cancel``.
 
     Each record of a pass is still persisted, then yielded, one at a
     time, but a pass completes before its first record: a cancel, or
@@ -200,8 +177,6 @@ def iter_sweep(
     pass it occurs in; records of earlier passes stay persisted.
     """
     points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
     def cancelled() -> bool:
         return should_cancel is not None and should_cancel()
@@ -269,43 +244,11 @@ def iter_sweep(
 
             pending_points = [points[first[key]] for key in pending]
             if vectorize:
-                chunks = _lowered_chunks(pending_points, chunk_size)
-                if workers > 1 and len(chunks) > 1:
-                    # An early return inside the `with` tears the pool
-                    # down (terminate), so a cancelled sweep does not
-                    # burn the remaining chunks.
-                    with _pool_context().Pool(workers) as pool:
-                        for records in pool.imap_unordered(
-                            evaluate_points, chunks
-                        ):
-                            for record in records:
-                                yield _emit(record)
-                                if cancelled():
-                                    return
-                else:
-                    for chunk in chunks:
-                        if cancelled():
-                            return
-                        chunk_started = time.monotonic()
-                        records = evaluate_points(chunk)
-                        _EVAL_CHUNK_SECONDS.observe(
-                            time.monotonic() - chunk_started
-                        )
-                        for record in records:
-                            yield _emit(record)
-                            if cancelled():
-                                return
-            elif workers > 1 and len(pending) > 1:
-                chunk = max(
-                    1, min(chunk_size, math.ceil(len(pending) / workers))
-                )
-                with _pool_context().Pool(workers) as pool:
-                    results = pool.imap_unordered(
-                        evaluate_point,
-                        pending_points,
-                        chunksize=chunk,
-                    )
-                    for record in results:
+                for chunk in _lowered_chunks(pending_points, DEFAULT_CHUNK_SIZE):
+                    chunk_started = time.monotonic()
+                    records = evaluate_points(chunk)
+                    _EVAL_CHUNK_SECONDS.observe(time.monotonic() - chunk_started)
+                    for record in records:
                         yield _emit(record)
                         if cancelled():
                             return
@@ -326,15 +269,9 @@ def iter_sweep(
 def run_sweep(
     sweep: SweepSpec | Iterable[SweepPoint],
     store: ResultStoreBase | str | os.PathLike | None = None,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     vectorize: bool = True,
 ) -> SweepResult:
-    """Evaluate a sweep through the memo -> store -> simulate tiers.
-
-    ``chunk_size`` caps the points of one cold evaluation pass; see
-    :func:`iter_sweep`.
-    """
+    """Evaluate a sweep through the memo -> store -> simulate tiers."""
     points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
     if not points:
         raise ValueError("empty sweep")
@@ -342,14 +279,7 @@ def run_sweep(
 
     resolved: dict[str, dict] = {}
     counts = {"memo": 0, "store": 0, "evaluated": 0}
-    stream = iter_sweep(
-        points,
-        store=store,
-        workers=workers,
-        chunk_size=chunk_size,
-        vectorize=vectorize,
-    )
-    for sweep_record in stream:
+    for sweep_record in iter_sweep(points, store=store, vectorize=vectorize):
         resolved[sweep_record.hash] = sweep_record.record
         counts[sweep_record.source] += 1
 
@@ -360,36 +290,3 @@ def run_sweep(
         from_memo=counts["memo"],
     )
 
-
-@dataclass
-class DSEEngine:
-    """Reusable engine configuration: store + parallelism settings.
-
-    ``chunk_size`` caps the points of one cold evaluation pass (whole
-    lowered-workload groups pack into a pass; see :func:`iter_sweep`).
-    """
-
-    store: ResultStoreBase | str | os.PathLike | None = None
-    workers: int = 1
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    vectorize: bool = True
-
-    def run(self, sweep: SweepSpec | Iterable[SweepPoint]) -> SweepResult:
-        return run_sweep(
-            sweep,
-            store=self.store,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            vectorize=self.vectorize,
-        )
-
-    def iter_sweep(
-        self, sweep: SweepSpec | Iterable[SweepPoint]
-    ) -> Iterator[SweepRecord]:
-        return iter_sweep(
-            sweep,
-            store=self.store,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            vectorize=self.vectorize,
-        )

@@ -378,7 +378,6 @@ def co_explore(
     objective: str = "total_seconds",
     sense: str = "min",
     store=None,
-    workers: int = 1,
     vectorize: bool = True,
 ) -> CoExploreResult:
     """Co-explore bitwidth policies and hardware points for one workload.
@@ -414,7 +413,7 @@ def co_explore(
         policies=axis,
         batches=batches,
     )
-    result = run_sweep(spec, store=store, workers=workers, vectorize=vectorize)
+    result = run_sweep(spec, store=store, vectorize=vectorize)
     accuracy = {p.policy: p.accuracy for p in policies}
     records = attach_policy_metric(result.records, accuracy, "accuracy")
     frontier = pareto_frontier(

@@ -327,7 +327,6 @@ class ServeClient:
     def submit_job(
         self,
         spec: Mapping,
-        workers: int | None = None,
         vectorize: bool | None = None,
         priority: int | None = None,
         fleet: bool | Mapping | None = None,
@@ -344,8 +343,6 @@ class ServeClient:
         workers instead of the server's own pool.
         """
         payload: dict = {"spec": dict(spec)}
-        if workers is not None:
-            payload["workers"] = workers
         if vectorize is not None:
             payload["vectorize"] = vectorize
         if priority is not None:
@@ -414,7 +411,6 @@ class ServeClient:
     def submit(
         self,
         spec: Mapping,
-        workers: int | None = None,
         vectorize: bool | None = None,
         priority: int | None = None,
     ) -> Iterator[dict]:
@@ -424,24 +420,17 @@ class ServeClient:
         captured on :attr:`last_summary` rather than yielded, exactly
         like the pre-job-queue streaming protocol.
         """
-        job = self.submit_job(
-            spec, workers=workers, vectorize=vectorize, priority=priority
-        )
+        job = self.submit_job(spec, vectorize=vectorize, priority=priority)
         yield from self.stream_job(job["job"])
 
     def sweep(
         self,
         spec: Mapping,
-        workers: int | None = None,
         vectorize: bool | None = None,
         priority: int | None = None,
     ) -> tuple[list[dict], dict | None]:
         """Drain :meth:`submit`; returns ``(records, summary)``."""
-        records = list(
-            self.submit(
-                spec, workers=workers, vectorize=vectorize, priority=priority
-            )
-        )
+        records = list(self.submit(spec, vectorize=vectorize, priority=priority))
         return records, self.last_summary
 
     def query(self, name: str, **params) -> list[dict]:

@@ -758,7 +758,6 @@ class FleetWorker:
         capacity: int = 1,
         poll: float = 0.5,
         timeout: float = 60.0,
-        workers: int = 1,
         vectorize: bool = True,
         exit_when_drained: bool = False,
         max_chunks: int | None = None,
@@ -773,7 +772,6 @@ class FleetWorker:
         self.name = name
         self.capacity = capacity
         self.poll = poll
-        self.workers = workers
         self.vectorize = vectorize
         self.exit_when_drained = exit_when_drained
         self.max_chunks = max_chunks
@@ -873,7 +871,7 @@ class FleetWorker:
         timings: dict[str, float] = {}
         eval_started = time.monotonic()
         try:
-            result = run_sweep(spec, workers=self.workers, vectorize=self.vectorize)
+            result = run_sweep(spec, vectorize=self.vectorize)
         except Exception as failure:  # noqa: BLE001 - chunk boundary
             error = str(failure)
         timings["worker-eval"] = time.monotonic() - eval_started

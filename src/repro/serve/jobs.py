@@ -123,7 +123,6 @@ class Job:
     def __init__(
         self,
         spec: SweepSpec | None,
-        workers: int = 1,
         vectorize: bool = True,
         priority: int = DEFAULT_PRIORITY,
         job_id: str | None = None,
@@ -131,7 +130,6 @@ class Job:
     ):
         self.id = job_id or new_job_id()
         self.spec = spec
-        self.workers = workers
         self.vectorize = vectorize
         self.priority = priority
         self.state = QUEUED

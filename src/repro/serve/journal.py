@@ -75,7 +75,6 @@ _SCHEMA = (
     " seq INTEGER NOT NULL,"  # submission order, the FIFO replay key
     " kind TEXT NOT NULL,"
     " spec TEXT,"  # sweep-spec JSON as submitted (SweepSpec.from_dict form)
-    " workers INTEGER,"
     " vectorize INTEGER,"
     " priority INTEGER NOT NULL DEFAULT 10,"
     " chunks INTEGER,"  # fleet partition width; NULL for pool jobs
@@ -217,17 +216,16 @@ class JobJournal:
         statements: list[tuple[str, tuple]] = [
             (
                 "INSERT OR REPLACE INTO jobs"
-                " (id, seq, kind, spec, workers, vectorize, priority,"
+                " (id, seq, kind, spec, vectorize, priority,"
                 "  chunks, state, error, cancel_requested, submitted_at,"
                 "  started_at, finished_at)"
                 " VALUES (?, COALESCE((SELECT seq FROM jobs WHERE id = ?1),"
                 "  (SELECT MAX(seq) + 1 FROM jobs), 0),"
-                "  ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "  ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     job.id,
                     job.kind,
                     spec,
-                    getattr(job, "workers", None),
                     _flag(getattr(job, "vectorize", None)),
                     job.priority,
                     getattr(job, "chunk_partition", None),
@@ -344,7 +342,7 @@ class JobJournal:
     def jobs(self) -> list[dict]:
         """Every journaled job, in priority-FIFO replay order."""
         rows = self._read(
-            "SELECT id, seq, kind, spec, workers, vectorize, priority,"
+            "SELECT id, seq, kind, spec, vectorize, priority,"
             " chunks, state, error, cancel_requested, submitted_at,"
             " started_at, finished_at"
             " FROM jobs ORDER BY priority, seq"
@@ -354,7 +352,6 @@ class JobJournal:
             "seq",
             "kind",
             "spec",
-            "workers",
             "vectorize",
             "priority",
             "chunks",

@@ -17,6 +17,7 @@ coordination-free hash-range partition (:meth:`SweepSpec.shard
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shlex
 import sys
@@ -25,7 +26,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..dse.engine import _pool_context
 from ..dse.evaluate import EVAL_VERSION
 from ..dse.spec import SweepSpec
 from ..dse.store import ResultStoreBase, open_store
@@ -49,7 +49,6 @@ def shard_commands(
     spec_path: str | os.PathLike,
     count: int,
     dest: str | os.PathLike,
-    workers: int = 1,
     vectorize: bool = True,
 ) -> list[list[str]]:
     """The ``count`` ``repro dse`` command lines that cover the sweep.
@@ -62,7 +61,7 @@ def shard_commands(
         command = ["repro", "dse", "--spec", str(spec_path)]
         command += ["--shard", f"{index}/{count}"]
         command += ["--store", str(shard_store_path(dest, index))]
-        command += ["--workers", str(workers), "--format", "jsonl"]
+        command += ["--format", "jsonl"]
         if not vectorize:
             command.append("--no-vectorize")
         commands.append(command)
@@ -97,6 +96,19 @@ class FleetLaunchResult:
         if self.requeued:
             text += f" ({self.requeued} leases requeued)"
         return text
+
+
+def _pool_context():
+    # fork shares the already-imported simulator with workers, but
+    # forking a multi-threaded process can copy a held lock into the
+    # child and deadlock it: threaded callers spawn explicitly (the
+    # platform default may still be fork).
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods and threading.active_count() == 1:
+        return multiprocessing.get_context("fork")
+    if "spawn" in methods:
+        return multiprocessing.get_context("spawn")
+    return multiprocessing.get_context()
 
 
 def _fleet_worker(url_reader, poll: float, vectorize: bool) -> None:

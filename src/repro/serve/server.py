@@ -39,9 +39,9 @@ Endpoints
     record, written in blocks of :data:`BLOCK_RECORDS` lines without
     being decoded or re-encoded.
 ``POST /sweep``
-    Body ``{"spec": {...}, "workers"?: n, "vectorize"?: bool,
-    "priority"?: n, "fleet"?: true | {"chunks": n}}`` where ``spec``
-    is the JSON sweep-spec format (grid or explicit points).
+    Body ``{"spec": {...}, "vectorize"?: bool, "priority"?: n,
+    "fleet"?: true | {"chunks": n}}``, ``spec`` in the JSON sweep-spec
+    format (grid or explicit points); a ``"workers"`` field answers 400.
     Validates, enqueues, and immediately returns the job's status
     object (its ``job`` field is the id).  With ``fleet`` the job goes
     to the pull-based lease queue (:mod:`repro.serve.fleet`) instead
@@ -277,7 +277,6 @@ class SweepService:
     def __init__(
         self,
         store: ResultStoreBase | str | os.PathLike | None = None,
-        workers: int = 1,
         vectorize: bool = True,
         job_workers: int = 2,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -300,7 +299,6 @@ class SweepService:
         # The process-wide record memo is the only record cache; the
         # service sizes it (0 keeps no records).
         _MEMO.resize(record_cache)
-        self.workers = workers
         self.vectorize = vectorize
         self.sweeps_served = 0
         if max_queue_depth is not None and max_queue_depth < 1:
@@ -440,7 +438,6 @@ class SweepService:
         source = json.loads(row["spec"])
         job = Job(
             spec=SweepSpec.from_dict(source),
-            workers=int(row["workers"] or self.workers),
             vectorize=bool(
                 self.vectorize if row["vectorize"] is None else row["vectorize"]
             ),
@@ -697,10 +694,10 @@ class SweepService:
         trace = Trace("validate")
         source = payload.get("spec") or {}
         spec = SweepSpec.from_dict(source)
-        workers = payload.get("workers")
-        workers = self.workers if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if "workers" in payload:
+            raise ValueError(
+                '"workers" is not a sweep option; use "fleet" for more processes'
+            )
         vectorize = payload.get("vectorize")
         if vectorize is None:
             vectorize = self.vectorize
@@ -725,7 +722,6 @@ class SweepService:
                     )
             job = Job(
                 spec=spec,
-                workers=workers,
                 vectorize=bool(vectorize),
                 priority=priority,
                 trace=trace,
@@ -852,7 +848,6 @@ class SweepService:
             for sweep_record in iter_sweep(
                 job.spec,
                 store=self.store,
-                workers=job.workers,
                 vectorize=job.vectorize,
                 should_cancel=job.cancel_requested,
             ):
@@ -1393,7 +1388,6 @@ def serve(
     store: ResultStoreBase | str | os.PathLike | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    workers: int = 1,
     vectorize: bool = True,
     job_workers: int = 2,
     client_timeout: float = DEFAULT_CLIENT_TIMEOUT,
@@ -1447,7 +1441,6 @@ def serve(
         raise ValueError("journal=True needs a store to colocate with")
     service = SweepService(
         store=store,
-        workers=workers,
         vectorize=vectorize,
         job_workers=job_workers,
         lease_ttl=lease_ttl,

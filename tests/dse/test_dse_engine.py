@@ -1,4 +1,4 @@
-"""Tests for the sweep engine: caching tiers, dedup, multiprocessing,
+"""Tests for the sweep engine: caching tiers, dedup, chunked passes,
 and the streaming ``iter_sweep`` API the batch API is built on."""
 
 import os
@@ -10,7 +10,6 @@ import pytest
 from repro.dse import (
     DEFAULT_RECORD_CACHE,
     EVAL_VERSION,
-    DSEEngine,
     RecordEntry,
     ResultStore,
     SweepPoint,
@@ -39,6 +38,21 @@ def _points(*workloads, platform=BPVEC, memory=DDR4, batch=1):
         SweepPoint(workload=w, platform=platform, memory=memory, batch=batch)
         for w in workloads
     ]
+
+
+def _spy_passes(monkeypatch):
+    """Record the points of every ``evaluate_points`` pass the engine runs."""
+    import repro.dse.engine as engine_module
+
+    passes = []
+    real = engine_module.evaluate_points
+
+    def spy(points):
+        passes.append(list(points))
+        return real(points)
+
+    monkeypatch.setattr(engine_module, "evaluate_points", spy)
+    return passes
 
 
 class TestRunSweep:
@@ -109,27 +123,25 @@ class TestRunSweep:
         assert result.evaluated == 1
         assert store.load()[point.config_hash()]["version"] == EVAL_VERSION
 
-    def test_multiprocessing_matches_serial(self, tmp_path):
+    def test_store_path_round_trips_a_spec(self, tmp_path):
         spec = SweepSpec.grid(
-            workloads=("LSTM", "RNN", "AlexNet"),
-            platforms=("tpu", "bpvec"),
-            memories=("ddr4", "hbm2"),
-            batches=(1,),
+            workloads=("LSTM",), platforms=("bpvec",), memories=("ddr4",)
         )
-        serial = run_sweep(spec)
+        cold = run_sweep(spec, store=str(tmp_path / "s.jsonl"))
         clear_memo()
-        # Small chunks, so the 12 points reach the pool as 6 chunks.
-        parallel = run_sweep(spec, workers=2, chunk_size=2)
-        assert parallel.records == serial.records
-        assert parallel.evaluated == len(spec)
+        warm = run_sweep(spec, store=str(tmp_path / "s.jsonl"))
+        assert cold.evaluated == 1
+        assert warm.from_store == 1
+        assert warm.records == cold.records
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([])
 
     def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            run_sweep(_points("LSTM"), workers=0)
+        # One process per sweep: there is no pool to size.
+        with pytest.raises(TypeError):
+            run_sweep(_points("LSTM"), workers=2)
 
     def test_summary_mentions_tiers(self):
         result = run_sweep(_points("LSTM"))
@@ -231,25 +243,17 @@ class TestIterSweep:
         assert list(iter_sweep(SweepSpec(points=()))) == []
 
     def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            list(iter_sweep(_points("LSTM"), workers=0))
+        with pytest.raises(TypeError):
+            list(iter_sweep(_points("LSTM"), workers=2))
 
-    def test_multiprocessing_stream_completion_order(self, tmp_path):
-        spec = SweepSpec.grid(
-            workloads=("LSTM", "RNN", "AlexNet"),
-            platforms=("tpu", "bpvec"),
-            memories=("ddr4", "hbm2"),
-            batches=(1,),
-        )
-        serial = run_sweep(spec)
+    def test_store_path_streams_cold_then_warm(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        streamed = list(iter_sweep(_points("LSTM", "RNN"), store=store))
+        assert [sr.source for sr in streamed] == ["evaluated", "evaluated"]
         clear_memo()
-        streamed = list(iter_sweep(spec, workers=2, chunk_size=1))
-        assert {sr.hash for sr in streamed} == {
-            r["hash"] for r in serial.records
-        }
-        by_hash = {r["hash"]: r for r in serial.records}
-        for sr in streamed:
-            assert sr.record == by_hash[sr.hash]
+        warm = list(iter_sweep(_points("LSTM", "RNN"), store=store))
+        assert [sr.source for sr in warm] == ["store", "store"]
+        assert [sr.record for sr in warm] == [sr.record for sr in streamed]
 
 
 class TestShardedRuns:
@@ -290,29 +294,6 @@ class TestShardedRuns:
         assert warm.records == full.records
 
 
-class TestDSEEngine:
-    def test_engine_wraps_run_sweep(self, tmp_path):
-        engine = DSEEngine(store=tmp_path / "s.jsonl", workers=1)
-        spec = SweepSpec.grid(
-            workloads=("LSTM",), platforms=("bpvec",), memories=("ddr4",)
-        )
-        cold = engine.run(spec)
-        clear_memo()
-        warm = engine.run(spec)
-        assert cold.evaluated == 1
-        assert warm.from_store == 1
-        assert warm.records == cold.records
-
-    def test_engine_iter_sweep_streams_with_store(self, tmp_path):
-        engine = DSEEngine(store=tmp_path / "s.jsonl")
-        streamed = list(engine.iter_sweep(_points("LSTM", "RNN")))
-        assert [sr.source for sr in streamed] == ["evaluated", "evaluated"]
-        clear_memo()
-        warm = list(engine.iter_sweep(_points("LSTM", "RNN")))
-        assert [sr.source for sr in warm] == ["store", "store"]
-        assert [sr.record for sr in warm] == [sr.record for sr in streamed]
-
-
 class TestVectorizedEvaluation:
     """The vectorized default and the --no-vectorize escape hatch agree."""
 
@@ -333,34 +314,17 @@ class TestVectorizedEvaluation:
         assert vectorized.records == scalar.records
         assert vectorized.evaluated == scalar.evaluated == len(spec)
 
-    def test_vectorized_pool_matches_serial(self):
-        spec = self._grid()
-        serial = run_sweep(spec, vectorize=True)
-        clear_memo()
-        pooled = run_sweep(spec, workers=4, chunk_size=8, vectorize=True)
-        assert pooled.records == serial.records
-        assert pooled.evaluated == len(spec)
-
-    def test_chunks_respect_chunk_size(self):
-        spec = self._grid()
-        result = run_sweep(spec, chunk_size=1)
-        clear_memo()
-        default = run_sweep(spec)
-        assert result.records == default.records
-
-    @staticmethod
-    def _spy_chunks(monkeypatch):
+    def test_chunks_respect_chunk_size(self, monkeypatch):
         import repro.dse.engine as engine_module
 
-        chunks = []
-        real = engine_module.evaluate_points
-
-        def spy(points):
-            chunks.append(list(points))
-            return real(points)
-
-        monkeypatch.setattr(engine_module, "evaluate_points", spy)
-        return chunks
+        spec = self._grid()
+        default = run_sweep(spec)
+        clear_memo()
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 1)
+        chunks = _spy_passes(monkeypatch)
+        result = run_sweep(spec)
+        assert len(chunks) == len(spec)
+        assert result.records == default.records
 
     @staticmethod
     def _group(point):
@@ -368,6 +332,8 @@ class TestVectorizedEvaluation:
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 8, 13, 24, 512])
     def test_chunks_pack_whole_groups(self, monkeypatch, chunk_size):
+        import repro.dse.engine as engine_module
+
         # Twelve groups of 8 (AlexNet/RNN/LSTM x batch x policy over 2
         # platforms and 4 memories), one of which grows to 12 (a third
         # platform on LSTM, batch 1), and a one-point GPU group.
@@ -391,8 +357,9 @@ class TestVectorizedEvaluation:
             ).points
         )
         points.insert(3, SweepPoint(workload="RNN", gpu=resolve_gpu("rtx-2080-ti")))
-        chunks = self._spy_chunks(monkeypatch)
-        result = run_sweep(points, chunk_size=chunk_size)
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", chunk_size)
+        chunks = _spy_passes(monkeypatch)
+        result = run_sweep(points)
 
         assert all(0 < len(chunk) <= chunk_size for chunk in chunks)
         hashes = sorted(p.config_hash() for c in chunks for p in c)
@@ -418,7 +385,7 @@ class TestVectorizedEvaluation:
         from repro.dse.engine import DEFAULT_CHUNK_SIZE
 
         assert DEFAULT_CHUNK_SIZE == 512
-        chunks = self._spy_chunks(monkeypatch)
+        chunks = _spy_passes(monkeypatch)
         spec = self._grid()  # 48 points in 12 lowered groups
         run_sweep(spec)
         assert len(chunks) == 1
@@ -435,12 +402,10 @@ class TestVectorizedEvaluation:
             assert record == evaluate_point(point)
 
     def test_engine_vectorize_flag(self, tmp_path):
-        scalar_engine = DSEEngine(store=tmp_path / "s.jsonl", vectorize=False)
         points = _points("LSTM", "RNN")
-        scalar = scalar_engine.run(points)
+        scalar = run_sweep(points, store=tmp_path / "s.jsonl", vectorize=False)
         clear_memo()
-        vector_engine = DSEEngine(vectorize=True)
-        assert vector_engine.run(points).records == scalar.records
+        assert run_sweep(points, vectorize=True).records == scalar.records
 
 
 class TestShouldCancel:
@@ -477,19 +442,22 @@ class TestShouldCancel:
             yielded.append(sweep_record)
         assert len(yielded) == 1
 
-    def test_pool_path_honours_cancel(self):
+    def test_cancel_skips_the_remaining_passes(self, monkeypatch):
+        import repro.dse.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 1)
+        passes = _spy_passes(monkeypatch)
         yielded = []
         stream = iter_sweep(
             _points("LSTM", "RNN", "AlexNet"),
-            workers=2,
-            chunk_size=1,
             should_cancel=lambda: len(yielded) >= 1,
         )
         for sweep_record in stream:
             yielded.append(sweep_record)
-        # The early return tears the pool down mid-sweep: strictly
-        # fewer records than the full three-chunk run.
+        # Three one-point passes were due; the cancel lands after the
+        # first record, so the other two never run.
         assert len(yielded) == 1
+        assert len(passes) == 1
 
     def test_uncancelled_hook_changes_nothing(self):
         points = _points("LSTM", "RNN")

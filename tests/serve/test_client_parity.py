@@ -219,23 +219,16 @@ class TestCliParity:
 
     def test_unset_engine_flags_defer_to_the_server(self):
         # Flags the user did not pass are omitted from the request, so
-        # a server started with --workers/--no-vectorize keeps its own
+        # a server started with --no-vectorize keeps its own
         # defaults instead of being overridden by client defaults.
         from repro.cli import _server_options, build_parser
 
         args = build_parser().parse_args(["dse", "--server", "http://x"])
         assert _server_options(args) == {}
         args = build_parser().parse_args(
-            [
-                "dse",
-                "--server",
-                "http://x",
-                "--workers",
-                "3",
-                "--no-vectorize",
-            ]
+            ["dse", "--server", "http://x", "--no-vectorize"]
         )
-        assert _server_options(args) == {"workers": 3, "vectorize": False}
+        assert _server_options(args) == {"vectorize": False}
 
     def test_empty_spec_errors_like_local_mode(self, tmp_path, live_server):
         spec = tmp_path / "empty.json"

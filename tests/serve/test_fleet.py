@@ -604,7 +604,7 @@ class TestFleetEndToEnd:
     def test_poisoned_chunk_fails_the_job(self, client, live_server, monkeypatch):
         import repro.serve.fleet as fleet_module
 
-        def boom(spec, workers=1, vectorize=True):
+        def boom(spec, vectorize=True):
             raise RuntimeError("poisoned evaluation")
 
         monkeypatch.setattr(fleet_module, "run_sweep", boom)

@@ -338,8 +338,9 @@ class TestRecovery:
             service.close()
 
     def test_journal_with_merged_records_column_replays(self, paths):
-        """A journal written before the ``merged_records`` column went
-        away still opens, journals, and replays its jobs."""
+        """A journal written before the ``merged_records`` and
+        ``workers`` columns went away still opens, journals, and
+        replays its jobs; a legacy row's ``workers`` value is ignored."""
         store, jpath = paths
         legacy = sqlite3.connect(jpath)
         with legacy:
@@ -352,6 +353,12 @@ class TestRecovery:
                 " submitted_at REAL, started_at REAL, finished_at REAL,"
                 " merged_records INTEGER NOT NULL DEFAULT 0)"
             )
+            legacy.execute(
+                "INSERT INTO jobs (id, seq, kind, spec, workers, state,"
+                " submitted_at) VALUES ('legacy', 0, 'sweep', ?, 4,"
+                " 'queued', ?)",
+                (json.dumps(GRID), time.time()),
+            )
         legacy.close()
         journal = JobJournal(jpath)
         spec = SweepSpec.from_dict(SMALL)
@@ -363,9 +370,11 @@ class TestRecovery:
 
         service = SweepService(store=store, journal=jpath)
         assert service.recovery_info["recovered_running"] == 1
+        assert service.recovery_info["recovered_queued"] == 1
         recovered = _wait_done(service.jobs.get(job.id))
         assert recovered.state == DONE
-        assert len(ResultStore(store).load()) == len(spec)
+        assert _wait_done(service.jobs.get("legacy")).state == DONE
+        assert len(ResultStore(store).load()) == len(SweepSpec.from_dict(GRID))
         service.close()
 
     def test_cancel_requested_job_recovers_cancelled(self, paths):

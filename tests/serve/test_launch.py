@@ -48,12 +48,11 @@ class TestShardCommands:
             assert f"{index}/3" in command
             assert str(shard_store_path(tmp_path / "dest.jsonl", index)) in command
 
-    def test_no_vectorize_and_workers_propagate(self, tmp_path):
+    def test_no_vectorize_propagates(self, tmp_path):
         (command,) = shard_commands(
-            "spec.json", 1, tmp_path / "d.jsonl", workers=4, vectorize=False
+            "spec.json", 1, tmp_path / "d.jsonl", vectorize=False
         )
         assert "--no-vectorize" in command
-        assert command[command.index("--workers") + 1] == "4"
 
     def test_render_commands_is_shell_quoted(self, tmp_path):
         rendered = render_commands(

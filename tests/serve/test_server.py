@@ -121,8 +121,11 @@ class TestSweepEndpoint:
             client._json("/sweep", [1, 2])
 
     def test_zero_workers_is_a_client_error(self, client):
-        with pytest.raises(ServeError, match="workers"):
-            client.sweep(GRID, workers=0)
+        # A sweep evaluates in one process, so a body that sizes a pool
+        # answers 400 naming the field rather than being ignored.
+        for workers in (0, 1, 4):
+            with pytest.raises(ServeError, match='400.*"workers"'):
+                client._json("/sweep", {"spec": GRID, "workers": workers})
 
     def test_mid_stream_evaluation_error_arrives_in_band(self, client):
         # The spec itself is well-formed, so the stream starts with 200;
@@ -142,8 +145,8 @@ class TestSweepEndpoint:
         with pytest.raises(ServeError, match="outside supported range"):
             list(client.submit(spec))
 
-    def test_workers_and_vectorize_pass_through(self, client):
-        records, summary = client.sweep(GRID, workers=2, vectorize=False)
+    def test_vectorize_passes_through(self, client):
+        records, summary = client.sweep(GRID, vectorize=False)
         assert summary["evaluated"] == 2
         clear_memo()
         vectorized, _ = client.sweep(GRID, vectorize=True)
