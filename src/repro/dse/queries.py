@@ -1,8 +1,18 @@
-"""Queries over DSE records: Pareto frontiers, rankings, speedups."""
+"""Queries over DSE records: Pareto frontiers, rankings, speedups.
+
+The served reductions (:data:`QUERY_NAMES`) read their records once, in
+order, and hold only their answer: a Pareto frontier keeps the
+frontier-so-far, a top-k ranking keeps ``k`` records, and a ``where``
+filter drops non-matching records as they pass.  They therefore run over
+a store iterator as well as over a list.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import heapq
+from functools import partial
+from operator import le
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..sim.report import format_table, geomean
 
@@ -15,6 +25,7 @@ __all__ = [
     "attach_policy_metric",
     "accuracy_perf_frontier",
     "filter_records",
+    "prepare_query",
     "run_query",
     "render_records",
     "QUERY_NAMES",
@@ -53,6 +64,12 @@ def _check_senses(
     return senses
 
 
+def _dominates(a: tuple, b: tuple) -> bool:
+    """Whether signed vector ``a`` dominates ``b``: no worse anywhere,
+    strictly better somewhere (``a != b`` once ``a <= b`` holds)."""
+    return all(map(le, a, b)) and a != b
+
+
 def pareto_frontier(
     records: Iterable[Mapping],
     objectives: Sequence[str] = DEFAULT_OBJECTIVES,
@@ -62,20 +79,14 @@ def pareto_frontier(
 
     A record is dominated when another is no worse on every objective and
     strictly better on at least one.  Ties (identical vectors) all stay
-    on the frontier.  Input order is preserved.
+    on the frontier.  Input order is preserved.  One pass through a
+    :class:`ParetoTracker`: ``records`` is read once, and only the
+    frontier-so-far is held.
     """
-    senses = _check_senses(objectives, senses)
-    entries = [(record, _signed(record, objectives, senses)) for record in records]
-    frontier = []
-    for record, vec in entries:
-        dominated = any(
-            all(o <= v for o, v in zip(other, vec))
-            and any(o < v for o, v in zip(other, vec))
-            for _, other in entries
-        )
-        if not dominated:
-            frontier.append(record)
-    return frontier
+    tracker = ParetoTracker(objectives, senses)
+    for record in records:
+        tracker.add(record)
+    return tracker.frontier
 
 
 class ParetoTracker:
@@ -83,10 +94,10 @@ class ParetoTracker:
 
     Feed records as they arrive (e.g. from ``iter_sweep``) and read
     :attr:`frontier` at any time for the frontier of everything seen so
-    far.  After all records are fed, the frontier equals
-    ``pareto_frontier(records)`` on the same input order: survivors
-    keep their arrival order, and ties (identical objective vectors)
-    all stay.
+    far: survivors keep their arrival order, and ties (identical
+    objective vectors) all stay.  Dominance is transitive, so a record
+    dominated by anything seen is dominated by a current member, and
+    each offer costs one scan of the frontier.
     """
 
     def __init__(
@@ -103,20 +114,16 @@ class ParetoTracker:
         """Offer one record; returns whether it joined the frontier."""
         self.seen += 1
         vec = _signed(record, self.objectives, self.senses)
-        for _, other in self._entries:
-            if all(o <= v for o, v in zip(other, vec)) and any(
-                o < v for o, v in zip(other, vec)
-            ):
-                return False  # dominated by a current frontier member
-        self._entries = [
-            (rec, other)
-            for rec, other in self._entries
-            if not (
-                all(v <= o for v, o in zip(vec, other))
-                and any(v < o for v, o in zip(vec, other))
-            )
-        ]
-        self._entries.append((record, vec))
+        kept = []
+        for entry in self._entries:
+            if _dominates(entry[1], vec):
+                # The frontier is an antichain, so a dominated newcomer
+                # dominates no member either: nothing changes.
+                return False
+            if not _dominates(vec, entry[1]):
+                kept.append(entry)
+        kept.append((record, vec))
+        self._entries = kept
         return True
 
     @property
@@ -127,13 +134,24 @@ class ParetoTracker:
         return len(self._entries)
 
 
+def _check_k(k) -> int:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    return k
+
+
 def top_k(
     records: Iterable[Mapping], objective: str, k: int = 10, sense: str = "min"
 ) -> list[Mapping]:
-    """The ``k`` best records by one metric."""
+    """The ``k`` best records by one metric, ties in input order.
+
+    ``heapq.nsmallest`` is documented equal to ``sorted(records,
+    key=...)[:k]``, ties included, but holds ``k`` records instead of
+    all of them.  ``k`` must be an int >= 0.
+    """
+    k = _check_k(k)
     (sense,) = _check_senses((objective,), (sense,))
-    ordered = sorted(records, key=lambda r: _signed(r, (objective,), (sense,)))
-    return ordered[: max(0, k)]
+    return heapq.nsmallest(k, records, key=lambda r: _signed(r, (objective,), (sense,)))
 
 
 def _matches(record: Mapping, where: Mapping) -> bool:
@@ -190,7 +208,13 @@ def attach_policy_metric(
     record's ``policy`` must have a value; a missing policy raises with
     the known keys listed.
     """
-    augmented = []
+    return list(_joined(records, values_by_policy, name))
+
+
+def _joined(
+    records: Iterable[Mapping], values_by_policy: Mapping[str, float], name: str
+) -> Iterator[dict]:
+    """:func:`attach_policy_metric`, one record at a time."""
     for record in records:
         policy = record.get("policy")
         if policy not in values_by_policy:
@@ -198,13 +222,10 @@ def attach_policy_metric(
                 f"no {name} known for policy {policy!r}; "
                 f"have {sorted(values_by_policy)}"
             )
-        augmented.append(
-            {
-                **record,
-                "metrics": {**record["metrics"], name: values_by_policy[policy]},
-            }
-        )
-    return augmented
+        yield {
+            **record,
+            "metrics": {**record["metrics"], name: values_by_policy[policy]},
+        }
 
 
 def accuracy_perf_frontier(
@@ -223,9 +244,10 @@ def accuracy_perf_frontier(
     accuracy maximized).  Returned records carry the joined accuracy,
     so downstream rendering and queries see it as a regular metric.
     """
-    augmented = attach_policy_metric(records, accuracy_by_policy, "accuracy")
     return pareto_frontier(
-        augmented, objectives=(objective, "accuracy"), senses=(sense, "max")
+        _joined(records, accuracy_by_policy, "accuracy"),
+        objectives=(objective, "accuracy"),
+        senses=(sense, "max"),
     )
 
 
@@ -242,34 +264,52 @@ def filter_records(
     slice; ``None`` or an empty mapping keeps everything.  This is the
     shared pre-filter of every served query.
     """
-    records = list(records)
-    if where is None:
-        return records
-    if not isinstance(where, Mapping):
+    return list(_where_filter(records, where))
+
+
+def _check_where(where) -> Mapping | None:
+    """``where`` as a non-empty mapping, or ``None`` for no filter."""
+    if where is not None and not isinstance(where, Mapping):
         # Type-check before the emptiness check: a falsy non-mapping
         # ([], "", 0) is a caller bug, not "no filter".
         raise ValueError(
             '"where" must be an object of {field: value} equality filters, '
             f"got {type(where).__name__}"
         )
-    if not where:
+    return where or None
+
+
+def _where_filter(records: Iterable[Mapping], where) -> Iterable[Mapping]:
+    """:func:`filter_records`, lazily: ``where`` is checked at once, and
+    records are tested as they are read."""
+    where = _check_where(where)
+    if where is None:
         return records
-    return [record for record in records if _matches(record, where)]
+    return (record for record in records if _matches(record, where))
 
 
-def run_query(
-    records: Iterable[Mapping], query: str, params: Mapping | None = None
-) -> list[Mapping]:
-    """Dispatch one named reduction over records -- the served entry point.
+def _check_objectives(names: Iterable) -> tuple[str, ...]:
+    names = tuple(names)
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"objectives must be metric names, got {name!r}")
+    return names
 
-    ``query`` is one of :data:`QUERY_NAMES`; ``params`` carries the
-    query's keyword arguments plus an optional ``where`` equality
-    filter applied first.  Unknown queries and unknown parameters raise
-    (``KeyError`` / ``ValueError``), so a service can map them straight
-    to a client error instead of silently ignoring a typo.
+
+def prepare_query(
+    query: str, params: Mapping | None = None
+) -> Callable[[Iterable[Mapping]], list[Mapping]]:
+    """Check one named query; return the reduction that runs it.
+
+    Every parameter is validated here, before a single record is read,
+    so a service rejects a bad query without touching its store.  The
+    returned callable reads its records once, in order, and holds only
+    the answer (see the module docstring).  Unknown queries and unknown
+    or malformed parameters raise ``KeyError`` / ``ValueError``, which a
+    service maps straight to a client error.
     """
     params = dict(params or {})
-    records = filter_records(records, params.pop("where", None))
+    where = _check_where(params.pop("where", None))
     if query == "pareto":
         objectives = params.pop("objectives", DEFAULT_OBJECTIVES)
         senses = params.pop("senses", None)
@@ -280,36 +320,52 @@ def run_query(
                 '"objectives"/"senses" must be lists, not bare strings '
                 '(top-k takes a singular "objective")'
             )
-        result = pareto_frontier(
-            records, objectives=tuple(objectives), senses=senses
+        objectives = _check_objectives(objectives)
+        reduce = partial(
+            pareto_frontier,
+            objectives=objectives,
+            senses=_check_senses(objectives, senses),
         )
-    elif query == "top-k":
-        result = top_k(
-            records,
-            params.pop("objective", "total_seconds"),
-            k=int(params.pop("k", 10)),
-            sense=params.pop("sense", "min"),
-        )
-    elif query == "accuracy-frontier":
-        accuracy = params.pop("accuracy_by_policy", None)
-        if not isinstance(accuracy, Mapping) or not accuracy:
-            raise ValueError(
-                "accuracy-frontier needs a non-empty accuracy_by_policy "
-                "mapping of {policy name: accuracy}"
+    elif query in ("top-k", "accuracy-frontier"):
+        objective = params.pop("objective", "total_seconds")
+        (objective,) = _check_objectives((objective,))
+        (sense,) = _check_senses((objective,), (params.pop("sense", "min"),))
+        if query == "top-k":
+            k = _check_k(params.pop("k", 10))
+            reduce = partial(top_k, objective=objective, k=k, sense=sense)
+        else:
+            accuracy = params.pop("accuracy_by_policy", None)
+            if not isinstance(accuracy, Mapping) or not accuracy:
+                raise ValueError(
+                    "accuracy-frontier needs a non-empty accuracy_by_policy "
+                    "mapping of {policy name: accuracy}"
+                )
+            reduce = partial(
+                accuracy_perf_frontier,
+                accuracy_by_policy=accuracy,
+                objective=objective,
+                sense=sense,
             )
-        result = accuracy_perf_frontier(
-            records,
-            accuracy,
-            objective=params.pop("objective", "total_seconds"),
-            sense=params.pop("sense", "min"),
-        )
     else:
         raise KeyError(
             f"unknown query {query!r}; choose from {sorted(QUERY_NAMES)}"
         )
     if params:
         raise ValueError(f"unknown {query} parameters: {sorted(params)}")
-    return result
+    return lambda records: reduce(_where_filter(records, where))
+
+
+def run_query(
+    records: Iterable[Mapping], query: str, params: Mapping | None = None
+) -> list[Mapping]:
+    """Dispatch one named reduction over records -- the served entry point.
+
+    ``query`` is one of :data:`QUERY_NAMES`; ``params`` carries the
+    query's keyword arguments plus an optional ``where`` equality
+    filter applied first.  All parameters are checked before ``records``
+    is read (:func:`prepare_query`), which is then read once.
+    """
+    return prepare_query(query, params)(records)
 
 
 def render_records(records: Sequence[Mapping]) -> str:

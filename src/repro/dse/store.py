@@ -611,9 +611,14 @@ class ResultStore(ResultStoreBase):
         surviving *version* (a ``{hash: int}`` map, no bodies), which
         pins the page's key set exactly; pass two re-scans collecting
         just those ``limit`` bodies.  Peak memory is the hash->version
-        map plus one page, independent of record size.
+        map plus one page, independent of record size.  With no
+        ``limit`` the page is every survivor, which one resolving pass
+        (:meth:`load`) already holds.
         """
-        if limit is not None and limit < 1:
+        if limit is None:
+            yield from super().iter_page(after, limit, version)
+            return
+        if limit < 1:
             raise ValueError("limit must be >= 1")
         winners: dict[str, int] = {}
         for record in self.iter_lines():

@@ -38,6 +38,11 @@ __all__ = [
     "shard_store_path",
 ]
 
+#: Seconds between the launch server's shutdown checks.  Every launch
+#: ends in ``server.shutdown()``, which waits for the serve loop's next
+#: check, so this bounds what each ``dse-launch --fleet`` adds on exit.
+_SERVE_POLL_SECONDS = 0.005
+
 
 def shard_store_path(dest: str | os.PathLike, index: int) -> Path:
     """Where shard ``index``'s private store lives, next to the dest store."""
@@ -205,7 +210,7 @@ def launch_fleet(
         )
         server = SweepServer(service, port=0)
         server_thread = threading.Thread(
-            target=lambda: server.serve_forever(poll_interval=0.05),
+            target=lambda: server.serve_forever(poll_interval=_SERVE_POLL_SECONDS),
             name="fleet-launch-server",
             daemon=True,
         )

@@ -63,7 +63,12 @@ Endpoints
 ``POST /query/accuracy-frontier``
     Server-side reductions over the stored records via
     :func:`~repro.dse.queries.run_query`; the body carries the query's
-    parameters plus an optional ``where`` equality filter.
+    parameters plus an optional ``where`` equality filter.  Parameters
+    are checked before the store is read (a bad one answers 400
+    without reading it); the query is then one pass over the
+    current-version records in hash order that holds only its answer,
+    so a SQLite store is queried in O(answer) memory.  A JSONL store is
+    still resolved in memory before the pass.
 ``POST /records``
     Ingest a JSON list of records (e.g. a fleet worker streaming a
     chunk's results back); tracked as an ingest job.
@@ -112,13 +117,14 @@ import re
 import signal
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from ..dse.engine import iter_sweep
 from ..dse.evaluate import _MEMO, DEFAULT_RECORD_CACHE, EVAL_VERSION
-from ..dse.queries import pareto_frontier, run_query
+from ..dse.queries import pareto_frontier, prepare_query
 from ..dse.spec import SweepSpec
 from ..dse.store import ResultStoreBase, open_store
 from ..obs.logs import get_logger
@@ -567,29 +573,6 @@ class SweepService:
             }
         return summary
 
-    def records(self) -> list[dict]:
-        """Every current-version record the service can serve.
-
-        Backed by the store when there is one, streamed afresh on every
-        call, so a query sees every write -- a job, an ingest, an
-        external process -- at once.  A storeless service answers from
-        the in-process memo: what it evaluated and still holds.  Pages
-        (:meth:`record_page_stream`) never come through here.
-        """
-        if self.store is None:
-            return [
-                entry.record
-                for entry in _MEMO.values()
-                if entry.record.get("version") == EVAL_VERSION
-            ]
-        # iter_records pushes the version filter into the backend
-        # (SQLite: ``WHERE version = ?``) instead of post-filtering a
-        # full load() in Python.
-        return sorted(
-            self.store.iter_records(version=EVAL_VERSION),
-            key=lambda record: record["hash"],
-        )
-
     def record_page_stream(
         self, after: str | None = None, limit: int | None = None
     ) -> Iterator[bytes | dict]:
@@ -633,7 +616,25 @@ class SweepService:
         yield {"count": count, "next": last if count == limit else None}
 
     def query(self, name: str, params: Mapping | None = None) -> list[dict]:
-        return run_query(self.records(), name, params)
+        """Run one named reduction over every current-version record.
+
+        The parameters are checked before anything is read.  A store is
+        then read afresh, so the answer sees every write (a job, an
+        ingest, an external process), in one pass in hash order
+        (``iter_page``: SQLite streams it off the primary key, JSONL
+        resolves the file in memory first), holding only the answer.
+        A storeless service answers from the in-process memo: what it
+        evaluated and still holds.
+        """
+        reduce = prepare_query(name, params)
+        if self.store is None:
+            return reduce(
+                entry.record
+                for entry in _MEMO.values()
+                if entry.record.get("version") == EVAL_VERSION
+            )
+        with closing(self.store.iter_page(version=EVAL_VERSION)) as records:
+            return reduce(records)
 
     def ingest(self, records: list) -> dict:
         """Append posted records to the store (shard-merge upload path).

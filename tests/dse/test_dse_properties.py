@@ -6,7 +6,10 @@ Five invariants pinned down across issues:
   cold evaluation that produced it;
 * a Pareto frontier contains no dominated point, and every excluded
   point is dominated by some frontier point -- and the incremental
-  tracker agrees with the batch computation on any stream;
+  tracker agrees with the batch computation on any stream; the
+  frontier, top-k and every named query equal their brute-force
+  definitions (the O(n^2) dominance loop, ``sorted(...)[:k]``), output
+  order and ties included;
 * hash-range shards are pairwise disjoint and cover the spec for any
   shard count;
 * merging per-shard stores reproduces the single-store run
@@ -34,8 +37,10 @@ from repro.dse import (
     clear_memo,
     evaluate_point,
     pareto_frontier,
+    run_query,
     run_sweep,
     shard_index,
+    top_k,
 )
 from repro.baselines.gpu import RTX_2080_TI
 from repro.hw import BITFUSION, BPVEC, DDR4, HBM2, TPU_LIKE, with_units
@@ -150,6 +155,93 @@ def test_pareto_tracker_matches_batch_frontier(vectors):
     assert [r["hash"] for r in tracker.frontier] == [
         r["hash"] for r in pareto_frontier(records)
     ]
+
+
+def _vector(record, objectives, senses):
+    metrics = record["metrics"]
+    return tuple(
+        metrics[name] if sense == "min" else -metrics[name]
+        for name, sense in zip(objectives, senses)
+    )
+
+
+def _brute_force_frontier(
+    records, objectives=("total_seconds", "total_energy_j"), senses=None
+):
+    """The definition, in O(n^2): every record no record dominates, in
+    input order."""
+    senses = senses or ("min",) * len(objectives)
+    entries = [(record, _vector(record, objectives, senses)) for record in records]
+    return [
+        record
+        for record, vec in entries
+        if not any(_dominates(other, vec) for _, other in entries)
+    ]
+
+
+# Few distinct values, so equal vectors and equal keys are common.
+_tied_vectors = st.lists(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=0, max_size=40
+)
+_senses = st.sampled_from(["min", "max"])
+
+
+def _tied_records(vectors):
+    return [
+        {
+            "hash": f"{i:04d}",
+            "workload": "AB"[i % 2],
+            "policy": "pq"[i // 2 % 2],
+            "metrics": {"total_seconds": float(s), "total_energy_j": float(e)},
+        }
+        for i, (s, e) in enumerate(vectors)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=_tied_vectors, senses=st.tuples(_senses, _senses))
+def test_pareto_frontier_matches_brute_force(vectors, senses):
+    records = _tied_records(vectors)
+    expected = _brute_force_frontier(records, senses=senses)
+    assert pareto_frontier(records, senses=senses) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=_tied_vectors, k=st.integers(0, 45), sense=_senses)
+def test_top_k_is_the_sorted_prefix(vectors, k, sense):
+    records = _tied_records(vectors)
+    sign = 1.0 if sense == "min" else -1.0
+    expected = sorted(records, key=lambda r: sign * r["metrics"]["total_seconds"])
+    assert top_k(records, "total_seconds", k=k, sense=sense) == expected[:k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    vectors=_tied_vectors,
+    where=st.sampled_from([None, {"workload": "A"}, {"workload": "B", "policy": "q"}]),
+    sense=_senses,
+)
+def test_named_queries_match_their_definitions(vectors, where, sense):
+    records = _tied_records(vectors)
+    kept = [
+        r for r in records if all(r.get(key) == v for key, v in (where or {}).items())
+    ]
+    params = {"where": where} if where else {}
+    assert run_query(records, "pareto", params) == _brute_force_frontier(kept)
+    sign = 1.0 if sense == "min" else -1.0
+    ranked = sorted(kept, key=lambda r: sign * r["metrics"]["total_energy_j"])
+    ranking = {"objective": "total_energy_j", "k": 3, "sense": sense, **params}
+    assert run_query(records, "top-k", ranking) == ranked[:3]
+    accuracy = {"p": 0.5, "q": 0.75}
+    joined = [
+        {**r, "metrics": {**r["metrics"], "accuracy": accuracy[r["policy"]]}}
+        for r in kept
+    ]
+    frontier = {"accuracy_by_policy": accuracy, "sense": sense, **params}
+    expected = _brute_force_frontier(
+        joined, objectives=("total_seconds", "accuracy"), senses=(sense, "max")
+    )
+    assert run_query(records, "accuracy-frontier", frontier) == expected
 
 
 # ----------------------------------------------------------------------

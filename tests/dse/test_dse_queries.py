@@ -92,6 +92,14 @@ class TestTopK:
         records = [_rec("a", 1.0, 1.0)]
         assert len(top_k(records, "total_seconds", k=10)) == 1
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", -3, None])
+    def test_bad_k_rejected(self, k):
+        records = [_rec("a", 1.0, 1.0), _rec("b", 2.0, 1.0), _rec("c", 3.0, 1.0)]
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            top_k(records, "total_seconds", k=k)
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            run_query(records, "top-k", {"k": k})
+
 
 class TestGeomeanSpeedup:
     def _records(self):
@@ -180,6 +188,17 @@ class TestRunQuery:
             run_query([], "pareto", {"bogus": 1})
         with pytest.raises(ValueError, match="accuracy_by_policy"):
             run_query([], "accuracy-frontier")
+
+    def test_records_are_read_once(self):
+        for query, params in (
+            ("pareto", {"where": {"workload": "RNN"}}),
+            ("top-k", {"k": 2}),
+            ("accuracy-frontier", {"accuracy_by_policy": {"homogeneous-8bit": 0.9}}),
+        ):
+            expected = run_query(self._records(), query, params)
+            once = iter(self._records())
+            assert run_query(once, query, params) == expected
+            assert next(once, None) is None
 
     def test_string_objectives_rejected_not_exploded(self):
         # tuple("total_seconds") would silently become 13 one-letter

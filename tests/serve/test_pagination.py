@@ -255,7 +255,7 @@ class TestStorelessPagination:
         service = SweepService()  # no store: memo-backed
         job = service.submit({"spec": GRID})
         assert job.wait(timeout=60) and job.state == "done", job.error
-        full = service.records()
+        full = service.query("top-k", {"k": 10})
         assert len(full) == 2
         walk, after = [], None
         while True:
@@ -292,7 +292,7 @@ class TestServiceCacheIntegration:
     def test_pages_always_read_the_store(self, tmp_path):
         service = SweepService(store=tmp_path / "s.sqlite", record_cache=2)
         service.ingest(_records(10))
-        assert len(service.records()) == 10
+        assert len(service.query("top-k", {"objective": "i", "k": 10})) == 10
         calls = []
         original = service.store.iter_page_json
 
@@ -323,5 +323,5 @@ class TestServiceCacheIntegration:
         service.ingest(_records(5))
         page, terminal = _decode(service.record_page_stream(limit=3))
         assert terminal["next"] == page[-1]["hash"]
-        assert len(service.records()) == 5
+        assert len(service.query("top-k", {"objective": "i", "k": 10})) == 5
         assert service.stats()["record_cache"]["capacity"] == 0

@@ -282,6 +282,11 @@ class TestTruncationDetection:
             client.records()
 
 
+def _query_input(service):
+    """What a store-backed query reads: current-version records, hash order."""
+    return list(service.store.iter_page(version=EVAL_VERSION))
+
+
 def _run_job(service, payload):
     """Drive a sweep job through the service directly (no HTTP)."""
     job = service.submit(payload)
@@ -294,15 +299,15 @@ class TestRecordsCache:
     def test_query_sees_an_ingest_at_once(self, tmp_path):
         service = SweepService(store=tmp_path / "s.jsonl")
         _run_job(service, {"spec": GRID})
-        assert len(service.records()) == 2
+        assert len(_query_input(service)) == 2
         # Queries stream the store on every call, so any append -- an
         # ingest, an external writer -- shows in the very next read.
         service.ingest([{"hash": "z" * 64, "version": EVAL_VERSION, "metrics": {}}])
-        assert len(service.records()) == 3
+        assert len(_query_input(service)) == 3
         ResultStore(service.store.path).append(
             [{"hash": "y" * 64, "version": EVAL_VERSION, "metrics": {}}]
         )
-        assert len(service.records()) == 4
+        assert len(_query_input(service)) == 4
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
     def test_job_that_evaluates_invalidates(self, tmp_path, suffix):
@@ -354,7 +359,7 @@ class TestExternalWriterInvalidation:
                 }
             ]
         )
-        assert service.records()[0]["metrics"]["total_seconds"] == 1.0
+        assert service.query("top-k", {"k": 1})[0]["metrics"]["total_seconds"] == 1.0
         # Rewrite the record in place -- same byte count -- and pin the
         # mtime back to the original tick, like a fast external upsert.
         raw = service.store.path.read_bytes()
@@ -379,7 +384,7 @@ class TestExternalWriterInvalidation:
             "metrics": {"total_seconds": 1.0, "total_energy_j": 1.0},
         }
         service.store.append([record])
-        assert service.records()[0]["metrics"]["total_seconds"] == 1.0
+        assert service.query("top-k", {"k": 1})[0]["metrics"]["total_seconds"] == 1.0
         # Another connection -- an external process, as far as SQLite
         # is concerned -- upserts the same row: same size, same count.
         record["metrics"]["total_seconds"] = 2.0
@@ -429,7 +434,7 @@ class TestMemoBound:
             stats = service.stats()
             assert stats["memo_records"] == 4
             assert stats["record_cache"] == {"capacity": 4, "evictions": 2}
-            assert len(service.records()) == 4  # storeless reads: the memo
+            assert len(service.query("top-k", {"k": 10})) == 4  # the memo
         finally:
             service.close()
 
