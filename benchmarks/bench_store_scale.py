@@ -20,9 +20,7 @@ Two gates pin the tier:
   ``MIN_PAGE_FACTOR`` on *both* server-side peak memory (tracemalloc,
   full walk) and time-to-first-page (perf_counter, warm store).
 
-The partitioned backend ingests the same corpus as context (its
-numbers are reported, not gated), and both backends must agree on the
-record count.  Emits ``BENCH_store_scale.json`` (path overridable via
+Emits ``BENCH_store_scale.json`` (path overridable via
 ``BENCH_STORE_SCALE_JSON``) so CI can archive the numbers.
 """
 
@@ -32,7 +30,7 @@ import os
 import time
 import tracemalloc
 
-from repro.dse import EVAL_VERSION, PartitionedStore, SQLiteStore
+from repro.dse import EVAL_VERSION, SQLiteStore
 from repro.serve import SweepService
 from repro.sim import format_table
 
@@ -97,12 +95,7 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
     rowwise_rate = ROW_SAMPLE / rowwise_seconds
     ingest_speedup = batched_rate / rowwise_rate
 
-    # Context: the partitioned backend ingests the same corpus.
-    partitioned = PartitionedStore(tmp_path / "scale.parts")
-    start = time.perf_counter()
-    assert partitioned.append(records) == N_RECORDS
-    partitioned_seconds = time.perf_counter() - start
-    assert len(partitioned) == len(sqlite) == N_RECORDS
+    assert len(sqlite) == N_RECORDS
 
     # -- dump: full load vs the keyset-paginated walk ------------------
     # Queries and pages both stream the store on every call: this
@@ -147,7 +140,6 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
     rows = [
         ("batched ingest (records/s)", f"{batched_rate:,.0f}", ""),
         ("row-at-a-time ingest (records/s)", f"{rowwise_rate:,.0f}", ""),
-        ("partitioned ingest (s)", f"{partitioned_seconds:.2f}", ""),
         ("full load", f"{full_seconds * 1e3:.0f} ms", f"{full_peak >> 20} MiB peak"),
         ("paginated walk", f"{walk_seconds * 1e3:.0f} ms", f"{page_peak >> 20} MiB peak"),
         ("first page", f"{first_page_seconds * 1e3:.1f} ms", ""),
@@ -166,7 +158,6 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
         "batched_ingest_rate": round(batched_rate, 1),
         "rowwise_ingest_rate": round(rowwise_rate, 1),
         "ingest_speedup": round(ingest_speedup, 2),
-        "partitioned_ingest_seconds": round(partitioned_seconds, 4),
         "full_load_seconds": round(full_seconds, 4),
         "full_load_peak_bytes": full_peak,
         "paginated_walk_seconds": round(walk_seconds, 4),

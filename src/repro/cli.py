@@ -40,7 +40,6 @@ from .dse import (
     DEFAULT_RECORD_CACHE,
     MEMORY_NAMES,
     PLATFORM_NAMES,
-    PartitionedStore,
     SweepResult,
     SweepSpec,
     co_explore,
@@ -163,11 +162,12 @@ def _add_store_arguments(
         default=None,
         required=required,
         help="result store path (JSONL; SQLite for .sqlite/.db paths; "
-        "a hash-partitioned directory for .parts paths)",
+        "an old partitioned store converts with repro dse-merge "
+        "OUT.sqlite DIR/part-*.jsonl)",
     )
     parser.add_argument(
         "--backend",
-        choices=("jsonl", "sqlite", "partitioned"),
+        choices=("jsonl", "sqlite"),
         default=None,
         help="force the store backend instead of sniffing magic "
         "bytes/suffix",
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "--backend",
-        choices=("jsonl", "sqlite", "partitioned"),
+        choices=("jsonl", "sqlite"),
         default=None,
         help="force the destination backend instead of sniffing",
     )
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     compact = sub.add_parser(
         "dse-compact", help="drop superseded/stale lines from a result store"
     )
-    compact.add_argument("store", help="result store path (any backend)")
+    compact.add_argument("store", help="result store path (either backend)")
     compact.add_argument(
         "--gzip", action="store_true", help="gzip-compress the compacted store"
     )
@@ -391,15 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-stale",
         action="store_true",
         help="keep records from older EVAL_VERSIONs",
-    )
-    compact.add_argument(
-        "--stale-threshold",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="partitioned stores only: rewrite just the parts whose "
-        "stale-line fraction exceeds FRACTION (keeps all record "
-        "versions) instead of a full compaction",
     )
 
     server = sub.add_parser(
@@ -1051,23 +1042,10 @@ def _run_dse_merge(args) -> None:
 
 
 def _run_dse_compact(args) -> None:
-    store = open_store(args.store)
-    if not store.exists():
-        raise SystemExit(f"dse-compact: no such store: {args.store}")
     try:
-        if args.stale_threshold is not None:
-            if not isinstance(store, PartitionedStore):
-                raise SystemExit(
-                    "dse-compact: --stale-threshold only applies to "
-                    "partitioned stores"
-                )
-            report = store.compact_stale_parts(threshold=args.stale_threshold)
-            print(
-                f"compacted {args.store}: rewrote "
-                f"{report['compacted']}/{report['examined']} parts, dropped "
-                f"{report['dropped']} superseded lines"
-            )
-            return
+        store = open_store(args.store)
+        if not store.exists():
+            raise SystemExit(f"dse-compact: no such store: {args.store}")
         before = store.stats()["size_bytes"]
         kept, dropped = store.compact(
             gzip=True if args.gzip else None, drop_stale=not args.keep_stale

@@ -11,15 +11,15 @@ reusable engine:
   JSON-able records, memoized per process;
 * :mod:`~repro.dse.entry` -- a record's dict and its canonical JSON
   text, each derived from the other once, on first use;
-* :mod:`~repro.dse.store` / :mod:`~repro.dse.sqlite_store` /
-  :mod:`~repro.dse.partitioned` -- persistent result stores keyed by
-  config hash (append-only JSONL, SQLite with indexed point lookups
-  for served warm paths, or hash-partitioned JSONL parts behind a
-  manifest for 10^6+ records), picked by
+* :mod:`~repro.dse.store` / :mod:`~repro.dse.sqlite_store` --
+  persistent result stores keyed by config hash (append-only JSONL,
+  the portable and golden format, or SQLite with indexed point lookups
+  for served warm paths), picked by
   :func:`~repro.dse.store.open_store`; repeated sweeps skip finished
   points, per-shard stores merge into one (``merge``) and long-lived
-  stores stay small (``compact``, optionally gzipped for single-file
-  JSONL, per-part for partitioned);
+  stores stay small (``compact``, optionally gzipped for JSONL).
+  Retired partitioned stores convert with ``repro dse-merge
+  OUT.sqlite DIR/part-*.jsonl``;
 * :mod:`~repro.dse.engine` -- ``iter_sweep``: memo -> store -> simulate
   resolution streamed in completion order, one chunked kernel pass at
   a time, and ``run_sweep``, the batch API on top;
@@ -88,7 +88,6 @@ from .spec import (
     resolve_workload,
     shard_index,
 )
-from .partitioned import PartitionedStore
 from .sqlite_store import SQLiteStore
 from .store import ResultStore, ResultStoreBase, StoreWarning, open_store
 
@@ -136,7 +135,6 @@ __all__ = [
     "resolve_policy",
     "resolve_workload",
     "shard_index",
-    "PartitionedStore",
     "ResultStore",
     "ResultStoreBase",
     "SQLiteStore",

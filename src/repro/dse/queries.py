@@ -151,7 +151,9 @@ def top_k(
     """
     k = _check_k(k)
     (sense,) = _check_senses((objective,), (sense,))
-    return heapq.nsmallest(k, records, key=lambda r: _signed(r, (objective,), (sense,)))
+    if sense == "min":
+        return heapq.nsmallest(k, records, key=lambda r: metric(r, objective))
+    return heapq.nsmallest(k, records, key=lambda r: -metric(r, objective))
 
 
 def _matches(record: Mapping, where: Mapping) -> bool:

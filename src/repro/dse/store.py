@@ -20,19 +20,20 @@ backends implement the :class:`ResultStoreBase` interface:
   records_for`) are indexed, so a large warm store resolves a sweep
   without re-parsing every record the way a JSONL load must.
 
-A third backend, the hash-partitioned
-:class:`~repro.dse.partitioned.PartitionedStore`, spreads records over
-N hash-range JSONL part files under one directory with a JSON manifest,
-so compaction and point lookups touch only the parts involved.
-
+Two backends, and only two: JSONL is the portable format (and the
+golden one the record pins are written in), SQLite the indexed one.
 :func:`open_store` picks the backend from an explicit name, SQLite
-magic bytes in an existing file, a store directory, or the path suffix
-(``.sqlite`` / ``.sqlite3`` / ``.db`` select SQLite, ``.parts``
-partitioned), so every CLI ``--store`` flag and every ``store=``
-argument accepts any backend transparently.  Per-shard stores of any
-backend union into one via :meth:`ResultStoreBase.merge` under the same
-resolution rules (see :meth:`SweepSpec.shard
-<repro.dse.spec.SweepSpec.shard>`).
+magic bytes in an existing file, or the path suffix (``.sqlite`` /
+``.sqlite3`` / ``.db`` select SQLite), so every CLI ``--store`` flag
+and every ``store=`` argument accepts either backend transparently.
+Per-shard stores of either backend union into one via
+:meth:`ResultStoreBase.merge` under the same resolution rules (see
+:meth:`SweepSpec.shard <repro.dse.spec.SweepSpec.shard>`).
+
+Stores of the retired hash-partitioned backend (a ``.parts``
+directory of ``part-*.jsonl`` files) are refused with the command that
+converts them: each part file is a plain JSONL store, so ``repro
+dse-merge OUT.sqlite DIR/part-*.jsonl`` unions them into one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import gzip as gzip_module
 import hashlib
 import json
 import os
+import shlex
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -59,7 +61,6 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-_PARTITIONED_SUFFIXES = (".parts",)
 
 #: How much of each end of the file the content fingerprint hashes.
 #: JSONL stores only ever change by appending (tail) or atomic rewrite
@@ -277,8 +278,7 @@ class ResultStoreBase:
         for the next page is the last yielded record's hash; an empty
         yield means the dump is complete.  Backends override this to
         avoid materializing the store: SQLite pages via ``ORDER BY
-        hash LIMIT``, JSONL via a bounded two-pass scan, the
-        partitioned store by walking parts in hash-range order.
+        hash LIMIT``, JSONL via a bounded two-pass scan.
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
@@ -706,25 +706,30 @@ def _source_records(
             yield source.load().items()
 
 
+def _partitioned_store_error(path) -> ValueError:
+    """The refusal for a store of the retired hash-partitioned backend.
+
+    A partitioned store was a directory of ``part-*.jsonl`` files, each
+    a plain JSONL store, so the message carries the ``dse-merge``
+    command that unions them into one SQLite store.
+    """
+    return ValueError(
+        f"{path}: partitioned stores are no longer supported; convert the "
+        f"part files with: repro dse-merge OUT.sqlite {shlex.quote(str(path))}"
+        "/part-*.jsonl"
+    )
+
+
 def _sniff_backend(path: Path) -> str:
-    """Pick a backend for a path: directory / file magic, then suffix."""
+    """Pick a backend for a path: file magic, then suffix."""
     try:
-        if path.is_dir():
-            # Stores-as-directories are partitioned; single-file
-            # backends can never be one.
-            return "partitioned"
         if path.exists() and path.stat().st_size > 0:
             with path.open("rb") as handle:
                 head = handle.read(len(_SQLITE_MAGIC))
             return "sqlite" if head == _SQLITE_MAGIC else "jsonl"
     except OSError:
         pass
-    suffix = path.suffix.lower()
-    if suffix in _SQLITE_SUFFIXES:
-        return "sqlite"
-    if suffix in _PARTITIONED_SUFFIXES:
-        return "partitioned"
-    return "jsonl"
+    return "sqlite" if path.suffix.lower() in _SQLITE_SUFFIXES else "jsonl"
 
 
 def open_store(
@@ -732,19 +737,32 @@ def open_store(
 ) -> ResultStoreBase:
     """Open a result store, picking the backend when not forced.
 
-    ``backend`` is ``"jsonl"``, ``"sqlite"``, ``"partitioned"``, or
-    ``None`` to decide from the path itself: an existing directory is a
-    partitioned store, an existing non-empty file goes by its magic
+    ``backend`` is ``"jsonl"``, ``"sqlite"``, or ``None`` to decide
+    from the path itself: an existing non-empty file goes by its magic
     bytes (so a mis-suffixed store still opens correctly), a fresh path
     by its suffix (``.sqlite`` / ``.sqlite3`` / ``.db`` select SQLite,
-    ``.parts`` partitioned, anything else JSONL).  An
-    already-constructed store passes through untouched, so every
-    ``store=`` argument accepts paths and store objects
-    interchangeably.
+    anything else JSONL).  An already-constructed store passes through
+    untouched, so every ``store=`` argument accepts paths and store
+    objects interchangeably.
+
+    A store of the retired partitioned backend -- ``backend=
+    "partitioned"``, an existing directory, or a fresh ``.parts`` path
+    -- raises :func:`_partitioned_store_error`, whose message is the
+    ``repro dse-merge`` command that converts it.
     """
     if isinstance(path, ResultStoreBase):
         return path
     resolved = Path(path)
+    if (
+        backend == "partitioned"
+        or resolved.is_dir()
+        or (
+            backend is None
+            and resolved.suffix.lower() == ".parts"
+            and not resolved.exists()
+        )
+    ):
+        raise _partitioned_store_error(resolved)
     if backend is None:
         backend = _sniff_backend(resolved)
     if backend == "sqlite":
@@ -753,11 +771,6 @@ def open_store(
         return SQLiteStore(resolved)
     if backend == "jsonl":
         return ResultStore(resolved)
-    if backend == "partitioned":
-        from .partitioned import PartitionedStore
-
-        return PartitionedStore(resolved)
     raise ValueError(
-        f"unknown store backend {backend!r}; choose 'jsonl', 'sqlite', "
-        "or 'partitioned'"
+        f"unknown store backend {backend!r}; choose 'jsonl' or 'sqlite'"
     )

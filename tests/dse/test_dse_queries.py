@@ -88,6 +88,17 @@ class TestTopK:
         best = top_k(records, "perf_per_watt", k=1, sense="max")
         assert [r["hash"] for r in best] == ["b"]
 
+    def test_max_sense_ties_keep_input_order(self):
+        records = [
+            _rec("a", 1.0, 1.0),
+            _rec("b", 3.0, 1.0),
+            _rec("c", 1.0, 1.0),
+            _rec("d", 3.0, 1.0),
+            _rec("e", 2.0, 1.0),
+        ]
+        best = top_k(records, "total_seconds", k=4, sense="max")
+        assert [r["hash"] for r in best] == ["b", "d", "e", "a"]
+
     def test_k_larger_than_set(self):
         records = [_rec("a", 1.0, 1.0)]
         assert len(top_k(records, "total_seconds", k=10)) == 1

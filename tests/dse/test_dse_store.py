@@ -1,12 +1,11 @@
-"""Result-store tests, parametrized over all backends.
+"""Result-store tests, parametrized over both backends.
 
 Every semantic the engine relies on -- load resolution, version-aware
 duplicate handling, merge, compaction, streaming appends, append
 change-counting, engine round-trips that keep the memo warm -- runs
-against the JSONL, SQLite, *and* partitioned backends through one
-shared suite.  Backend-specific behaviour (gzip, torn-line tolerance,
-indexed point lookups, part routing and manifests) gets its own
-classes below.
+against the JSONL and SQLite backends through one shared suite.
+Backend-specific behaviour (gzip, torn-line tolerance, indexed point
+lookups) gets its own classes below.
 """
 
 import gzip
@@ -17,7 +16,6 @@ import pytest
 
 from repro.dse import (
     EVAL_VERSION,
-    PartitionedStore,
     ResultStore,
     SQLiteStore,
     StoreWarning,
@@ -26,8 +24,8 @@ from repro.dse import (
     run_sweep,
 )
 
-BACKENDS = ("jsonl", "sqlite", "partitioned")
-_SUFFIX = {"jsonl": ".jsonl", "sqlite": ".sqlite", "partitioned": ".parts"}
+BACKENDS = ("jsonl", "sqlite")
+_SUFFIX = {"jsonl": ".jsonl", "sqlite": ".sqlite"}
 
 
 def _record(key, value=1.0, version=1):
@@ -264,12 +262,8 @@ class TestMerge:
         assert set(merged) == {"a", "b"}
 
     def test_cross_backend_merge(self, backend, tmp_path):
-        """A dest of any backend unions sources of a *different* one."""
-        other = {
-            "jsonl": "sqlite",
-            "sqlite": "partitioned",
-            "partitioned": "jsonl",
-        }[backend]
+        """A dest of either backend unions sources of the other one."""
+        other = {"jsonl": "sqlite", "sqlite": "jsonl"}[backend]
         src = open_store(tmp_path / f"src{_SUFFIX[other]}", backend=other)
         src.append([_record("a"), _record("b")])
         dest = open_store(tmp_path / f"dest{_SUFFIX[backend]}", backend=backend)
@@ -799,160 +793,11 @@ class TestSqliteSpecific:
         assert store.path.stat().st_size < before
 
 
-class TestPartitionedSpecific:
-    """Part routing, manifest layout, and the stale-part compaction policy."""
-
-    def _store(self, tmp_path, **kwargs):
-        return PartitionedStore(tmp_path / "s.parts", **kwargs)
-
-    def test_layout_and_manifest(self, tmp_path):
-        store = self._store(tmp_path, parts=4)
-        store.append([_record(f"{i:x}" * 64) for i in range(16)])
-        manifest = json.loads((store.path / "manifest.json").read_text())
-        assert manifest["format"] == 1
-        assert manifest["backend"] == "partitioned"
-        assert manifest["parts"] == 4
-        names = sorted(p.name for p in store.path.glob("part-*.jsonl"))
-        assert names == [f"part-{i:04d}.jsonl" for i in range(4)]
-        counts = manifest["counts"]
-        assert [c["lines"] for c in counts] == [4, 4, 4, 4]
-        assert all(c["live"] == c["lines"] for c in counts)
-        assert len(store) == 16
-
-    def test_part_routing_is_monotone_and_balanced(self):
-        from repro.dse.partitioned import part_index
-
-        hex_keys = [f"{i:02x}" + "0" * 62 for i in range(256)]
-        indices = [part_index(key, 8) for key in hex_keys]
-        assert indices == sorted(indices)  # ranges are contiguous
-        assert set(indices) == set(range(8))  # and uniformly filled
-        assert indices.count(0) == indices.count(7) == 32
-        # Arbitrary (non-hex) keys still map monotonically, so sorted
-        # part order equals sorted key order for any key population.
-        arbitrary = sorted(["", "Z", "a", "k10", "k2", "zzz", "café"])
-        arb = [part_index(key, 8) for key in arbitrary]
-        assert arb == sorted(arb)
-
-    def test_existing_manifest_part_count_wins(self, tmp_path):
-        store = self._store(tmp_path, parts=4)
-        store.append([_record("a")])
-        reopened = self._store(tmp_path, parts=16)
-        assert reopened.parts == 4
-        reopened.append([_record("f" * 64)])
-        manifest = json.loads((store.path / "manifest.json").read_text())
-        assert manifest["parts"] == 4
-        assert set(store.load()) == {"a", "f" * 64}
-
-    def test_records_for_parses_only_routed_parts(self, tmp_path, monkeypatch):
-        store = self._store(tmp_path, parts=4)
-        store.append([_record(f"{i:x}" * 64) for i in range(16)])
-        parsed = []
-        original = ResultStore.iter_lines
-
-        def counting(self, *args, **kwargs):
-            parsed.append(self.path.name)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ResultStore, "iter_lines", counting)
-        hits = store.records_for(["0" * 64, "f" * 64])
-        assert set(hits) == {"0" * 64, "f" * 64}
-        assert sorted(parsed) == ["part-0000.jsonl", "part-0003.jsonl"]
-
-    def test_compact_stale_parts_rewrites_only_stale_parts(self, tmp_path):
-        store = self._store(tmp_path, parts=2, compact_threshold=None)
-        store.append([_record("0" * 64, 1.0)])
-        store.append([_record("0" * 64, 2.0)])  # part 0: 2 lines, 1 live
-        store.append([_record("f" * 64)])  # part 1: clean
-        clean = store.path / "part-0001.jsonl"
-        before = (clean.stat().st_mtime_ns, clean.read_bytes())
-        summary = store.compact_stale_parts(threshold=0.4)
-        assert summary == {"examined": 2, "compacted": 1, "dropped": 1}
-        assert (clean.stat().st_mtime_ns, clean.read_bytes()) == before
-        stale_part = store.path / "part-0000.jsonl"
-        assert len(stale_part.read_text().splitlines()) == 1
-        assert store.load()["0" * 64]["metrics"]["total_seconds"] == 2.0
-        # Below the threshold nothing is touched.
-        assert store.compact_stale_parts(threshold=0.9)["compacted"] == 0
-
-    def test_policy_compaction_keeps_old_versions(self, tmp_path):
-        # Unlike full compact(), the policy only reclaims dead lines --
-        # resolution survivors of *any* version are kept.
-        store = self._store(tmp_path, parts=1, compact_threshold=None)
-        store.append([_record("a", version=1)])
-        store.append([_record("a", 2.0, version=1), _record("b", version=EVAL_VERSION)])
-        summary = store.compact_stale_parts(threshold=0.2)
-        assert summary["compacted"] == 1 and summary["dropped"] == 1
-        survivors = store.load()
-        assert survivors["a"]["version"] == 1
-        assert survivors["a"]["metrics"]["total_seconds"] == 2.0
-
-    def test_append_auto_compacts_past_threshold(self, tmp_path):
-        store = self._store(tmp_path, parts=1, compact_threshold=0.3)
-        store.append([_record("a", 1.0)])
-        store.append([_record("a", 2.0)])  # stale fraction 0.5 > 0.3
-        part = store.path / "part-0000.jsonl"
-        assert len(part.read_text().splitlines()) == 1
-        assert store.load()["a"]["metrics"]["total_seconds"] == 2.0
-        manifest = json.loads((store.path / "manifest.json").read_text())
-        assert manifest["counts"][0] == {"lines": 1, "live": 1}
-
-    def test_streamed_appends_estimate_then_recount(self, tmp_path):
-        store = self._store(tmp_path, parts=1, compact_threshold=None)
-        with store.appender() as persist:
-            persist(_record("a", 1.0))
-            persist(_record("a", 2.0))  # no resolution on this path
-        manifest = json.loads((store.path / "manifest.json").read_text())
-        assert manifest["counts"][0] == {"lines": 2, "live": 2}  # estimate
-        store.compact_stale_parts(threshold=0.0)  # estimate says clean...
-        store.append([_record("b")])  # ...but a bulk append recounts
-        manifest = json.loads((store.path / "manifest.json").read_text())
-        assert manifest["counts"][0] == {"lines": 3, "live": 2}
-
-    def test_gzip_is_rejected(self, tmp_path):
-        store = self._store(tmp_path)
-        store.append([_record("a")])
-        with pytest.raises(ValueError, match="gzip"):
-            store.compact(gzip=True)
-        with pytest.raises(ValueError, match="gzip"):
-            store.merge([], gzip=True)
-        assert not store.is_gzipped()
-
-    def test_forcing_partitioned_onto_a_file_is_a_clean_error(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        ResultStore(path).append([_record("a")])
-        forced = PartitionedStore(path)
-        with pytest.raises(ValueError, match="not a partitioned store"):
-            forced.load()
-        with pytest.raises(ValueError, match="not a partitioned store"):
-            forced.append([_record("b")])
-
-    def test_stats_reports_parts_and_stale_lines(self, tmp_path):
-        store = self._store(tmp_path, parts=2, compact_threshold=None)
-        store.append([_record("0" * 64, 1.0), _record("f" * 64)])
-        store.append([_record("0" * 64, 2.0)])
-        stats = store.stats()
-        assert stats["backend"] == "partitioned"
-        assert stats["parts"] == 2
-        assert stats["records"] == 2
-        assert (stats["total_lines"], stats["stale_lines"]) == (3, 1)
-        assert stats["size_bytes"] > 0
-
-
 class TestOpenStore:
     def test_suffix_selects_backend(self, tmp_path):
         assert isinstance(open_store(tmp_path / "s.jsonl"), ResultStore)
         for suffix in (".sqlite", ".sqlite3", ".db", ".DB"):
             assert isinstance(open_store(tmp_path / f"s{suffix}"), SQLiteStore)
-        assert isinstance(open_store(tmp_path / "s.parts"), PartitionedStore)
-
-    def test_directory_sniffs_as_partitioned(self, tmp_path):
-        # Any existing store directory opens partitioned, whatever the
-        # name -- single-file backends can never be a directory.
-        plain = tmp_path / "no-telling-suffix"
-        PartitionedStore(plain).append([_record("a")])
-        reopened = open_store(plain)
-        assert isinstance(reopened, PartitionedStore)
-        assert set(reopened.load()) == {"a"}
 
     def test_magic_bytes_beat_suffix(self, tmp_path):
         # A mis-suffixed existing store opens by what it *is*.

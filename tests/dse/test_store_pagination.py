@@ -1,11 +1,10 @@
-"""Keyset-pagination contract, parametrized over all three backends.
+"""Keyset-pagination contract, parametrized over both backends.
 
 ``iter_page(after, limit, version)`` is the primitive behind
 ``GET /records?after=&limit=``: each backend streams resolution
 survivors in hash order without materializing the store (SQLite via
-``ORDER BY hash LIMIT``, JSONL via a bounded two-pass scan, the
-partitioned store by walking hash-range parts).  The contract every
-backend must agree on, bit-identically:
+``ORDER BY hash LIMIT``, JSONL via a bounded two-pass scan).  The
+contract both backends must agree on, bit-identically:
 
 * records come in strict hash (string sort) order, survivors only;
 * ``after=H`` resumes strictly past ``H`` -- including mid-dump writes:
@@ -23,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.dse import open_store
 
-BACKENDS = ("jsonl", "sqlite", "partitioned")
-_SUFFIX = {"jsonl": ".jsonl", "sqlite": ".sqlite", "partitioned": ".parts"}
+BACKENDS = ("jsonl", "sqlite")
+_SUFFIX = {"jsonl": ".jsonl", "sqlite": ".sqlite"}
 
 
 def _record(key, value=1.0, version=1):

@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from repro.dse import EVAL_VERSION, PartitionedStore, clear_memo, run_query
+from repro.dse import EVAL_VERSION, clear_memo, run_query
 from repro.serve import SweepService
 
 #: Decoded records a reduction may hold beyond its answer: the one
@@ -127,18 +127,12 @@ def _spy_pages(service) -> tuple[_Census, list]:
     return census, calls
 
 
-def _store(kind, tmp_path):
-    if kind == "partitioned":
-        return PartitionedStore(tmp_path / "parts")
-    return tmp_path / f"s.{kind}"
-
-
 class TestAnswers:
-    @pytest.mark.parametrize("kind", ["jsonl", "sqlite", "partitioned"])
+    @pytest.mark.parametrize("kind", ["jsonl", "sqlite"])
     def test_served_answers_equal_run_query_in_hash_order(self, tmp_path, kind):
         records = _tied_records()
         stale = {**records[0], "hash": "0" * 64, "version": EVAL_VERSION - 1}
-        service = SweepService(store=_store(kind, tmp_path))
+        service = SweepService(store=tmp_path / f"s.{kind}")
         service.ingest(records + [stale])
         in_hash_order = sorted(records, key=lambda record: record["hash"])
         for name, params in QUERIES:

@@ -607,6 +607,93 @@ class TestStoreBackendFlags:
         assert "0 evaluated" in warm
 
 
+class TestPartitionedMigration:
+    """Retired partitioned stores are refused with the command that converts them."""
+
+    _ARGS = TestStoreBackendFlags._ARGS
+
+    @staticmethod
+    def _one_line_error(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert "\n" not in message
+        assert "repro dse-merge OUT.sqlite" in message
+        return message
+
+    def test_compact_parts_path_is_one_line_error(self, tmp_path):
+        store = tmp_path / "X.parts"
+        message = self._one_line_error(["dse-compact", str(store)])
+        assert message.startswith("dse-compact: ")
+        assert f"{store}/part-*.jsonl" in message
+
+    def test_dse_store_parts_path_is_one_line_error(self, tmp_path):
+        store = tmp_path / "X.parts"
+        message = self._one_line_error([*self._ARGS, "--store", str(store)])
+        assert message.startswith("dse: ")
+        assert not store.exists()
+
+    def test_partitioned_backend_is_no_choice(self, tmp_path, capsys):
+        for argv in (
+            [*self._ARGS, "--store", str(tmp_path / "s"), "--backend", "partitioned"],
+            ["dse-merge", str(tmp_path / "d"), "s", "--backend", "partitioned"],
+            ["dse-compact", str(tmp_path / "s"), "--stale-threshold", "0.3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_open_store_refuses_every_partitioned_input(self, tmp_path):
+        from repro.dse import open_store
+
+        directory = tmp_path / "no-telling-suffix"
+        directory.mkdir()
+        for path, backend in (
+            (directory, None),
+            (directory, "jsonl"),
+            (tmp_path / "fresh.parts", None),
+            (tmp_path / "s.jsonl", "partitioned"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                open_store(path, backend=backend)
+            assert str(exc.value).endswith(
+                f"repro dse-merge OUT.sqlite {path}/part-*.jsonl"
+            )
+        assert list(tmp_path.iterdir()) == [directory]
+
+    def test_printed_command_converts_part_files(self, capsys, tmp_path):
+        import glob
+        import shlex
+
+        from repro.dse import ResultStore, SQLiteStore, open_store
+
+        old = tmp_path / "old.parts"
+        old.mkdir()
+        (old / "manifest.json").write_text('{"format": 1, "parts": 2}')
+        parts = [
+            [{"hash": "0a", "version": 1, "metrics": {"total_seconds": 1.0}}],
+            [
+                {"hash": "fa", "version": 1, "metrics": {"total_seconds": 2.0}},
+                {"hash": "fb", "version": 1, "metrics": {"total_seconds": 3.0}},
+            ],
+        ]
+        expected = {}
+        for index, records in enumerate(parts):
+            ResultStore(old / f"part-{index:04d}.jsonl").append(records)
+            expected.update((record["hash"], record) for record in records)
+        with pytest.raises(ValueError) as exc:
+            open_store(old)
+        command = shlex.split(str(exc.value).split("with: ", 1)[1])
+        assert command[:3] == ["repro", "dse-merge", "OUT.sqlite"]
+        dest = tmp_path / "new.sqlite"
+        sources = [path for pattern in command[3:] for path in glob.glob(pattern)]
+        assert len(sources) == 2
+        out = run(capsys, "dse-merge", str(dest), *sorted(sources))
+        assert "3 records" in out
+        assert SQLiteStore(dest).load() == expected
+
+
 class TestJsonFormat:
     """--format json: the shared machine-readable payload shape."""
 
