@@ -17,8 +17,16 @@ SQLite vs JSONL lookup and full ``load()`` times are reported as
 context, and both backends must return bit-identical records for the
 sampled hashes.
 
+The write path is gated too: a cold 1008-point ``run_sweep`` into a
+fresh SQLite store must take at most ``MAX_SQLITE_COLD_RATIO`` (2x) the
+same sweep into a fresh JSONL store (medians of ``RUNS`` interleaved
+runs).  Both appenders persist once per evaluation pass -- one
+transaction on SQLite, one write and flush on JSONL -- so a commit per
+record would show here as a ~10x ratio.
+
 Emits ``BENCH_store_backends.json`` (path overridable via the
-``BENCH_STORE_BACKENDS_JSON`` env var) so CI can archive the numbers.
+``BENCH_STORE_BACKENDS_JSON`` env var) so CI can archive the numbers;
+each test adds its own keys to the file.
 """
 
 import hashlib
@@ -27,7 +35,8 @@ import os
 import statistics
 import time
 
-from repro.dse import EVAL_VERSION, ResultStore, SQLiteStore
+from bench_dse_engine import _sweep_spec
+from repro.dse import EVAL_VERSION, ResultStore, SQLiteStore, clear_memo, run_sweep
 from repro.sim import format_table
 
 N_RECORDS = int(os.environ.get("REPRO_BENCH_STORE_RECORDS", "50000"))
@@ -35,6 +44,7 @@ SMALL_RECORDS = max(1, N_RECORDS // 10)  # the store SQLite must not slow on
 SAMPLE_SIZE = 2000  # a realistic sweep against a warm store
 MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_STORE_SPEEDUP", "3.0"))
 MAX_SQLITE_GROWTH = 2.0
+MAX_SQLITE_COLD_RATIO = 2.0
 RUNS = 5
 
 _WORKLOADS = ("AlexNet", "Inception-v1", "ResNet-18", "ResNet-50", "RNN", "LSTM")
@@ -49,6 +59,20 @@ def _median_seconds(fn):
         result = fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
+
+
+def _update_artifact(payload: dict) -> None:
+    """Merge ``payload`` into the JSON artifact (each test adds its keys)."""
+    artifact = os.environ.get(
+        "BENCH_STORE_BACKENDS_JSON", "BENCH_store_backends.json"
+    )
+    merged = {}
+    if os.path.exists(artifact):
+        with open(artifact) as handle:
+            merged = json.load(handle)
+    merged.update(payload)
+    with open(artifact, "w") as handle:
+        json.dump(merged, handle, indent=2)
 
 
 def _synthetic_record(index: int) -> dict:
@@ -174,11 +198,7 @@ def test_sqlite_vs_jsonl_warm_resolution(benchmark, show, tmp_path):
         "min_speedup_gate": MIN_SPEEDUP,
         "max_sqlite_growth_gate": MAX_SQLITE_GROWTH,
     }
-    artifact = os.environ.get(
-        "BENCH_STORE_BACKENDS_JSON", "BENCH_store_backends.json"
-    )
-    with open(artifact, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    _update_artifact(payload)
     benchmark.extra_info.update(payload)
 
     assert jsonl_speedup >= MIN_SPEEDUP, (
@@ -191,4 +211,43 @@ def test_sqlite_vs_jsonl_warm_resolution(benchmark, show, tmp_path):
         f"{N_RECORDS} records than on {SMALL_RECORDS} "
         f"({sqlite_resolve_seconds:.4f}s vs {sqlite_small_resolve_seconds:.4f}s); "
         f"gate is {MAX_SQLITE_GROWTH:.1f}x"
+    )
+
+
+def test_cold_sweep_sqlite_within_2x_of_jsonl(show, tmp_path):
+    spec = _sweep_spec()
+    clear_memo()
+    run_sweep(spec)  # untimed: warm the lowering caches for both backends
+    seconds = {"jsonl": [], "sqlite": []}
+    for run in range(RUNS):
+        for backend in ("jsonl", "sqlite"):
+            clear_memo()  # every point cold, into a fresh store
+            start = time.perf_counter()
+            result = run_sweep(spec, store=tmp_path / f"cold-{run}.{backend}")
+            seconds[backend].append(time.perf_counter() - start)
+            assert result.evaluated == len(spec)
+    jsonl_seconds = statistics.median(seconds["jsonl"])
+    sqlite_seconds = statistics.median(seconds["sqlite"])
+    ratio = sqlite_seconds / jsonl_seconds
+    show(
+        f"Cold {len(spec)}-point run_sweep into a fresh store, median of "
+        f"{RUNS} interleaved runs (SQLite {ratio:.2f}x JSONL)",
+        format_table(
+            ["Backend", "Cold sweep (ms)"],
+            [("JSONL", jsonl_seconds * 1e3), ("SQLite", sqlite_seconds * 1e3)],
+        ),
+    )
+    _update_artifact(
+        {
+            "cold_sweep_points": len(spec),
+            "jsonl_cold_sweep_seconds": round(jsonl_seconds, 4),
+            "sqlite_cold_sweep_seconds": round(sqlite_seconds, 4),
+            "sqlite_vs_jsonl_cold_sweep": round(ratio, 2),
+            "max_sqlite_cold_ratio_gate": MAX_SQLITE_COLD_RATIO,
+        }
+    )
+    assert ratio <= MAX_SQLITE_COLD_RATIO, (
+        f"cold {len(spec)}-point sweep into SQLite took {ratio:.2f}x the "
+        f"JSONL one ({sqlite_seconds:.3f}s vs {jsonl_seconds:.3f}s); gate is "
+        f"{MAX_SQLITE_COLD_RATIO:.1f}x"
     )

@@ -3,21 +3,25 @@
 ``iter_sweep`` is the primitive: it resolves every unique point of a
 sweep against three cache tiers -- the per-process memo, an optional
 persistent store (JSONL or SQLite), and finally a cold evaluation --
-and yields a
-:class:`SweepRecord` per unique config *as it completes*.  Cache hits
-stream out immediately; cold evaluations follow one pass at a time in
-this process, each record appended to the store the moment it lands so
-an interrupted run keeps its partial results.  Callers can render
-partial Pareto frontiers or pipe records downstream without waiting
-for the sweep to finish.
+and yields a :class:`SweepRecord` per unique config *as its pass
+completes*.  Cache hits stream out first; cold evaluations follow one
+pass (up to :data:`DEFAULT_CHUNK_SIZE` points) at a time in this
+process.  A pass travels from the kernel to the disk as one batch: it
+is encoded once, column by column
+(:func:`~repro.dse.entry.canonical_texts`), put in the memo under one
+lock, and persisted with one appender call -- one write and flush on
+JSONL, one transaction on SQLite -- before its first record is
+yielded, so an interrupted run keeps every record it yielded.  Callers
+can render partial Pareto frontiers or pipe records downstream without
+waiting for the sweep to finish.
 
-``run_sweep`` is the batch API, reimplemented on top of the stream: it
-drains the generator and returns records in point order plus per-tier
-hit counts.
+``run_sweep`` is the batch API over the same passes: it returns
+records in point order plus per-tier hit counts, and reads each pass as
+a batch instead of one :class:`SweepRecord` at a time.
 
 Each record travels as a :class:`~repro.dse.entry.RecordEntry`, so its
-canonical JSON text is made at most once: when the record is evaluated
-(the store append encodes it, the job stream reuses it) or when the
+canonical JSON text is made at most once: when its pass is evaluated
+with a store to write (the job stream reuses the text) or when the
 store reads it (SQLite hands back its stored text).  Memo, store
 appender and stream all share that one entry; the dict is decoded only
 when a consumer reads :attr:`SweepRecord.record`.
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ..obs.metrics import get_registry
-from .entry import RecordEntry
+from .entry import RecordEntry, canonical_texts
 from .evaluate import _MEMO, EVAL_VERSION, evaluate_point, evaluate_points
 from .spec import SweepPoint, SweepSpec
 from .store import ResultStoreBase, open_store
@@ -139,52 +143,46 @@ def _lowered_chunks(
     return chunks
 
 
-def iter_sweep(
-    sweep: SweepSpec | Iterable[SweepPoint],
-    store: ResultStoreBase | str | os.PathLike | None = None,
-    vectorize: bool = True,
-    should_cancel: Callable[[], bool] | None = None,
-) -> Iterator[SweepRecord]:
-    """Stream a sweep's records in completion order, one per unique config.
+def _fresh_entries(records: list[dict], encode: bool) -> list[RecordEntry]:
+    """One entry per freshly evaluated record of a pass.
 
-    Memo and store hits yield first (they are already complete); cold
-    evaluations follow pass by pass.  Fresh records -- and memo hits the
-    store has not seen -- are appended to the store as they are yielded,
-    so a consumer that stops early (or crashes) leaves a store warm up
-    to that point.  An empty sweep, e.g. an empty shard of a fine
-    partition, yields nothing.
-
-    With ``vectorize`` (the default) cold points are evaluated through
-    the numpy evaluator in chunks of at most :data:`DEFAULT_CHUNK_SIZE`
-    points: whole lowered-workload groups are packed into a chunk, only
-    a larger group splits, and each chunk is **one** kernel pass however
-    many groups it spans.  ``vectorize=False`` is the scalar oracle, one
-    point at a time; records are bit-identical either way.  The sweep
-    runs in this process: multi-process evaluation is the fleet's job
-    (``repro dse-launch --fleet N``, ``repro worker``).
-
-    ``should_cancel`` is polled at record boundaries -- after a record
-    is appended and yielded, before the next one is touched.  When it
-    turns true the generator returns early: every record already
-    yielded is fully persisted, nothing half-written follows, and no
-    further pass starts.  The sweep-service job queue uses this for
-    cooperative ``POST /jobs/{id}/cancel``.
-
-    Each record of a pass is still persisted, then yielded, one at a
-    time, but a pass completes before its first record: a cancel, or
-    the first cold record of a served job, can wait for one whole pass
-    (~10-30 ms at 512 points).  An evaluation error fails the whole
-    pass it occurs in; records of earlier passes stay persisted.
+    With ``encode`` (there is a store to write), the pass is encoded in
+    one :func:`~repro.dse.entry.canonical_texts` call and every entry
+    carries its text; without it the text stays lazy, since a
+    storeless in-process sweep may never need it.
     """
-    points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
+    if not encode:
+        return [RecordEntry(record["hash"], record=record) for record in records]
+    return [
+        RecordEntry(record["hash"], record, text)
+        for record, text in zip(records, canonical_texts(records))
+    ]
+
+
+def _batches(
+    points: list[SweepPoint],
+    store: ResultStoreBase | str | os.PathLike | None,
+    vectorize: bool,
+    should_cancel: Callable[[], bool] | None,
+) -> Iterator[tuple[str, list[int], list[RecordEntry]]]:
+    """The sweep resolved in batches of ``(tier, first indices, entries)``.
+
+    The memo and store hits come first, in point order, as runs of one
+    tier each; then one batch per cold pass.  Every batch is persisted
+    before it is yielded.  This is :func:`iter_sweep` without a
+    :class:`SweepRecord` per record, so :func:`run_sweep` pays per
+    batch, not per record.
+    """
 
     def cancelled() -> bool:
         return should_cancel is not None and should_cancel()
 
+    if cancelled():
+        return
     if store is not None and not isinstance(store, ResultStoreBase):
         store = open_store(store)
     # Each point is hashed once: the first index of every distinct hash
-    # feeds the store lookup, the tier loop and the cold-record index.
+    # feeds the store lookup, the tier split and the cold-record index.
     first: dict[str, int] = {}
     for index, point in enumerate(points):
         first.setdefault(point.config_hash(), index)
@@ -198,65 +196,60 @@ def iter_sweep(
         # store.
         stored = store.entries_for(list(first), version=EVAL_VERSION)
 
-    # One held-open append handle for the whole stream: each completed
-    # record is flushed to disk without a file open (or, on gzipped
-    # stores, a fresh gzip member) per record.
+    # One held-open append handle for the whole stream, written once
+    # per batch: one write and flush (JSONL) or one transaction (SQLite).
     sink = store.appender() if store is not None else contextlib.nullcontext()
     tiers = {"memo": 0, "store": 0, "evaluated": 0}
     try:
         with sink as persist:
-            pending: list[str] = []
+            memo = _MEMO.get_many(first)
+            # Hits in point order, as runs of one tier each.
+            runs: list[tuple[str, list[int], list[RecordEntry]]] = []
+            pending: list[SweepPoint] = []
             for key, index in first.items():
+                tier, entry = "memo", memo.get(key)
+                if entry is None:
+                    tier, entry = "store", stored.get(key)
+                    if entry is None:
+                        pending.append(points[index])
+                        continue
+                if not runs or runs[-1][0] != tier:
+                    runs.append((tier, [], []))
+                runs[-1][1].append(index)
+                runs[-1][2].append(entry)
+            unpersisted = [entry for entry in memo.values() if entry.hash not in stored]
+            if persist is not None and unpersisted:
+                persist(unpersisted)
+            # A store hit warms the in-process memo: the next sweep over
+            # this config is served without touching the store.
+            _MEMO.put_many(
+                entry for tier, _, entries in runs if tier == "store" for entry in entries
+            )
+            for tier, indices, entries in runs:
+                tiers[tier] += len(entries)
+                yield tier, indices, entries
+
+            if vectorize:
+                passes = _lowered_chunks(pending, DEFAULT_CHUNK_SIZE)
+            else:
+                passes = [[point] for point in pending]
+            for chunk in passes:
                 if cancelled():
                     return
-                entry = _MEMO.get(key)
-                if entry is not None:
-                    if persist is not None and key not in stored:
-                        persist(entry)
-                    tiers["memo"] += 1
-                    yield SweepRecord(index, points[index], entry, "memo")
-                elif key in stored:
-                    # A store hit warms the in-process memo: the next
-                    # sweep over this config is served without touching
-                    # the store.
-                    entry = stored[key]
-                    _MEMO.put(key, entry)
-                    tiers["store"] += 1
-                    yield SweepRecord(index, points[index], entry, "store")
-                else:
-                    pending.append(key)
-
-            if not pending or cancelled():
-                return
-
-            def _emit(record: dict) -> SweepRecord:
-                # One entry per fresh record: the store write encodes
-                # its text once, and the memo and every consumer share
-                # both forms from then on.
-                key = record["hash"]
-                entry = RecordEntry(key, record=record)
-                _MEMO.put(key, entry)
-                if persist is not None:
-                    persist(entry)
-                index = first[key]
-                tiers["evaluated"] += 1
-                return SweepRecord(index, points[index], entry, "evaluated")
-
-            pending_points = [points[first[key]] for key in pending]
-            if vectorize:
-                for chunk in _lowered_chunks(pending_points, DEFAULT_CHUNK_SIZE):
+                if vectorize:
                     chunk_started = time.monotonic()
                     records = evaluate_points(chunk)
                     _EVAL_CHUNK_SECONDS.observe(time.monotonic() - chunk_started)
-                    for record in records:
-                        yield _emit(record)
-                        if cancelled():
-                            return
-            else:
-                for point in pending_points:
-                    if cancelled():
-                        return
-                    yield _emit(evaluate_point(point))
+                else:
+                    records = [evaluate_point(point) for point in chunk]
+                # One entry per fresh record: the memo, the store and
+                # every consumer share both its forms from here on.
+                entries = _fresh_entries(records, encode=persist is not None)
+                _MEMO.put_many(entries)
+                if persist is not None:
+                    persist(entries)
+                tiers["evaluated"] += len(entries)
+                yield "evaluated", [first[entry.hash] for entry in entries], entries
     finally:
         # One registry touch per tier per sweep (never per record);
         # fires on normal exhaustion, cancellation, errors, and early
@@ -264,6 +257,52 @@ def iter_sweep(
         for tier, count in tiers.items():
             if count:
                 _EVAL_POINTS.inc(count, tier=tier)
+
+
+def iter_sweep(
+    sweep: SweepSpec | Iterable[SweepPoint],
+    store: ResultStoreBase | str | os.PathLike | None = None,
+    vectorize: bool = True,
+    should_cancel: Callable[[], bool] | None = None,
+) -> Iterator[SweepRecord]:
+    """Stream a sweep's records in completion order, one per unique config.
+
+    Memo and store hits yield first (they are already complete);
+    cold evaluations follow pass by pass.  Every yielded record is on
+    disk before it is yielded: memo hits the store has not seen are
+    persisted in one call before the first hit, and each cold pass is
+    persisted whole before its first record.  A consumer that stops
+    early (or crashes) therefore leaves a store holding at least what
+    it was given.  An empty sweep, e.g. an empty shard of a fine
+    partition, yields nothing.
+
+    With ``vectorize`` (the default) cold points are evaluated through
+    the numpy evaluator in chunks of at most :data:`DEFAULT_CHUNK_SIZE`
+    points: whole lowered-workload groups are packed into a chunk, only
+    a larger group splits, and each chunk is **one** kernel pass however
+    many groups it spans.  ``vectorize=False`` is the scalar oracle, one
+    point per pass; records are bit-identical either way.  The sweep
+    runs in this process: multi-process evaluation is the fleet's job
+    (``repro dse-launch --fleet N``, ``repro worker``).
+
+    ``should_cancel`` is polled at pass boundaries: before the first
+    record, and before each cold pass.  When it turns true the
+    generator returns: every record of a pass already persisted has
+    been yielded, so the records a cancelled run yielded are exactly
+    the records its passes added to the store, and no further pass
+    starts.  The sweep-service job queue uses this for cooperative
+    ``POST /jobs/{id}/cancel``.  A cancel, or the first cold record of
+    a served job, can wait for one whole pass (~10-30 ms at 512
+    points).  An evaluation error fails the whole pass it occurs in;
+    records of earlier passes stay persisted.
+    """
+    points = list(sweep.points) if isinstance(sweep, SweepSpec) else list(sweep)
+    with contextlib.closing(
+        _batches(points, store, vectorize, should_cancel)
+    ) as batches:
+        for source, indices, entries in batches:
+            for index, entry in zip(indices, entries):
+                yield SweepRecord(index, points[index], entry, source)
 
 
 def run_sweep(
@@ -279,9 +318,9 @@ def run_sweep(
 
     resolved: dict[str, dict] = {}
     counts = {"memo": 0, "store": 0, "evaluated": 0}
-    for sweep_record in iter_sweep(points, store=store, vectorize=vectorize):
-        resolved[sweep_record.hash] = sweep_record.record
-        counts[sweep_record.source] += 1
+    for source, _, entries in _batches(points, store, vectorize, None):
+        resolved.update([(entry.hash, entry.record) for entry in entries])
+        counts[source] += len(entries)
 
     return SweepResult(
         records=[resolved[key] for key in hashes],
@@ -289,4 +328,3 @@ def run_sweep(
         from_store=counts["store"],
         from_memo=counts["memo"],
     )
-

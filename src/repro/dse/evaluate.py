@@ -31,7 +31,7 @@ import functools
 import threading
 import time
 from collections import OrderedDict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..baselines.gpu import simulate_gpu
 from ..hw import platforms as _platforms
@@ -95,11 +95,13 @@ class _Memo:
     a served memo hit streams its cached text and an in-process one
     reads its cached dict, neither re-encoding nor re-decoding.
 
-    Every lookup is one :meth:`get` under the lock (a hit moves its key
-    to the end), so a concurrent eviction can never strike between a
-    membership test and a read.  Past ``capacity`` records the least
-    recently used go first; ``OrderedDict.popitem(last=False)`` evicts
-    in O(1).  A capacity of 0 keeps nothing.
+    A sweep looks up all its keys with one :meth:`get_many` under the
+    lock (a hit moves its key to the end), so a concurrent eviction
+    can never strike between a membership test and a read, and it
+    inserts each pass with one :meth:`put_many`.  Past ``capacity``
+    records the least recently used go first;
+    ``OrderedDict.popitem(last=False)`` evicts in O(1).  A capacity of
+    0 keeps nothing.
     """
 
     def __init__(self):
@@ -111,17 +113,25 @@ class _Memo:
     def __len__(self) -> int:
         return len(self._records)
 
-    def get(self, key: str) -> RecordEntry | None:
+    def get_many(self, keys: Iterable[str]) -> dict[str, RecordEntry]:
+        """The hits among ``keys``, under one lock (each moves to the end)."""
+        hits: dict[str, RecordEntry] = {}
         with self._lock:
-            entry = self._records.get(key)
-            if entry is not None:
-                self._records.move_to_end(key)
-            return entry
+            records = self._records
+            for key in keys:
+                entry = records.get(key)
+                if entry is not None:
+                    records.move_to_end(key)
+                    hits[key] = entry
+        return hits
 
-    def put(self, key: str, entry: RecordEntry) -> None:
+    def put_many(self, entries: Iterable[RecordEntry]) -> None:
+        """Insert (or refresh) entries by their hash, under one lock."""
         with self._lock:
-            self._records[key] = entry
-            self._records.move_to_end(key)
+            records = self._records
+            for entry in entries:
+                records[entry.hash] = entry
+                records.move_to_end(entry.hash)
             self._evict()
 
     def values(self) -> list[RecordEntry]:  # a snapshot, least recent first

@@ -12,11 +12,13 @@ store, and hands back each hit's stored text without decoding it.
 
 Durability comes from SQLite's transactional writes: there is no torn
 tail to tolerate, every committed record survives a crash whole.  The
-streaming :meth:`appender` commits per record for parity with the JSONL
-flush-per-record behaviour, while bulk :meth:`append` batches one
-transaction.  Stores are plain single files, safe to copy or merge
-across machines like their JSONL siblings; ``gzip`` conversion is a
-JSONL-only concept and is rejected explicitly.
+streaming :meth:`appender` commits once per pass -- one
+``executemany`` in one transaction, the same boundary at which the
+JSONL appender writes and flushes -- and bulk :meth:`append` commits
+in bounded batches; both encode a batch's records together.  Stores
+are plain single files, safe to copy or merge across machines like
+their JSONL siblings; ``gzip`` conversion is a JSONL-only concept and
+is rejected explicitly.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ import json
 import os
 import sqlite3
 import threading
-import warnings
 from contextlib import closing, contextmanager
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .entry import RecordEntry
-from .store import ResultStoreBase, StoreWarning, _source_records
+from .entry import RecordEntry, entry_texts
+from .store import ResultStoreBase, _as_entries, _source_records
 
 __all__ = ["SQLiteStore"]
 
@@ -65,26 +66,28 @@ _SELECT_CHUNK = 500
 APPEND_BATCH_ROWS = 5_000
 
 
-def _row(record: dict | RecordEntry, path=None) -> tuple[str, int, str] | None:
-    """The (hash, version, json) row for a record; None when keyless.
+def _rows(
+    records: Iterable[dict | RecordEntry], path=None
+) -> list[tuple[str, int, str]]:
+    """The (hash, version, json) rows of a batch, in hash order.
 
-    An entry's text is stored as is (encoded once, when it has none
-    yet), so a streamed record is encoded at most once on its way to
-    the table and the wire.
+    Keyless records are dropped (see :func:`~repro.dse.store.
+    _as_entries`).  An entry's text is stored as is, and the batch's
+    missing texts are encoded together in one
+    :func:`~repro.dse.entry.canonical_texts` call, so a streamed record
+    is encoded at most once on its way to the table and the wire.
+    Hash order: random 64-hex keys inserted as they come split pages
+    all over the WITHOUT ROWID B-tree; sorted, each batch walks it
+    once.  The sort is stable, so duplicates within one batch keep
+    their order and the last write still wins.
     """
-    if isinstance(record, RecordEntry):
-        return (record.hash, record.record.get("version", 0), record.text)
-    key = record.get("hash") if isinstance(record, dict) else None
-    if not key:
-        if path is not None:
-            warnings.warn(
-                f"{path}: dropping keyless record on append (records "
-                'need a "hash" key to ever be read back)',
-                StoreWarning,
-                stacklevel=3,
-            )
-        return None  # keyless records are unloadable in any backend
-    return (key, record.get("version", 0), json.dumps(record, sort_keys=True))
+    entries = _as_entries(records, path, stacklevel=4)
+    rows = [
+        (entry.hash, entry.record.get("version", 0), text)
+        for entry, text in zip(entries, entry_texts(entries))
+    ]
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 class SQLiteStore(ResultStoreBase):
@@ -206,16 +209,7 @@ class SQLiteStore(ResultStoreBase):
         offered, so a stale-version upload the conditional upsert drops
         reports 0, the same as the JSONL backend.
         """
-        rows = [
-            row
-            for row in (_row(record, self.path) for record in records)
-            if row is not None
-        ]
-        # Hash order: random 64-hex keys inserted as they come split
-        # pages all over the WITHOUT ROWID B-tree; sorted, each batch
-        # walks it once.  The sort is stable, so duplicates within one
-        # call keep their order and the last write still wins.
-        rows.sort(key=itemgetter(0))
+        rows = _rows(records, self.path)
         changed = 0
         with self._guard(), closing(self._connect()) as db:
             for start in range(0, len(rows), APPEND_BATCH_ROWS):
@@ -228,28 +222,29 @@ class SQLiteStore(ResultStoreBase):
         return changed
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict | RecordEntry], None]]:
-        """One held-open connection, one committed transaction per record.
+    def appender(self) -> Iterator[Callable[[Iterable[dict | RecordEntry]], None]]:
+        """One held-open connection, one committed transaction per pass.
 
-        Commit-per-record mirrors the JSONL flush-per-record contract:
-        every completed record is durable before the next evaluation
-        starts, so an interrupted run keeps its partials.  The database
-        file is only created once something is written.  Writes take
-        dicts or entries (see :func:`_row`).
+        The yielded callable takes one pass -- a batch of dicts or
+        entries (see :func:`_rows`) -- and upserts it with one
+        ``executemany`` in one transaction, so every persisted pass is
+        durable before the next evaluation starts and an interrupted
+        run keeps its partials.  The database file is only created
+        once something is written.
         """
         db: sqlite3.Connection | None = None
         try:
 
-            def write(record: dict | RecordEntry) -> None:
+            def write(records: Iterable[dict | RecordEntry]) -> None:
                 nonlocal db
-                row = _row(record, self.path)
-                if row is None:
+                rows = _rows(records, self.path)
+                if not rows:
                     return
                 with self._guard():
                     if db is None:
                         db = self._connect()
                     with db:
-                        db.execute(_UPSERT, row)
+                        db.executemany(_UPSERT, rows)
 
             yield write
         finally:
@@ -292,7 +287,7 @@ class SQLiteStore(ResultStoreBase):
         """The engine's warm path: hits as their stored text, undecoded.
 
         The ``record`` column holds ``json.dumps(record,
-        sort_keys=True)`` (see :func:`_row`), exactly an entry's text,
+        sort_keys=True)`` (see :func:`_rows`), exactly an entry's text,
         so a served store hit streams without a decode or an encode;
         its dict is only built if a consumer reads it.
         """
@@ -342,7 +337,7 @@ class SQLiteStore(ResultStoreBase):
         ORDER BY hash LIMIT ?`` walks the index from the cursor and
         stops after one page -- no sort, no full scan, memory O(1).
         The ``record`` column already holds ``json.dumps(record,
-        sort_keys=True)`` (see :func:`_row`), so it is returned as is.
+        sort_keys=True)`` (see :func:`_rows`), so it is returned as is.
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
@@ -394,11 +389,7 @@ class SQLiteStore(ResultStoreBase):
             raise ValueError("SQLite stores do not support gzip")
         with self._guard(), closing(self._connect()) as db:
             for items in _source_records(sources):
-                rows = [
-                    row
-                    for row in (_row(record) for _, record in items)
-                    if row is not None
-                ]
+                rows = _rows(record for _, record in items)
                 # Bounded transactions, like append: a huge source
                 # store must not pin the write lock in one commit.
                 for start in range(0, len(rows), APPEND_BATCH_ROWS):

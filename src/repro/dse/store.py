@@ -30,6 +30,16 @@ Per-shard stores of either backend union into one via
 :meth:`ResultStoreBase.merge` under the same resolution rules (see
 :meth:`SweepSpec.shard <repro.dse.spec.SweepSpec.shard>`).
 
+Writers work in batches.  A streaming :meth:`ResultStoreBase.appender`
+takes one pass of records per call -- one ``write`` of the joined lines
+and one ``flush`` on JSONL, one ``executemany`` in one transaction on
+SQLite -- and every bulk writer (``append``, ``merge``, ``compact``)
+encodes its records together through
+:func:`~repro.dse.entry.canonical_texts`, byte-identical to one
+``json.dumps(record, sort_keys=True)`` per record.  The engine persists
+a pass before it yields any of its records, so a process killed at any
+point leaves every yielded record in the store.
+
 Stores of the retired hash-partitioned backend (a ``.parts``
 directory of ``part-*.jsonl`` files) are refused with the command that
 converts them: each part file is a plain JSONL store, so ``repro
@@ -46,10 +56,11 @@ import shlex
 import warnings
 import zlib
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Container, Iterable, Iterator, Mapping
 
-from .entry import RecordEntry
+from .entry import RecordEntry, canonical_texts, entry_texts
 
 __all__ = [
     "ResultStore",
@@ -68,6 +79,10 @@ _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 #: full read of a million-record store.
 _FINGERPRINT_BYTES = 64 * 1024
 
+#: Records encoded per ``canonical_texts`` call when a rewrite streams
+#: a whole store back out, so it never holds every line at once.
+_ENCODE_BATCH = 5_000
+
 
 def _durable_replace(tmp: Path, path: Path) -> None:
     """Rename ``tmp`` over ``path`` so the swap survives a power loss.
@@ -84,6 +99,11 @@ def _durable_replace(tmp: Path, path: Path) -> None:
         os.fsync(directory)
     finally:
         os.close(directory)
+
+
+def _lines(texts: list[str]) -> str:
+    """Canonical texts as JSONL lines, ready for one write."""
+    return "".join([text + "\n" for text in texts])
 
 
 class StoreWarning(UserWarning):
@@ -137,38 +157,35 @@ def _plain_hash(raw: bytes) -> str | None:
         return None
 
 
-def _keyed(record, path, stacklevel: int = 3) -> bool:
-    """Whether a record has the ``hash`` key every backend requires.
+def _as_entries(
+    records: Iterable[dict | RecordEntry], path=None, stacklevel: int = 3
+) -> list[RecordEntry]:
+    """A batch of writes as entries, keyless records dropped.
 
-    Keyless records are unloadable in any backend -- ``iter_lines``
-    drops them on read and the SQLite row builder drops them on write
-    -- so writers skip them with a warning instead of accumulating
-    dead lines.
-    """
-    if isinstance(record, dict) and record.get("hash"):
-        return True
-    warnings.warn(
-        f"{path}: dropping keyless record on append (records need a "
-        '"hash" key to ever be read back)',
-        StoreWarning,
-        stacklevel=stacklevel,
-    )
-    return False
-
-
-def _as_entry(record: dict | RecordEntry, path) -> RecordEntry | None:
-    """A streamed write as an entry; ``None`` (warned) when keyless.
-
-    Appenders take either form: the engine hands them entries, so a
+    Writers take dicts or entries: the engine hands them entries, so a
     record whose text already exists is written without re-encoding,
     and whatever text a write encodes stays on the entry for the next
-    consumer (the job stream).
+    consumer (the job stream).  Keyless records are unloadable in any
+    backend -- ``iter_lines`` drops them on read -- so they are skipped
+    instead of accumulating dead lines or rows, with a
+    :class:`StoreWarning` when ``path`` is given.
     """
-    if isinstance(record, RecordEntry):
-        return record
-    if _keyed(record, path, stacklevel=4):
-        return RecordEntry.of(record)
-    return None
+    if isinstance(records, (dict, RecordEntry)):
+        raise TypeError("store writers take a batch of records, not one record")
+    entries: list[RecordEntry] = []
+    for record in records:
+        if isinstance(record, RecordEntry):
+            entries.append(record)
+        elif isinstance(record, dict) and record.get("hash"):
+            entries.append(RecordEntry.of(record))
+        elif path is not None:
+            warnings.warn(
+                f"{path}: dropping keyless record on append (records need "
+                'a "hash" key to ever be read back)',
+                StoreWarning,
+                stacklevel=stacklevel,
+            )
+    return entries
 
 
 class ResultStoreBase:
@@ -538,59 +555,58 @@ class ResultStore(ResultStoreBase):
         every backend instead of quietly growing the file with dead
         lines.
         """
-        batch = [record for record in records if _keyed(record, self.path)]
-        if not batch:
+        entries = _as_entries(records, self.path)
+        if not entries:
             return 0
         versions = {
             key: record.get("version", 0)
             for key, record in self.load().items()
         }
-        lines = []
-        for record in batch:
-            key = record["hash"]
-            version = record.get("version", 0)
-            if key in versions and version < versions[key]:
+        kept = []
+        for entry in entries:
+            version = entry.record.get("version", 0)
+            if entry.hash in versions and version < versions[entry.hash]:
                 continue
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
-            versions[key] = version
-        if lines:
+            kept.append(entry)
+            versions[entry.hash] = version
+        if kept:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            # One write: a concurrent streaming appender's lines land
+            # One write: a concurrent streaming appender's passes land
             # between batches, never inside one.
             with self._open_append() as handle:
-                handle.write("".join(lines))
-        return len(lines)
+                handle.write(_lines(entry_texts(kept)))
+        return len(kept)
 
     @contextmanager
-    def appender(self) -> Iterator[Callable[[dict | RecordEntry], None]]:
+    def appender(self) -> Iterator[Callable[[Iterable[dict | RecordEntry]], None]]:
         """One held-open append handle for streaming writers.
 
-        The yielded callable writes and flushes one record (a dict or a
-        :class:`~repro.dse.entry.RecordEntry`, whose text is written
-        as is), so every
-        completed record is on disk for crash recovery (gzip flushes
-        with a sync point) without paying a file open per record, and
-        concurrent appenders on a plain file (the sweep service's jobs)
-        never interleave inside a line -- and
-        a gzipped store gains one member per run, not one per record.
-        The file is only created once something is written.  Keyless
-        records are skipped with a :class:`StoreWarning`; unlike bulk
-        :meth:`append` there is no stale check -- resolving each write
-        against the store would cost a full parse per record, and the
+        The yielded callable takes one pass -- a batch of dicts or
+        :class:`~repro.dse.entry.RecordEntry` objects, whose texts are
+        written as they are -- and writes it with one ``write`` of the
+        joined lines and one ``flush``.  Every persisted pass is then
+        on disk for crash recovery (gzip flushes with a sync point)
+        without a file open per pass, concurrent appenders on a plain
+        file (the sweep service's jobs) interleave between passes and
+        never inside a line, and a gzipped store gains one member per
+        run.  The file is only created once something is written.
+        Keyless records are skipped with a :class:`StoreWarning`;
+        unlike bulk :meth:`append` there is no stale check -- resolving
+        each pass against the store would cost a full parse, and the
         engine only streams freshly evaluated records.
         """
         handle: IO[str] | None = None
         try:
 
-            def write(record: dict | RecordEntry) -> None:
+            def write(records: Iterable[dict | RecordEntry]) -> None:
                 nonlocal handle
-                entry = _as_entry(record, self.path)
-                if entry is None:
+                entries = _as_entries(records, self.path)
+                if not entries:
                     return
                 if handle is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     handle = self._open_append()
-                handle.write(entry.text + "\n")
+                handle.write(_lines(entry_texts(entries)))
                 handle.flush()
 
             yield write
@@ -643,9 +659,10 @@ class ResultStore(ResultStoreBase):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
         opener = gzip_module.open if gzip else open
+        records = iter(records)
         with opener(tmp, "wt", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            while batch := list(islice(records, _ENCODE_BATCH)):
+                handle.write(_lines(canonical_texts(batch)))
         _durable_replace(tmp, self.path)
 
     def _replace_all(

@@ -12,7 +12,7 @@ Sweeps are server-side jobs: :meth:`ServeClient.submit_job` returns a
 job id immediately, :meth:`~ServeClient.job_status` polls it,
 :meth:`~ServeClient.stream_job` follows its records live (resumable
 with ``after=``), and :meth:`~ServeClient.cancel_job` stops it at the
-next record boundary.  :meth:`~ServeClient.submit` and
+next pass boundary.  :meth:`~ServeClient.submit` and
 :meth:`~ServeClient.sweep` compose submit + stream, so their
 records-in, records-out contract (bit-identical to a local run) is
 unchanged from the lock-serialized protocol they replaced.

@@ -7,7 +7,7 @@ submission validates, becomes a :class:`Job`, and returns immediately;
 a bounded pool of worker threads leases jobs off a priority queue
 (FIFO within each priority level) and runs them against the shared
 engine; clients poll or stream a job by id and can cancel it
-cooperatively at any record boundary.
+cooperatively at any pass boundary.
 
 The state machine is deliberately small::
 
@@ -21,8 +21,8 @@ pool never started).  Terminal states are final.
 Concurrent jobs write straight into the shared store without
 interleaving half-written records: SQLite's conditional upsert
 resolves conflicts row-by-row and SQLite serializes writers itself,
-and a plain JSONL appender writes each record as one whole line.
-Records a job completed stay in the store whether it ends done,
+and a plain JSONL appender writes each pass in one write of whole
+lines.  Records a job completed stay in the store whether it ends done,
 failed, or cancelled, like a crashed local run keeps its partials.
 
 Not every job runs on the pool.  Externally-driven jobs -- ingests
@@ -211,8 +211,8 @@ class Job:
         """Request cooperative cancellation; returns the current state.
 
         A queued job dies immediately; a running one stops at the next
-        record boundary (the engine polls :meth:`cancel_requested`
-        between store appends); a terminal job is left untouched.
+        pass boundary (the engine polls :meth:`cancel_requested`
+        between persisted passes); a terminal job is left untouched.
         """
         self._cancel.set()
         cancelled_queued = False
@@ -227,7 +227,7 @@ class Job:
             self._observe_phase(self.trace.end())
             _JOBS_FINISHED.inc(kind=self.kind, state=CANCELLED)
         # Journal even when only the flag moved: a running job whose
-        # cancel was requested but never reached a record boundary must
+        # cancel was requested but never reached a pass boundary must
         # not resurrect as running after a crash-restart.
         self._journal_transition()
         return state
@@ -468,7 +468,7 @@ class JobManager:
     def close(self, cancel: bool = True, timeout: float = 5.0) -> None:
         """Stop the pool: optionally cancel live jobs, then join workers.
 
-        Running jobs see the cancel at their next record boundary; a
+        Running jobs see the cancel at their next pass boundary; a
         job stuck inside one long evaluation chunk is abandoned to its
         daemon thread after ``timeout`` (process exit reaps it).
         """

@@ -58,7 +58,7 @@ Endpoints
     ``{"error": ...}`` (failed), or ``{"cancelled": true, ...}``.
 ``POST /jobs/{id}/cancel``
     Cooperative cancellation: queued jobs die immediately, running
-    jobs stop at the next record boundary (nothing half-appended).
+    jobs stop at the next pass boundary (nothing half-appended).
 ``POST /query/pareto`` / ``POST /query/top-k`` /
 ``POST /query/accuracy-frontier``
     Server-side reductions over the stored records via
@@ -317,8 +317,9 @@ class SweepService:
         # Serializes ingests: an append checks the store for newer
         # versions before it writes, and two interleaved check-then-
         # write batches could both pass.  Sweep jobs never take it:
-        # they stream whole lines (JSONL, one write per record) or
-        # upserts (SQLite) straight into the shared store.
+        # they stream whole passes (JSONL, one write per pass) or
+        # upserts (SQLite, one transaction per pass) straight into the
+        # shared store.
         self._store_lock = threading.Lock()
         self._stats_cache: tuple | None = None  # (change token, store stats)
         self._draining = False
@@ -840,8 +841,8 @@ class SweepService:
 
         The job streams its records straight into the shared store:
         SQLite's conditional upsert makes concurrent appenders safe,
-        and a plain JSONL appender writes each record as one whole
-        line.  Completed records are kept whatever stops the job, the
+        and a plain JSONL appender writes each pass as one write of
+        whole lines.  Completed records are kept whatever stops the job, the
         way an interrupted local run keeps its partials; read caches
         notice the writes through the store's change token.
         """
@@ -1409,7 +1410,7 @@ def serve(
     Announces the bound URL (ephemeral ports resolve before serving),
     then serves until ``POST /shutdown``, SIGTERM, or Ctrl-C; returns 0
     on a clean shutdown.  The fast path (plain ``/shutdown``, Ctrl-C)
-    cancels live jobs at their next record boundary; SIGTERM and
+    cancels live jobs at their next pass boundary; SIGTERM and
     ``/shutdown?drain=true`` drain instead -- admission stops, running
     jobs get up to ``drain_timeout`` seconds to finish.
 

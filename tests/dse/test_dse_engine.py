@@ -1,11 +1,17 @@
 """Tests for the sweep engine: caching tiers, dedup, chunked passes,
 and the streaming ``iter_sweep`` API the batch API is built on."""
 
+import json
 import os
+import subprocess
 import sys
 import threading
+import warnings
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.dse import (
     DEFAULT_RECORD_CACHE,
@@ -18,9 +24,11 @@ from repro.dse import (
     clear_memo,
     evaluate_point,
     iter_sweep,
+    open_store,
     run_sweep,
 )
 from repro.dse.evaluate import _MEMO
+from repro.dse.store import StoreWarning
 from repro.hw import BPVEC, DDR4, HBM2, scaled_memory
 
 MEMORIES = (DDR4, HBM2, scaled_memory(DDR4, 64), scaled_memory(HBM2, 512))
@@ -227,16 +235,23 @@ class TestIterSweep:
         indices = {sr.record["workload"]: sr.index for sr in iter_sweep(points)}
         assert indices == {"LSTM": 0, "RNN": 2}
 
-    def test_records_appended_to_store_as_they_complete(self, tmp_path):
+    def test_records_appended_to_store_as_they_complete(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.dse.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 2)
         store = ResultStore(tmp_path / "s.jsonl")
-        stream = iter_sweep(_points("LSTM", "RNN"), store=store)
-        next(stream)
-        assert len(store) == 1  # first record persisted before the second runs
+        stream = iter_sweep(_points("LSTM", "RNN", "AlexNet"), store=store)
+        first = next(stream)
+        # The whole first pass is on disk before its first record is
+        # yielded; the second pass has not run.
+        assert len(store) == 2 and first.hash in store
         stream.close()  # abandoning the stream keeps what finished
-        assert len(store) == 1
+        assert len(store) == 2
         clear_memo()
-        warm = run_sweep(_points("LSTM", "RNN"), store=store)
-        assert (warm.evaluated, warm.from_store) == (1, 1)
+        warm = run_sweep(_points("LSTM", "RNN", "AlexNet"), store=store)
+        assert (warm.evaluated, warm.from_store) == (1, 2)
 
     def test_empty_sweep_streams_nothing(self):
         assert list(iter_sweep([])) == []
@@ -416,7 +431,12 @@ class TestShouldCancel:
         stream = iter_sweep(_points("LSTM"), should_cancel=lambda: True)
         assert list(stream) == []
 
-    def test_cancel_after_first_record_keeps_only_it(self, tmp_path):
+    def test_cancel_after_first_record_keeps_only_it(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.dse.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 1)
         store = ResultStore(tmp_path / "s.jsonl")
         yielded = []
         stream = iter_sweep(
@@ -426,10 +446,31 @@ class TestShouldCancel:
         )
         for sweep_record in stream:
             yielded.append(sweep_record)
+        # One-point passes: the cancel lands after the first pass, which
+        # is its one record, persisted whole before it was yielded.
         assert len(yielded) == 1
-        # The one yielded record is fully persisted; nothing half-done
-        # follows it -- cancel lands exactly on a record boundary.
         assert set(store.load()) == {yielded[0].hash}
+
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.sqlite"])
+    def test_cancel_lands_on_a_pass_boundary(self, tmp_path, monkeypatch, name):
+        import repro.dse.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 2)
+        passes = _spy_passes(monkeypatch)
+        store = open_store(tmp_path / name)
+        yielded = []
+        stream = iter_sweep(
+            _points("LSTM", "RNN", "AlexNet"),
+            store=store,
+            should_cancel=lambda: len(yielded) >= 1,
+        )
+        for sweep_record in stream:
+            yielded.append(sweep_record)
+        # The cancel arrives after the first record, but the rest of
+        # that pass was already persisted, so it is yielded too: the
+        # store holds exactly what was yielded, and no pass follows.
+        assert len(passes) == 1 and len(yielded) == 2
+        assert set(store.load()) == {sr.hash for sr in yielded}
 
     def test_scalar_path_honours_cancel(self):
         yielded = []
@@ -470,6 +511,69 @@ class TestShouldCancel:
         assert hooked == plain
 
 
+# Runs iter_sweep over two-point passes, prints each yielded hash, and
+# dies without cleanup (no flush, no close, no finally) after the first.
+_KILLED_SWEEP = """
+import json, os, sys
+import repro.dse.engine as engine
+engine.DEFAULT_CHUNK_SIZE = 2
+from repro.dse import SweepSpec, iter_sweep
+spec = SweepSpec.from_dict(json.loads(sys.argv[2]))
+for sweep_record in iter_sweep(spec, store=sys.argv[1]):
+    print(sweep_record.hash, flush=True)
+    os._exit(0)
+"""
+
+
+class TestProcessKill:
+    """A record yielded by ``iter_sweep`` survives the process dying
+    right after it was yielded, on both backends."""
+
+    SPEC = {
+        "grid": {
+            "workloads": ["LSTM", "RNN", "AlexNet"],
+            "platforms": ["bpvec"],
+            "memories": ["ddr4", "hbm2"],
+        }
+    }  # 6 points: three two-point passes
+
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.sqlite"])
+    def test_yielded_records_survive_os_exit(self, tmp_path, name):
+        path = tmp_path / name
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", _KILLED_SWEEP, str(path), json.dumps(self.SPEC)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        printed = done.stdout.split()
+        assert len(printed) == 1
+
+        store = open_store(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreWarning)  # no torn line
+            persisted = set(store.load())
+        assert set(printed) <= persisted
+        if name.endswith(".jsonl"):
+            lines = path.read_text().splitlines()
+            assert len(lines) == len(persisted)
+            assert all(json.loads(line)["hash"] in persisted for line in lines)
+
+        # A rerun evaluates exactly the points the killed run did not
+        # persist, and reads the rest back from the store.
+        spec = SweepSpec.from_dict(self.SPEC)
+        every = {point.config_hash() for point in spec.points}
+        assert persisted < every
+        sources = {sr.hash: sr.source for sr in iter_sweep(spec, store=store)}
+        assert {h for h, s in sources.items() if s == "store"} == persisted
+        assert {h for h, s in sources.items() if s == "evaluated"} == every - persisted
+
+
 class TestBoundedMemo:
     def test_evicts_least_recently_used_first(self):
         _MEMO.resize(2)
@@ -483,11 +587,10 @@ class TestBoundedMemo:
     def test_hit_moves_the_entry_to_the_end(self):
         _MEMO.resize(2)
         entries = {key: RecordEntry.of({"hash": key}) for key in "abc"}
-        _MEMO.put("a", entries["a"])
-        _MEMO.put("b", entries["b"])
-        assert _MEMO.get("a") is entries["a"]
-        _MEMO.put("c", entries["c"])
-        assert _MEMO.get("b") is None
+        _MEMO.put_many([entries["a"], entries["b"]])
+        assert _MEMO.get_many(["a", "x"]) == {"a": entries["a"]}
+        _MEMO.put_many([entries["c"]])
+        assert _MEMO.get_many(["b"]) == {}
         assert [entry.hash for entry in _MEMO.values()] == ["a", "c"]
 
     def test_zero_capacity_keeps_nothing(self):

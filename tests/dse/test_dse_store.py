@@ -149,11 +149,20 @@ class TestStoreSemantics:
     def test_appender_streams_incrementally(self, make_store):
         store = make_store()
         with store.appender() as persist:
-            persist(_record("a"))
-            # Flushed mid-stream: a concurrent reader already sees it.
-            assert set(open_store(store.path).load()) == {"a"}
-            persist(_record("b"))
-        assert set(store.load()) == {"a", "b"}
+            persist([_record("a"), _record("b")])
+            # Flushed mid-stream: a concurrent reader already sees the
+            # whole pass.
+            assert set(open_store(store.path).load()) == {"a", "b"}
+            persist([_record("c")])
+        assert set(store.load()) == {"a", "b", "c"}
+
+    def test_appender_takes_a_pass_not_a_record(self, make_store):
+        store = make_store()
+        with store.appender() as persist:
+            with pytest.raises(TypeError, match="batch"):
+                persist(_record("a"))
+            persist([])  # an empty pass writes nothing
+        assert not store.exists()
 
     def test_appender_without_writes_creates_no_file(self, make_store):
         store = make_store()
@@ -184,9 +193,8 @@ class TestStoreSemantics:
     def test_keyless_appender_skips_and_warns(self, make_store):
         store = make_store()
         with store.appender() as persist:
-            persist(_record("a"))
             with pytest.warns(StoreWarning, match="keyless"):
-                persist({"no_hash": True})
+                persist([_record("a"), {"no_hash": True}])
         assert set(store.load()) == {"a"}
         assert sum(1 for _ in store.iter_lines()) == 1
 
@@ -468,7 +476,7 @@ class TestJsonlSpecific:
         base_members = store.path.read_bytes().count(b"\x1f\x8b\x08")
         with store.appender() as persist:
             for i in range(20):
-                persist(_record(f"k{i}", version=EVAL_VERSION))
+                persist([_record(f"k{i}", version=EVAL_VERSION)])
         members = store.path.read_bytes().count(b"\x1f\x8b\x08")
         assert members == base_members + 1  # one member for the whole run
         assert len(store.load()) == 21
@@ -491,8 +499,8 @@ class TestJsonlSpecific:
         store.compact(gzip=True, drop_stale=False)
         with store.appender() as first, store.appender() as second:
             for i in range(20):
-                first(_record(f"f{i}"))
-                second(_record(f"s{i}"))
+                first([_record(f"f{i}")])
+                second([_record(f"s{i}")])
         with pytest.warns(StoreWarning, match="gzip"):
             loaded = store.load()
         assert "a" in loaded
@@ -507,7 +515,7 @@ class TestJsonlSpecific:
         path.write_bytes(path.read_bytes()[:-10])  # crashed mid-write
         if streamed:
             with store.appender() as persist:
-                persist(_record("c"))
+                persist([_record("c")])
         else:
             with pytest.warns(StoreWarning):  # its stale check reads
                 assert store.append([_record("c")]) == 1

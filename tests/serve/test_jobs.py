@@ -223,8 +223,8 @@ class TestConcurrencyContract:
         self, tmp_path, monkeypatch
     ):
         # Real engine, gated evaluation: the first chunk blocks until
-        # the test has requested cancellation, so the job is cancelled
-        # at the record boundary after exactly one record.
+        # the test has requested cancellation, so the cancel is seen at
+        # the pass boundary after that chunk.
         real = engine_module.evaluate_points
         first_chunk, release = threading.Event(), threading.Event()
 
@@ -245,10 +245,10 @@ class TestConcurrencyContract:
             release.set()
             assert job.wait(10)
             assert job.state == "cancelled"
-            # The record completed before the cancel was honoured is
-            # kept -- fully formed -- and nothing else reached the
-            # store: no half-written lines, no phantom second record.
-            assert job.completed() == 1
+            # The pass in flight when the cancel arrived was persisted
+            # whole, so all of it is yielded: the job's records are
+            # exactly what the store gained, with no half-written line.
+            assert job.completed() == 2
             stored = list(service.store.load().values())
             assert stored == job.snapshot_records()
             # Written straight into the store: no side files.
