@@ -398,7 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the result store + DSE engine over HTTP (submit "
         "sweeps, stream records, query frontiers server-side)",
     )
-    _add_store_arguments(server)
+    server.add_argument(
+        "--store",
+        help="SQLite result store path (convert a JSONL store with "
+        "repro dse-merge OUT.sqlite STORE.jsonl)",
+    )
     server.add_argument("--host", default="127.0.0.1")
     server.add_argument(
         "--port", type=int, default=8000, help="0 binds an ephemeral port"
@@ -1090,7 +1094,7 @@ def _run_serve(args) -> int:
                 reader.close()
             return 0
         return serve(
-            store=_open_cli_store(args),
+            store=args.store,
             host=args.host,
             port=args.port,
             vectorize=not args.no_vectorize,

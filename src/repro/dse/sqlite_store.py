@@ -19,14 +19,16 @@ in bounded batches; both encode a batch's records together.  Stores
 are plain single files, safe to copy or merge across machines like
 their JSONL siblings; ``gzip`` conversion is a JSONL-only concept and
 is rejected explicitly.
+
+This is the only backend the sweep service serves: its keyset pages
+walk the primary key, and every read opens its own connection, so it
+sees every committed write.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import threading
 from contextlib import closing, contextmanager
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
@@ -94,57 +96,6 @@ class SQLiteStore(ResultStoreBase):
     """Persistent cache of evaluated design points in a SQLite file."""
 
     backend = "sqlite"
-
-    def __init__(self, path: "str | os.PathLike"):
-        super().__init__(path)
-        # change_token() holds one long-lived connection: PRAGMA
-        # data_version only moves relative to a *held* connection (a
-        # fresh connection always reads the same initial value).  The
-        # connection is shared across handler threads under a lock.
-        self._token_db: sqlite3.Connection | None = None
-        self._token_ino: int | None = None
-        self._token_lock = threading.Lock()
-
-    def change_token(self) -> tuple | None:
-        """``(data_version, mtime, size)`` -- the cache-invalidation key.
-
-        ``PRAGMA data_version`` increments whenever *another* connection
-        commits to the database, which catches the case a stat key
-        cannot: an external same-size upsert landing inside one coarse
-        mtime tick (every store write in this codebase opens its own
-        connection, so the service's own appends count as "another
-        connection" too).  The stat fields catch the file being
-        replaced wholesale, in which case the held connection -- now
-        pointing at the old inode -- is reopened.
-        """
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        with self._token_lock:
-            try:
-                if self._token_db is None or self._token_ino != stat.st_ino:
-                    if self._token_db is not None:
-                        self._token_db.close()
-                    self._token_db = sqlite3.connect(
-                        self.path, check_same_thread=False
-                    )
-                    # Same busy wait as _connect(): without it, a
-                    # writer holding the lock makes the PRAGMA raise
-                    # and the token degrade to None -- disabling the
-                    # server's read caches under exactly the
-                    # concurrent-write load they exist for.
-                    self._token_db.execute("PRAGMA busy_timeout = 10000")
-                    self._token_ino = stat.st_ino
-                (version,) = self._token_db.execute(
-                    "PRAGMA data_version"
-                ).fetchone()
-            except sqlite3.Error:
-                if self._token_db is not None:
-                    self._token_db.close()
-                    self._token_db = None
-                return None
-        return (version, stat.st_mtime_ns, stat.st_size)
 
     @contextmanager
     def _guard(self) -> Iterator[None]:
@@ -321,7 +272,10 @@ class SQLiteStore(ResultStoreBase):
         limit: int | None = None,
         version: int | None = None,
     ) -> Iterator[dict]:
-        """Keyset page straight off the primary-key index."""
+        """Up to ``limit`` records hashed strictly after ``after``, in
+        hash order, optionally at one ``version`` (see
+        :meth:`iter_page_json`).  The next page's cursor is the last
+        record's hash; an empty page ends the dump."""
         for _, blob in self.iter_page_json(after, limit, version):
             yield json.loads(blob)
 

@@ -49,7 +49,6 @@ dse-merge OUT.sqlite DIR/part-*.jsonl`` unions them into one.
 from __future__ import annotations
 
 import gzip as gzip_module
-import hashlib
 import json
 import os
 import shlex
@@ -72,12 +71,6 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-#: How much of each end of the file the content fingerprint hashes.
-#: JSONL stores only ever change by appending (tail) or atomic rewrite
-#: (everything shifts), so head+tail+size pins the content without a
-#: full read of a million-record store.
-_FINGERPRINT_BYTES = 64 * 1024
 
 #: Records encoded per ``canonical_texts`` call when a rewrite streams
 #: a whole store back out, so it never holds every line at once.
@@ -280,81 +273,6 @@ class ResultStoreBase:
         for record in self.load().values():
             if version is None or record.get("version", 0) == version:
                 yield record
-
-    def iter_page(
-        self,
-        after: str | None = None,
-        limit: int | None = None,
-        version: int | None = None,
-    ) -> Iterator[dict]:
-        """One keyset page: surviving records in hash order.
-
-        Yields up to ``limit`` post-resolution records whose hash sorts
-        strictly after ``after`` (``None`` starts from the smallest
-        hash), optionally restricted to one ``version``.  The cursor
-        for the next page is the last yielded record's hash; an empty
-        yield means the dump is complete.  Backends override this to
-        avoid materializing the store: SQLite pages via ``ORDER BY
-        hash LIMIT``, JSONL via a bounded two-pass scan.
-        """
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be >= 1")
-        records = self.load()
-        count = 0
-        for key in sorted(records):
-            if after is not None and key <= after:
-                continue
-            record = records[key]
-            if version is not None and record.get("version", 0) != version:
-                continue
-            yield record
-            count += 1
-            if limit is not None and count >= limit:
-                return
-
-    def iter_page_json(
-        self,
-        after: str | None = None,
-        limit: int | None = None,
-        version: int | None = None,
-    ) -> Iterator[tuple[str, str]]:
-        """:meth:`iter_page` as ``(hash, JSON text)`` pairs.
-
-        The text is ``json.dumps(record, sort_keys=True)`` -- the form
-        every writer stores and the NDJSON wire line, so a server can
-        send it without re-encoding.  This default encodes each record
-        of :meth:`iter_page`; SQLite overrides it to hand back the
-        stored column text without decoding it at all.
-        """
-        for record in self.iter_page(after=after, limit=limit, version=version):
-            yield record["hash"], json.dumps(record, sort_keys=True)
-
-    def change_token(self) -> tuple | None:
-        """An opaque value that changes whenever the contents may have.
-
-        The cache-invalidation key for read caches over this store
-        (e.g. the sweep service's ``/stats`` and query caches): equal
-        tokens mean the cached view is still valid, ``None`` means
-        "cannot tell, do not cache".  A bare ``(mtime, size)`` stat key
-        is not enough -- an external same-size upsert inside one coarse
-        mtime tick is invisible to it -- so the JSONL backend hashes
-        the file's head and tail into a content fingerprint, and the
-        SQLite backend overrides this with ``PRAGMA data_version``.
-        """
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        digest = hashlib.sha256()
-        try:
-            with self.path.open("rb") as handle:
-                digest.update(handle.read(_FINGERPRINT_BYTES))
-                if stat.st_size > 2 * _FINGERPRINT_BYTES:
-                    handle.seek(stat.st_size - _FINGERPRINT_BYTES)
-                digest.update(handle.read(_FINGERPRINT_BYTES))
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size, digest.hexdigest())
 
     def stats(self) -> dict:
         """Store metadata for health/stats surfaces (no record bodies)."""
@@ -587,9 +505,9 @@ class ResultStore(ResultStoreBase):
         joined lines and one ``flush``.  Every persisted pass is then
         on disk for crash recovery (gzip flushes with a sync point)
         without a file open per pass, concurrent appenders on a plain
-        file (the sweep service's jobs) interleave between passes and
-        never inside a line, and a gzipped store gains one member per
-        run.  The file is only created once something is written.
+        file interleave between passes and never inside a line, and a
+        gzipped store gains one member per run.  The file is only
+        created once something is written.
         Keyless records are skipped with a :class:`StoreWarning`;
         unlike bulk :meth:`append` there is no stale check -- resolving
         each pass against the store would cost a full parse, and the
@@ -613,46 +531,6 @@ class ResultStore(ResultStoreBase):
         finally:
             if handle is not None:
                 handle.close()
-
-    def iter_page(
-        self,
-        after: str | None = None,
-        limit: int | None = None,
-        version: int | None = None,
-    ) -> Iterator[dict]:
-        """Keyset page over the file in two bounded passes.
-
-        A sorted full :meth:`load` would materialize every record body
-        to serve one page.  Instead pass one resolves only each hash's
-        surviving *version* (a ``{hash: int}`` map, no bodies), which
-        pins the page's key set exactly; pass two re-scans collecting
-        just those ``limit`` bodies.  Peak memory is the hash->version
-        map plus one page, independent of record size.  With no
-        ``limit`` the page is every survivor, which one resolving pass
-        (:meth:`load`) already holds.
-        """
-        if limit is None:
-            yield from super().iter_page(after, limit, version)
-            return
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        winners: dict[str, int] = {}
-        for record in self.iter_lines():
-            key = record["hash"]
-            record_version = record.get("version", 0)
-            if key not in winners or record_version >= winners[key]:
-                winners[key] = record_version
-        page_keys = sorted(
-            key
-            for key, survivor in winners.items()
-            if (after is None or key > after)
-            and (version is None or survivor == version)
-        )[:limit]
-        if not page_keys:
-            return
-        page = _resolve(self.iter_lines(only=set(page_keys)))
-        for key in page_keys:
-            yield page[key]
 
     def _rewrite(self, records: Iterable[dict], gzip: bool) -> None:
         """Atomically and durably replace the file, one line per record."""

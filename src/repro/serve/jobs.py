@@ -18,11 +18,10 @@ The state machine is deliberately small::
 ``queued -> cancelled`` is the only shortcut (cancelling a job the
 pool never started).  Terminal states are final.
 
-Concurrent jobs write straight into the shared store without
-interleaving half-written records: SQLite's conditional upsert
-resolves conflicts row-by-row and SQLite serializes writers itself,
-and a plain JSONL appender writes each pass in one write of whole
-lines.  Records a job completed stay in the store whether it ends done,
+Concurrent jobs write straight into the shared SQLite store without
+interleaving half-written records: the conditional upsert resolves
+conflicts row-by-row and SQLite serializes writers itself.  Records a
+job completed stay in the store whether it ends done,
 failed, or cancelled, like a crashed local run keeps its partials.
 
 Not every job runs on the pool.  Externally-driven jobs -- ingests

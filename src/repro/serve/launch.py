@@ -28,7 +28,7 @@ from pathlib import Path
 
 from ..dse.evaluate import EVAL_VERSION
 from ..dse.spec import SweepSpec
-from ..dse.store import ResultStoreBase, open_store
+from ..dse.store import ResultStoreBase
 
 __all__ = [
     "FleetLaunchResult",
@@ -161,9 +161,13 @@ def launch_fleet(
     server-side for a chunk, and its local sleep only when no job is
     active.  Raises ``RuntimeError`` if the job fails, times out, or
     every worker exits while chunks remain.
+
+    ``store`` must open as SQLite: anything else raises the error of
+    :func:`~repro.serve.server.open_served_store` before any worker
+    starts, even when nothing is missing.
     """
     from .fleet import DEFAULT_HEARTBEAT_TTL, DEFAULT_LEASE_TTL
-    from .server import SweepServer, SweepService
+    from .server import SweepServer, SweepService, open_served_store
 
     if workers < 1:
         raise ValueError("fleet worker count must be >= 1")
@@ -171,6 +175,8 @@ def launch_fleet(
         raise ValueError("fleet chunk count must be >= 1")
     if len(spec) == 0:
         raise ValueError("the sweep has no points")
+    # Refused before any worker forks: the server only serves SQLite.
+    dest = open_served_store(store, backend=backend)
     context = _pool_context()
     pipes = [context.Pipe(duplex=False) for _ in range(workers)]
     processes = [
@@ -179,10 +185,9 @@ def launch_fleet(
     ]
     service = server = server_thread = None
     try:
-        # Fork before any store handle, socket or thread exists.
+        # Fork before any store connection, socket or thread exists.
         for process in processes:
             process.start()
-        dest = open_store(store, backend=backend)
         # Resume warm with the engine store tier's lookup: one indexed
         # query on SQLite, proportional to the sweep, not the store.
         by_hash = {point.config_hash(): point for point in spec}

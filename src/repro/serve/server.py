@@ -67,8 +67,7 @@ Endpoints
     are checked before the store is read (a bad one answers 400
     without reading it); the query is then one pass over the
     current-version records in hash order that holds only its answer,
-    so a SQLite store is queried in O(answer) memory.  A JSONL store is
-    still resolved in memory before the pass.
+    so the store is queried in O(answer) memory.
 ``POST /records``
     Ingest a JSON list of records (e.g. a fleet worker streaming a
     chunk's results back); tracked as an ingest job.
@@ -103,9 +102,12 @@ path, fleet lease tables rebuild with in-flight chunks requeued (see
 429 + ``Retry-After``; ``--job-retention``/``--job-ttl`` bound the job
 table on long-lived servers.
 
-Every sweep job streams its records straight into the shared store.
-A gzipped JSONL store cannot take concurrent appenders (their gzip
-members would interleave), so the service refuses one at construction.
+The served store is SQLite or nothing (:func:`open_served_store`).
+Every sweep job streams its records straight into it, concurrent jobs
+and ingests commit through SQLite's conditional upsert, and every read
+-- pages, queries, ``/stats`` -- is a fresh indexed read that sees each
+write at once.  A JSONL store is refused with the ``repro dse-merge``
+command that converts it.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import signal
 import threading
 import time
@@ -126,7 +129,8 @@ from ..dse.engine import iter_sweep
 from ..dse.evaluate import _MEMO, DEFAULT_RECORD_CACHE, EVAL_VERSION
 from ..dse.queries import pareto_frontier, prepare_query
 from ..dse.spec import SweepSpec
-from ..dse.store import ResultStoreBase, open_store
+from ..dse.sqlite_store import SQLiteStore
+from ..dse.store import ResultStoreBase, _sniff_backend, open_store
 from ..obs.logs import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
@@ -158,6 +162,7 @@ __all__ = [
     "serve",
     "DrainingError",
     "QueueFullError",
+    "open_served_store",
 ]
 
 #: Reject request bodies past this size (a million-point explicit spec
@@ -254,6 +259,30 @@ def _ndjson_block(texts) -> bytes:
     return ("\n".join(texts) + "\n").encode()
 
 
+def open_served_store(
+    store: ResultStoreBase | str | os.PathLike, backend: str | None = None
+) -> SQLiteStore:
+    """Open the store a sweep service serves; only SQLite is served.
+
+    Anything that does not sniff as SQLite -- an existing JSONL file,
+    gzipped or not, a fresh path that :func:`~repro.dse.store.open_store`
+    would make a JSONL store, or a JSONL store object -- raises one
+    ``ValueError`` ending in the ``repro dse-merge`` command that
+    converts it.  Only the path is inspected, so a refusal writes no
+    file.
+    """
+    opened = open_store(store, backend=backend)
+    if isinstance(opened, SQLiteStore) and (
+        not opened.exists() or _sniff_backend(opened.path) == "sqlite"
+    ):
+        return opened
+    raise ValueError(
+        f"{opened.path} is not a SQLite store, and the sweep service "
+        "serves SQLite only; convert it with: "
+        f"repro dse-merge OUT.sqlite {shlex.quote(str(opened.path))}"
+    )
+
+
 class DrainingError(RuntimeError):
     """The server is draining: no new submissions, 503 the client."""
 
@@ -282,7 +311,7 @@ class SweepService:
 
     def __init__(
         self,
-        store: ResultStoreBase | str | os.PathLike | None = None,
+        store: SQLiteStore | str | os.PathLike | None = None,
         vectorize: bool = True,
         job_workers: int = 2,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -293,15 +322,8 @@ class SweepService:
         job_ttl: float | None = None,
         record_cache: int = DEFAULT_RECORD_CACHE,
     ):
-        self.store = open_store(store) if store is not None else None
-        if self.store is not None and self.store.is_gzipped():
-            # Checked before the journal opens: a refusal leaves no file.
-            raise ValueError(
-                f"{self.store.path} is a gzipped JSONL store, which "
-                "concurrent sweep jobs cannot append to; serve a plain "
-                f"copy (repro dse-merge plain.jsonl {self.store.path}) "
-                "or a SQLite store path (e.g. store.sqlite)"
-            )
+        # Opened before the journal: a refused store leaves no file.
+        self.store = open_served_store(store) if store is not None else None
         # The process-wide record memo is the only record cache; the
         # service sizes it (0 keeps no records).
         _MEMO.resize(record_cache)
@@ -317,11 +339,9 @@ class SweepService:
         # Serializes ingests: an append checks the store for newer
         # versions before it writes, and two interleaved check-then-
         # write batches could both pass.  Sweep jobs never take it:
-        # they stream whole passes (JSONL, one write per pass) or
-        # upserts (SQLite, one transaction per pass) straight into the
-        # shared store.
+        # they stream upserts, one transaction per pass, straight into
+        # the shared store.
         self._store_lock = threading.Lock()
-        self._stats_cache: tuple | None = None  # (change token, store stats)
         self._draining = False
         self._closed = False
         self._ready = False  # flips true once recovery replay finishes
@@ -517,18 +537,9 @@ class SweepService:
 
     def stats(self) -> dict:
         self._evict_terminal()  # /stats is polled: the TTL clock tick
-        store_stats = None
-        if self.store is not None:
-            # Cached per change token: a JSONL store's record count is
-            # a full parse, and /stats is the endpoint monitors poll.
-            key = self.store.change_token()
-            cached = self._stats_cache
-            if key is not None and cached is not None and cached[0] == key:
-                store_stats = cached[1]
-            else:
-                store_stats = self.store.stats()
-                if key is not None:
-                    self._stats_cache = (key, store_stats)
+        # Uncached: the store's record count is one SELECT COUNT(*),
+        # so every poll sees every write.
+        store_stats = None if self.store is None else self.store.stats()
         journal_stats = None
         if self.journal is not None:
             journal_stats = {
@@ -583,10 +594,10 @@ class SweepService:
         most :data:`BLOCK_RECORDS` records, then a terminal ``{"count":
         n, "next": cursor}`` object; ``next`` is the cursor for the
         following page, or ``None`` when this page already reached the
-        end of the store.  Store pages come off the backend's keyset
-        index as JSON text (``iter_page_json``; SQLite hands back its
-        stored column, never decoded), which is byte-for-byte the wire
-        line; a storeless page sends its memo entries' text.  Pages
+        end of the store.  Store pages come off SQLite's keyset index
+        as its stored JSON text (``iter_page_json``, never decoded),
+        which is byte-for-byte the wire line; a storeless page sends
+        its memo entries' text.  Pages
         are never cached, and the server never holds more than one.
         """
         limit = DEFAULT_PAGE_LIMIT if limit is None else limit
@@ -622,8 +633,8 @@ class SweepService:
         The parameters are checked before anything is read.  A store is
         then read afresh, so the answer sees every write (a job, an
         ingest, an external process), in one pass in hash order
-        (``iter_page``: SQLite streams it off the primary key, JSONL
-        resolves the file in memory first), holding only the answer.
+        (``iter_page`` streams it off the primary key), holding only
+        the answer.
         A storeless service answers from the in-process memo: what it
         evaluated and still holds.
         """
@@ -663,9 +674,7 @@ class SweepService:
             raise
         job.appended = appended
         job.finish(DONE)
-        # Only report what this request did: a total record count would
-        # be a full-store parse per uploaded chunk on the JSONL backend
-        # (GET /stats serves cached totals).
+        # Only report what this request did; GET /stats has the totals.
         return {"appended": appended, "job": job.id}
 
     # -- the job queue --------------------------------------------------
@@ -817,8 +826,6 @@ class SweepService:
             error=None if error is None else str(error),
             timings=timings if isinstance(timings, Mapping) else None,
         )
-        # The ack only moves job/fleet counters, which are never
-        # cached; the chunk's records moved the store token at ingest.
         return outcome
 
     def job(self, job_id: str) -> Job | None:
@@ -840,11 +847,9 @@ class SweepService:
         """Execute one sweep job on a pool worker thread.
 
         The job streams its records straight into the shared store:
-        SQLite's conditional upsert makes concurrent appenders safe,
-        and a plain JSONL appender writes each pass as one write of
-        whole lines.  Completed records are kept whatever stops the job, the
-        way an interrupted local run keeps its partials; read caches
-        notice the writes through the store's change token.
+        SQLite's conditional upsert makes concurrent appenders safe.
+        Completed records are kept whatever stops the job, the way an
+        interrupted local run keeps its partials.
         """
         try:
             for sweep_record in iter_sweep(
@@ -1387,7 +1392,7 @@ def _announce_stdout(message: str) -> None:
 
 
 def serve(
-    store: ResultStoreBase | str | os.PathLike | None = None,
+    store: SQLiteStore | str | os.PathLike | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
     vectorize: bool = True,
@@ -1413,6 +1418,9 @@ def serve(
     cancels live jobs at their next pass boundary; SIGTERM and
     ``/shutdown?drain=true`` drain instead -- admission stops, running
     jobs get up to ``drain_timeout`` seconds to finish.
+
+    ``store`` is a SQLite store or path (see :func:`open_served_store`),
+    or ``None`` to serve from the in-process memo alone.
 
     ``journal`` controls crash safety: ``None`` (the default) colocates
     a journal next to ``store`` when there is one, a path uses that

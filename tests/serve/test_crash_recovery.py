@@ -31,7 +31,7 @@ import repro
 from repro.dse import clear_memo
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
-from repro.dse.store import ResultStore
+from repro.dse.sqlite_store import SQLiteStore
 from repro.serve import ServeClient, ServeError, SweepService
 from repro.serve.fleet import FleetWorker
 from repro.serve.journal import JobJournal
@@ -175,7 +175,7 @@ def _local_union(*specs) -> list[dict]:
 
 class TestServerSigkill:
     def test_scalar_jobs_survive_sigkill(self, tmp_path):
-        store = tmp_path / "crash.jsonl"
+        store = tmp_path / "crash.sqlite"
         server = _Server(store, extra=("--job-workers", "1"))
         try:
             client = ServeClient(server.url, retries=0)
@@ -198,7 +198,7 @@ class TestServerSigkill:
             states = _wait_jobs_done(client, [running, queued])
             assert set(states.values()) == {"done"}
 
-            assert _canonical(ResultStore(store).load().values()) == (
+            assert _canonical(SQLiteStore(store).load().values()) == (
                 _canonical(_local_union(BIG, SMALL))
             )
             assert not list(tmp_path.glob("*.staging"))
@@ -236,7 +236,7 @@ class TestServerSigkill:
             server.reap()
 
     def test_fleet_job_survives_sigkill_mid_sweep(self, tmp_path):
-        store = tmp_path / "fleet.jsonl"
+        store = tmp_path / "fleet.sqlite"
         local = _local_union(WIDE)
 
         server = _Server(store)
@@ -269,7 +269,7 @@ class TestServerSigkill:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
-            assert _canonical(ResultStore(store).load().values()) == (
+            assert _canonical(SQLiteStore(store).load().values()) == (
                 _canonical(local)
             )
             assert not list(tmp_path.glob("*.staging"))
@@ -299,15 +299,15 @@ def test_replaying_any_journal_prefix_never_reevaluates(stored):
     prefix = local[:stored]
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = Path(tmp) / "store.jsonl"
-        jpath = Path(tmp) / "store.jsonl.journal"
+        store = Path(tmp) / "store.sqlite"
+        jpath = Path(tmp) / "store.sqlite.journal"
         journal = JobJournal(jpath)
         job = Job(spec=spec, vectorize=False)
         job.journal = journal
         journal.record_submit(job)
         job.mark_running()
         # The dead job streamed this prefix into the shared store.
-        ResultStore(store).append(prefix)
+        SQLiteStore(store).append(prefix)
         journal.close()
 
         clear_memo()
@@ -319,7 +319,7 @@ def test_replaying_any_journal_prefix_never_reevaluates(stored):
             assert recovered.counts["store"] == stored
             assert recovered.counts["evaluated"] == len(spec) - stored
             assert recovered.counts["memo"] == 0
-            assert _canonical(ResultStore(store).load().values()) == (
+            assert _canonical(SQLiteStore(store).load().values()) == (
                 _canonical(local)
             )
         finally:

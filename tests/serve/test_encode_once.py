@@ -204,7 +204,7 @@ class TestJsonCallsPerRecord:
         assert b"".join(blocks) == b"".join(by_hash)
 
 
-@pytest.mark.parametrize("store", [None, "s.jsonl", "s.sqlite"])
+@pytest.mark.parametrize("store", [None, "s.sqlite"])
 def test_stream_lines_are_the_canonical_text_on_every_tier(tmp_path, store):
     expected = sorted(
         json.dumps(record, sort_keys=True).encode()

@@ -236,7 +236,7 @@ class TestConcurrencyContract:
             return records
 
         monkeypatch.setattr(engine_module, "evaluate_points", gated)
-        service = SweepService(store=tmp_path / "s.jsonl")
+        service = SweepService(store=tmp_path / "s.sqlite")
         try:
             job = service.submit({"spec": GRID})  # one chunk of two points
             assert first_chunk.wait(10)
@@ -247,21 +247,21 @@ class TestConcurrencyContract:
             assert job.state == "cancelled"
             # The pass in flight when the cancel arrived was persisted
             # whole, so all of it is yielded: the job's records are
-            # exactly what the store gained, with no half-written line.
+            # exactly what the store gained, with no half-written record.
             assert job.completed() == 2
-            stored = list(service.store.load().values())
-            assert stored == job.snapshot_records()
+            stored = service.store.load()
+            assert stored == {r["hash"]: r for r in job.snapshot_records()}
             # Written straight into the store: no side files.
-            assert [path.name for path in tmp_path.iterdir()] == ["s.jsonl"]
+            assert [path.name for path in tmp_path.iterdir()] == ["s.sqlite"]
         finally:
             service.close()
 
-    def test_overlapping_jobs_and_ingest_share_a_jsonl_store(
+    def test_overlapping_jobs_and_ingest_share_a_store(
         self, tmp_path, monkeypatch
     ):
         # Both jobs hold their first chunk at a barrier with the test
-        # thread, so their appenders and the ingest write the one JSONL
-        # file at the same time; every line must still land whole.
+        # thread, so their appenders and the ingest write the one store
+        # at the same time; every record must still land whole.
         real = engine_module.evaluate_points
         barrier = threading.Barrier(3, timeout=30)
         held: set[int] = set()
@@ -286,7 +286,7 @@ class TestConcurrencyContract:
         ingested = run_sweep(SweepSpec.from_dict(grid("AlexNet"))).records
         clear_memo()
         monkeypatch.setattr(engine_module, "evaluate_points", gated)
-        service = SweepService(store=tmp_path / "s.jsonl", job_workers=2)
+        service = SweepService(store=tmp_path / "s.sqlite", job_workers=2)
         try:
             jobs = [
                 service.submit({"spec": grid(workload)})

@@ -17,7 +17,7 @@ import pytest
 from repro.dse import clear_memo
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
-from repro.dse.store import ResultStore
+from repro.dse.sqlite_store import SQLiteStore
 from repro.serve import (
     DrainingError,
     JobJournal,
@@ -69,7 +69,7 @@ def _fresh_memo():
 
 @pytest.fixture
 def paths(tmp_path):
-    return tmp_path / "store.jsonl", tmp_path / "store.jsonl.journal"
+    return tmp_path / "store.sqlite", tmp_path / "store.sqlite.journal"
 
 
 def _wait_done(job, timeout=15.0):
@@ -271,7 +271,7 @@ class TestRecovery:
         journal.record_submit(job)
         job.mark_running()
         # The dead job streamed its first record into the shared store.
-        ResultStore(store).append(prefix)
+        SQLiteStore(store).append(prefix)
         journal.close()
 
         clear_memo()
@@ -284,7 +284,7 @@ class TestRecovery:
         # the remainder was evaluated.  Nothing ran twice.
         assert recovered.counts["store"] == 1
         assert recovered.counts["evaluated"] == len(spec) - 1
-        assert ResultStore(store).load() == {
+        assert SQLiteStore(store).load() == {
             r["hash"]: r for r in local.records
         }
         service.close()
@@ -374,7 +374,7 @@ class TestRecovery:
         recovered = _wait_done(service.jobs.get(job.id))
         assert recovered.state == DONE
         assert _wait_done(service.jobs.get("legacy")).state == DONE
-        assert len(ResultStore(store).load()) == len(SweepSpec.from_dict(GRID))
+        assert len(SQLiteStore(store).load()) == len(SweepSpec.from_dict(GRID))
         service.close()
 
     def test_cancel_requested_job_recovers_cancelled(self, paths):
@@ -439,7 +439,7 @@ class TestFleetRecovery:
         # would, then journal its completion and a still-held lease on
         # the second.
         chunk_specs = dict(spec.chunks(job.chunk_partition))
-        ResultStore(store).append(
+        SQLiteStore(store).append(
             run_sweep(chunk_specs[done_chunk], vectorize=False).records
         )
         journal.record_lease(job.id, done_chunk, "completed", 1)
@@ -485,7 +485,7 @@ class TestFleetRecovery:
             service.fleet.ack(worker_id, lease["job"], lease["chunk"])
         _wait_done(recovered)
         assert recovered.state == DONE
-        assert ResultStore(store).load() == local
+        assert SQLiteStore(store).load() == local
         service.close()
 
     def test_fully_acked_fleet_job_recovers_done(self, paths):

@@ -116,22 +116,22 @@ class TestLaunchFleet:
         bystander = threading.Thread(target=release.wait, daemon=True)
         bystander.start()
         try:
-            result = launch_fleet(spec, workers=1, store=tmp_path / "f.jsonl")
+            result = launch_fleet(spec, workers=1, store=tmp_path / "f.sqlite")
         finally:
             release.set()
             bystander.join(timeout=5)
         assert chosen == ["spawn"]
-        assert result.points == len(open_store(tmp_path / "f.jsonl")) == len(spec)
+        assert result.points == len(open_store(tmp_path / "f.sqlite")) == len(spec)
 
     def test_fleet_launch_validation(self, tmp_path):
         from repro.serve import launch_fleet
 
         spec = _spec()
         with pytest.raises(ValueError, match="worker count"):
-            launch_fleet(spec, workers=0, store=tmp_path / "f.jsonl")
+            launch_fleet(spec, workers=0, store=tmp_path / "f.sqlite")
         with pytest.raises(ValueError, match="no points"):
             launch_fleet(
-                SweepSpec(points=()), workers=1, store=tmp_path / "f.jsonl"
+                SweepSpec(points=()), workers=1, store=tmp_path / "f.sqlite"
             )
 
     def test_zero_chunks_rejected_before_any_process_starts(
@@ -145,8 +145,8 @@ class TestLaunchFleet:
         monkeypatch.setattr(launch_module, "_pool_context", no_processes)
         spec = _spec()
         with pytest.raises(ValueError, match="chunk count"):
-            launch_fleet(spec, workers=1, store=tmp_path / "f.jsonl", chunks=0)
-        assert not (tmp_path / "f.jsonl").exists()
+            launch_fleet(spec, workers=1, store=tmp_path / "f.sqlite", chunks=0)
+        assert not (tmp_path / "f.sqlite").exists()
 
     def test_relaunch_resumes_warm_from_the_store(
         self, tmp_path, monkeypatch, launch_module
@@ -201,7 +201,7 @@ class TestLaunchFleet:
         spec = _spec()
         with pytest.raises(RuntimeError, match="timed out"):
             launch_fleet(
-                spec, workers=1, store=tmp_path / "f.jsonl", timeout=0.01
+                spec, workers=1, store=tmp_path / "f.sqlite", timeout=0.01
             )
 
     def test_idle_workers_never_sleep_out_their_poll(
@@ -226,7 +226,7 @@ class TestLaunchFleet:
         monkeypatch.setattr(FleetWorker, "_execute", slow_execute)
         started = time.monotonic()
         result = launch_fleet(
-            _spec(), workers=2, store=tmp_path / "f.jsonl", chunks=1, poll=30,
+            _spec(), workers=2, store=tmp_path / "f.sqlite", chunks=1, poll=30,
             timeout=120,
         )
         assert result.points == len(_spec())
@@ -249,7 +249,7 @@ class TestLaunchFleet:
         monkeypatch.setattr(server_module, "SweepServer", refuse)
         monkeypatch.setattr(SweepService, "close", spy)
         with pytest.raises(OSError, match="address in use"):
-            launch_fleet(_spec(), workers=1, store=tmp_path / "f.jsonl")
+            launch_fleet(_spec(), workers=1, store=tmp_path / "f.sqlite")
         assert len(closed) == 1
 
     def test_dead_fleet_reports_exit_codes(self, tmp_path, monkeypatch, launch_module):
@@ -263,7 +263,7 @@ class TestLaunchFleet:
         monkeypatch.setattr(FleetWorker, "run", lambda self: 3)
         spec = _spec()
         with pytest.raises(RuntimeError, match=r"unfinished \(exit codes 3, 3\)"):
-            launch_fleet(spec, workers=2, store=tmp_path / "f.jsonl", timeout=60)
+            launch_fleet(spec, workers=2, store=tmp_path / "f.sqlite", timeout=60)
 
 
 class TestCliLaunch:
@@ -334,7 +334,7 @@ class TestCliLaunch:
         assert [by_hash[p.config_hash()] for p in spec.points] == local
 
     def test_cli_launch_end_to_end_warms_a_store(self, capsys, tmp_path):
-        dest = tmp_path / "merged.jsonl"
+        dest = tmp_path / "merged.sqlite"
         out = self._run(
             capsys,
             "dse-launch",
@@ -409,7 +409,7 @@ class TestCliLaunch:
                     "--fleet",
                     "1",
                     "--store",
-                    str(tmp_path / "f.jsonl"),
+                    str(tmp_path / "f.sqlite"),
                 ]
             )
         assert exc.value.code != 0
@@ -436,7 +436,7 @@ class TestCliLaunch:
                     "--fleet",
                     "1",
                     "--store",
-                    str(tmp_path / "f.jsonl"),
+                    str(tmp_path / "f.sqlite"),
                     "--print-cmds",
                 ]
             )

@@ -189,7 +189,7 @@ class TestReadiness:
 
 
 class TestJobTraces:
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    @pytest.mark.parametrize("suffix", [".sqlite"])
     def test_terminal_job_has_complete_contiguous_phases(
         self, tmp_path, suffix
     ):

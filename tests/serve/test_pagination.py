@@ -98,9 +98,9 @@ def client(live_server):
     return ServeClient(live_server.url)
 
 
-@pytest.fixture(params=[".sqlite", ".jsonl"])
+@pytest.fixture(params=[".sqlite"])
 def any_server(request, tmp_path):
-    """A live server over each store backend that stores JSON text."""
+    """A live server over the served store backend."""
     server, thread = _start(
         SweepService(store=tmp_path / f"served{request.param}")
     )

@@ -128,7 +128,7 @@ def _spy_pages(service) -> tuple[_Census, list]:
 
 
 class TestAnswers:
-    @pytest.mark.parametrize("kind", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize("kind", ["sqlite"])
     def test_served_answers_equal_run_query_in_hash_order(self, tmp_path, kind):
         records = _tied_records()
         stale = {**records[0], "hash": "0" * 64, "version": EVAL_VERSION - 1}

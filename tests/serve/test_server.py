@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.dse import EVAL_VERSION, ResultStore, clear_memo
+from repro.dse import EVAL_VERSION, ResultStore, SQLiteStore, clear_memo
 from repro.serve import ServeClient, ServeError, SweepServer, SweepService, serve
 
 GRID = {
@@ -297,19 +297,19 @@ def _run_job(service, payload):
 
 class TestRecordsCache:
     def test_query_sees_an_ingest_at_once(self, tmp_path):
-        service = SweepService(store=tmp_path / "s.jsonl")
+        service = SweepService(store=tmp_path / "s.sqlite")
         _run_job(service, {"spec": GRID})
         assert len(_query_input(service)) == 2
         # Queries stream the store on every call, so any append -- an
         # ingest, an external writer -- shows in the very next read.
         service.ingest([{"hash": "z" * 64, "version": EVAL_VERSION, "metrics": {}}])
         assert len(_query_input(service)) == 3
-        ResultStore(service.store.path).append(
+        SQLiteStore(service.store.path).append(
             [{"hash": "y" * 64, "version": EVAL_VERSION, "metrics": {}}]
         )
         assert len(_query_input(service)) == 4
 
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    @pytest.mark.parametrize("suffix", [".sqlite"])
     def test_job_that_evaluates_invalidates(self, tmp_path, suffix):
         service = SweepService(store=tmp_path / f"s{suffix}")
         _run_job(service, {"spec": GRID})
@@ -325,57 +325,23 @@ class TestRecordsCache:
         # The next query sees the job's write.
         assert len(service.query("top-k", {"k": 10})) == 3
 
-    def test_store_stats_cached_until_the_store_changes(self, tmp_path):
-        service = SweepService(store=tmp_path / "s.jsonl")
+    def test_stats_sees_an_external_write_at_once(self, tmp_path):
+        # /stats reads the store on every poll: another connection's
+        # commit shows in the very next body, with nothing to invalidate.
+        service = SweepService(store=tmp_path / "s.sqlite")
         _run_job(service, {"spec": GRID})
-        calls = []
-        original_stats = service.store.stats
-        service.store.stats = lambda: calls.append(1) or original_stats()
-        first = service.stats()
-        assert first["store"]["records"] == 2
-        assert service.stats()["store"] is first["store"]
-        assert len(calls) == 1
-        service.ingest([{"hash": "y" * 64, "version": EVAL_VERSION, "metrics": {}}])
-        calls.clear()
+        assert service.stats()["store"]["records"] == 2
+        SQLiteStore(service.store.path).append(
+            [{"hash": "y" * 64, "version": EVAL_VERSION, "metrics": {}}]
+        )
         assert service.stats()["store"]["records"] == 3
-        assert len(calls) == 1
 
 
 class TestExternalWriterInvalidation:
-    """The regression ``(mtime, size)`` cache keys could not catch: an
-    external writer's same-size upsert must be visible to the next
-    query, without the service ever being told about the write."""
-
-    def test_jsonl_same_size_upsert_is_seen_by_the_next_query(self, tmp_path):
-        import os
-
-        service = SweepService(store=tmp_path / "s.jsonl")
-        service.store.append(
-            [
-                {
-                    "hash": "a" * 64,
-                    "version": EVAL_VERSION,
-                    "metrics": {"total_seconds": 1.0, "total_energy_j": 1.0},
-                }
-            ]
-        )
-        assert service.query("top-k", {"k": 1})[0]["metrics"]["total_seconds"] == 1.0
-        # Rewrite the record in place -- same byte count -- and pin the
-        # mtime back to the original tick, like a fast external upsert.
-        raw = service.store.path.read_bytes()
-        stat = service.store.path.stat()
-        service.store.path.write_bytes(
-            raw.replace(b'"total_seconds": 1.0', b'"total_seconds": 2.0')
-        )
-        os.utime(
-            service.store.path, ns=(stat.st_atime_ns, stat.st_mtime_ns)
-        )
-        (frontier_record,) = service.query("pareto")
-        assert frontier_record["metrics"]["total_seconds"] == 2.0
+    """An external writer's same-size upsert must be visible to the
+    next query, without the service ever being told about the write."""
 
     def test_sqlite_external_upsert_is_seen_by_the_next_query(self, tmp_path):
-        from repro.dse import SQLiteStore
-
         path = tmp_path / "s.sqlite"
         service = SweepService(store=SQLiteStore(path))
         record = {
@@ -438,7 +404,7 @@ class TestMemoBound:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    @pytest.mark.parametrize("suffix", [".sqlite"])
     def test_store_serves_what_the_memo_evicted(self, tmp_path, suffix):
         service = SweepService(store=tmp_path / f"s{suffix}", record_cache=2)
         try:
@@ -483,7 +449,7 @@ class TestServeLifecycle:
 
         def run():
             code = serve(
-                store=tmp_path / "s.jsonl",
+                store=tmp_path / "s.sqlite",
                 port=0,
                 announce=messages.append,
                 ready=lambda server: boxed.setdefault("server", server),
@@ -505,31 +471,13 @@ class TestServeLifecycle:
         assert "serving DSE sweeps on" in messages[0]
         assert messages[-1] == "server shut down cleanly"
 
-    def test_gzipped_jsonl_store_is_refused(self, tmp_path):
-        # Concurrent jobs' appenders would interleave gzip members, so
-        # the service refuses the store before any journal exists.
-        from repro.cli import main
-        from repro.dse import ResultStore
-
-        path = tmp_path / "s.jsonl"
-        store = ResultStore(path)
-        store.append([{"hash": "a" * 64, "version": EVAL_VERSION, "metrics": {}}])
-        store.compact(gzip=True)
-        with pytest.raises(ValueError, match="gzipped.*repro dse-merge"):
-            SweepService(store=path, journal=tmp_path / "s.journal")
-        with pytest.raises(SystemExit) as refused:
-            main(["serve", "--store", str(path), "--port", "0"])
-        assert "gzip" in str(refused.value.code)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
-
     def test_get_route_store_errors_map_to_400(self, tmp_path):
-        # A store backend forced onto the wrong file must fail as a
-        # JSON client error on GET routes, not a dropped connection.
-        from repro.dse import ResultStore, SQLiteStore
-
-        path = tmp_path / "s.jsonl"
-        ResultStore(path).append([{"hash": "a", "version": 1, "metrics": {}}])
+        # A store file replaced by something that is not SQLite must
+        # fail as a JSON client error on GET routes, not a dropped
+        # connection.
+        path = tmp_path / "s.sqlite"
         server = SweepServer(SweepService(store=SQLiteStore(path)))
+        ResultStore(path).append([{"hash": "a", "version": 1, "metrics": {}}])
         thread = threading.Thread(
             target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
         )
@@ -574,3 +522,135 @@ class TestServeLifecycle:
         # The protocol is plain enough for any HTTP client.
         with urllib.request.urlopen(live_server.url + "/healthz") as response:
             assert json.load(response)["status"] == "ok"
+
+
+def _jsonl_store_input(tmp_path, kind):
+    """``(path, what to serve)`` for one kind of JSONL store input."""
+    path = tmp_path / "x.jsonl"
+    if kind == "fresh":
+        return path, path
+    store = ResultStore(path)
+    store.append(
+        [
+            {"hash": "a" * 64, "version": EVAL_VERSION, "metrics": {}},
+            {"hash": "b" * 64, "version": EVAL_VERSION - 1, "metrics": {}},
+        ]
+    )
+    if kind == "gzipped":
+        store.compact(gzip=True, drop_stale=False)
+    if kind == "forced":  # the sqlite backend forced onto a JSONL file
+        return path, SQLiteStore(path)
+    return path, store if kind == "instance" else path
+
+
+def _conversion(path) -> str:
+    import shlex
+
+    return f"repro dse-merge OUT.sqlite {shlex.quote(str(path))}"
+
+
+class TestJsonlStoreRefused:
+    """The service serves SQLite only: every JSONL input is refused with
+    the command that converts it, before any journal or store file is
+    written."""
+
+    @pytest.mark.parametrize(
+        "kind", ["plain", "gzipped", "fresh", "instance", "forced"]
+    )
+    def test_service_refuses_before_the_journal_opens(self, tmp_path, kind):
+        from repro.serve.journal import default_journal_path
+
+        path, given = _jsonl_store_input(tmp_path, kind)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(ValueError) as refused:
+            SweepService(store=given, journal=default_journal_path(path))
+        assert str(refused.value).endswith(_conversion(path))
+        assert not default_journal_path(path).exists()
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_cli_serve_exits_with_one_line(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "a b.jsonl"
+        ResultStore(path).append(
+            [{"hash": "a" * 64, "version": EVAL_VERSION, "metrics": {}}]
+        )
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--store", str(path), "--port", "0"])
+        message = str(refused.value.code)
+        assert message.startswith("serve: ")
+        assert "\n" not in message
+        assert message.endswith(f"repro dse-merge OUT.sqlite '{path}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a b.jsonl"]
+
+    def test_fleet_launch_refuses_before_forking(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.serve import launch as launch_module
+
+        contexts = []
+        monkeypatch.setattr(launch_module, "_pool_context", lambda: contexts.append(1))
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as refused:
+            main(
+                [
+                    "dse-launch",
+                    "--workload",
+                    "LSTM",
+                    "--fleet",
+                    "2",
+                    "--store",
+                    str(path),
+                ]
+            )
+        message = str(refused.value.code)
+        assert message.startswith("dse-launch: ")
+        assert message.endswith(_conversion(path))
+        assert contexts == []  # no worker was ever started
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_has_no_backend_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as rejected:
+            main(["serve", "--backend", "sqlite"])
+        assert rejected.value.code == 2  # an argparse usage error
+        assert "--backend" in capsys.readouterr().err
+
+    def test_printed_conversion_serves_the_current_records(self, tmp_path):
+        import shlex
+
+        from repro.cli import main
+        from repro.dse import SweepSpec, run_sweep
+
+        path = tmp_path / "x.jsonl"
+        store = ResultStore(path)
+        run_sweep(SweepSpec.from_dict(GRID), store=store)
+        stale = {"hash": "f" * 64, "version": EVAL_VERSION - 1, "metrics": {}}
+        store.append([stale])
+        with pytest.raises(ValueError) as refused:
+            SweepService(store=path)
+        command = str(refused.value).rsplit(": ", 1)[1]
+        sqlite_path = tmp_path / "converted.sqlite"
+        argv = shlex.split(command.replace("OUT.sqlite", str(sqlite_path)))
+        assert argv[:2] == ["repro", "dse-merge"]
+        main(argv[1:])
+        expected = sorted(
+            (
+                record
+                for record in store.load().values()
+                if record["version"] == EVAL_VERSION
+            ),
+            key=lambda record: record["hash"],
+        )
+        assert len(expected) == 2
+        server = SweepServer(SweepService(store=sqlite_path))
+        thread = threading.Thread(
+            target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
+        )
+        thread.start()
+        try:
+            assert ServeClient(server.url).records() == expected
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
