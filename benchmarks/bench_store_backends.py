@@ -17,12 +17,16 @@ SQLite vs JSONL lookup and full ``load()`` times are reported as
 context, and both backends must return bit-identical records for the
 sampled hashes.
 
-The write path is gated too: a cold 1008-point ``run_sweep`` into a
-fresh SQLite store must take at most ``MAX_SQLITE_COLD_RATIO`` (2x) the
-same sweep into a fresh JSONL store (medians of ``RUNS`` interleaved
-runs).  Both appenders persist once per evaluation pass -- one
-transaction on SQLite, one write and flush on JSONL -- so a commit per
-record would show here as a ~10x ratio.
+The write path is gated too: a cold ``run_sweep`` into a fresh SQLite
+store must take at most ``MAX_SQLITE_COLD_RATIO`` (2x) the same sweep
+into a fresh JSONL store (medians of ``RUNS`` interleaved runs), at
+1008 points and at 11,520.  Both appenders persist once per evaluation
+pass -- one transaction on SQLite, one write and flush on JSONL -- so a
+commit per record would show here as a ~10x ratio.  The larger sweep
+is the one that shows the table layout: a ``WITHOUT ROWID`` table that
+keeps each ~730 B record in its primary-key B-tree measured 2.4-2.6x
+JSONL there while passing at 1008 points.  Bytes per record are
+reported for both backends.
 
 Emits ``BENCH_store_backends.json`` (path overridable via the
 ``BENCH_STORE_BACKENDS_JSON`` env var) so CI can archive the numbers;
@@ -35,8 +39,18 @@ import os
 import statistics
 import time
 
-from bench_dse_engine import _sweep_spec
-from repro.dse import EVAL_VERSION, ResultStore, SQLiteStore, clear_memo, run_sweep
+import pytest
+from bench_dse_engine import POLICIES, _sweep_spec
+from repro.dse import (
+    EVAL_VERSION,
+    ResultStore,
+    SQLiteStore,
+    SweepSpec,
+    clear_memo,
+    open_store,
+    run_sweep,
+)
+from repro.hw import DDR4, HBM2, scaled_memory
 from repro.sim import format_table
 
 N_RECORDS = int(os.environ.get("REPRO_BENCH_STORE_RECORDS", "50000"))
@@ -49,6 +63,23 @@ RUNS = 5
 
 _WORKLOADS = ("AlexNet", "Inception-v1", "ResNet-18", "ResNet-50", "RNN", "LSTM")
 _PLATFORMS = ("TPU-like", "BitFusion", "BPVeC")
+
+# 6 workloads x 3 platforms x 16 memories x 2 policies x 20 batches.
+_LARGE_MEMORIES = tuple(
+    scaled_memory(base, gb_s)
+    for base in (DDR4, HBM2)
+    for gb_s in (8, 16, 32, 64, 128, 256, 512, 1024)
+)
+
+
+def _large_sweep_spec() -> SweepSpec:
+    return SweepSpec.grid(
+        workloads=_WORKLOADS,
+        platforms=("tpu", "bitfusion", "bpvec"),
+        memories=_LARGE_MEMORIES,
+        policies=POLICIES,
+        batches=tuple(range(1, 21)),
+    )
 
 
 def _median_seconds(fn):
@@ -214,8 +245,13 @@ def test_sqlite_vs_jsonl_warm_resolution(benchmark, show, tmp_path):
     )
 
 
-def test_cold_sweep_sqlite_within_2x_of_jsonl(show, tmp_path):
-    spec = _sweep_spec()
+@pytest.mark.parametrize(
+    "make_spec, key",
+    [(_sweep_spec, "cold_sweep"), (_large_sweep_spec, "large_cold_sweep")],
+    ids=["1008", "11520"],
+)
+def test_cold_sweep_sqlite_within_2x_of_jsonl(show, tmp_path, make_spec, key):
+    spec = make_spec()
     clear_memo()
     run_sweep(spec)  # untimed: warm the lowering caches for both backends
     seconds = {"jsonl": [], "sqlite": []}
@@ -223,9 +259,16 @@ def test_cold_sweep_sqlite_within_2x_of_jsonl(show, tmp_path):
         for backend in ("jsonl", "sqlite"):
             clear_memo()  # every point cold, into a fresh store
             start = time.perf_counter()
-            result = run_sweep(spec, store=tmp_path / f"cold-{run}.{backend}")
+            result = run_sweep(spec, store=tmp_path / f"{key}-{run}.{backend}")
             seconds[backend].append(time.perf_counter() - start)
             assert result.evaluated == len(spec)
+    bytes_per_record = {
+        backend: open_store(path).stats()["size_bytes"] / len(spec)
+        for backend, path in (
+            ("jsonl", tmp_path / f"{key}-0.jsonl"),
+            ("sqlite", tmp_path / f"{key}-0.sqlite"),
+        )
+    }
     jsonl_seconds = statistics.median(seconds["jsonl"])
     sqlite_seconds = statistics.median(seconds["sqlite"])
     ratio = sqlite_seconds / jsonl_seconds
@@ -233,16 +276,21 @@ def test_cold_sweep_sqlite_within_2x_of_jsonl(show, tmp_path):
         f"Cold {len(spec)}-point run_sweep into a fresh store, median of "
         f"{RUNS} interleaved runs (SQLite {ratio:.2f}x JSONL)",
         format_table(
-            ["Backend", "Cold sweep (ms)"],
-            [("JSONL", jsonl_seconds * 1e3), ("SQLite", sqlite_seconds * 1e3)],
+            ["Backend", "Cold sweep (ms)", "Store bytes/record"],
+            [
+                ("JSONL", jsonl_seconds * 1e3, bytes_per_record["jsonl"]),
+                ("SQLite", sqlite_seconds * 1e3, bytes_per_record["sqlite"]),
+            ],
         ),
     )
     _update_artifact(
         {
-            "cold_sweep_points": len(spec),
-            "jsonl_cold_sweep_seconds": round(jsonl_seconds, 4),
-            "sqlite_cold_sweep_seconds": round(sqlite_seconds, 4),
-            "sqlite_vs_jsonl_cold_sweep": round(ratio, 2),
+            f"{key}_points": len(spec),
+            f"jsonl_{key}_seconds": round(jsonl_seconds, 4),
+            f"sqlite_{key}_seconds": round(sqlite_seconds, 4),
+            f"sqlite_vs_jsonl_{key}": round(ratio, 2),
+            f"jsonl_{key}_bytes_per_record": round(bytes_per_record["jsonl"], 1),
+            f"sqlite_{key}_bytes_per_record": round(bytes_per_record["sqlite"], 1),
             "max_sqlite_cold_ratio_gate": MAX_SQLITE_COLD_RATIO,
         }
     )

@@ -4,8 +4,8 @@ Acceptance bench for the store-scale work: fill a SQLite store with
 ``N_RECORDS`` (100k in CI) DSE-shaped records through the batched
 ingest path, then compare the two ways a client can dump the store:
 
-* the full load (``store.iter_records`` into one list): every
-  survivor materialized in server memory at once;
+* the full load (``store.load()``): every survivor materialized in
+  server memory at once;
 * the paginated walk (``service.record_page_stream`` behind
   ``GET /records?after=&limit=``): keyset pages of ``PAGE_LIMIT``
   records as stored NDJSON bytes, never holding more than one page.
@@ -103,7 +103,7 @@ def test_batched_ingest_and_paginated_dump(benchmark, show, tmp_path):
     service = SweepService(store=sqlite.path)
 
     def full_load():
-        return len(list(service.store.iter_records(version=EVAL_VERSION)))
+        return len(service.store.load())
 
     full_count, full_peak, full_seconds = _traced_peak(full_load)
     assert full_count == N_RECORDS

@@ -21,8 +21,29 @@ their JSONL siblings; ``gzip`` conversion is a JSONL-only concept and
 is rejected explicitly.
 
 This is the only backend the sweep service serves: its keyset pages
-walk the primary key, and every read opens its own connection, so it
+walk the hash index, and every read opens its own connection, so it
 sees every committed write.
+
+Layout: ``records`` is an ordinary rowid table whose ``hash TEXT
+PRIMARY KEY`` gets SQLite's unique autoindex, and that index is the
+only one.  Each ~730 B record lives in the table's own B-tree, which
+fills its pages as rows arrive; the index holds only the 64-hex keys.
+Point lookups, keyset pages and the upsert's ``ON CONFLICT (hash)``
+all run on the autoindex, and ``version = ?`` is a residual filter on
+the rows they reach -- every row is at the current version unless
+``EVAL_VERSION`` was bumped, and :meth:`SQLiteStore.compact` removes
+the stale ones.  There is no version index to maintain on each write.
+
+Stores written before this layout keep their ``WITHOUT ROWID`` table
+(each record inside a primary-key B-tree whose keyed inserts leave
+pages about half full) and its ``records_version`` index: ``CREATE
+TABLE IF NOT EXISTS`` leaves them as they are, and every statement
+here runs on either layout.  ``repro dse-merge NEW.sqlite OLD.sqlite``
+copies one into the current layout.
+
+Only writers (:meth:`~SQLiteStore.append`, :meth:`~SQLiteStore.
+appender`, :meth:`~SQLiteStore.merge`, :meth:`~SQLiteStore.compact`)
+create the schema; reads run no DDL.
 """
 
 from __future__ import annotations
@@ -40,12 +61,16 @@ __all__ = ["SQLiteStore"]
 
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS records ("
-    " hash TEXT PRIMARY KEY,"
+    " hash TEXT PRIMARY KEY NOT NULL,"
     " version INTEGER NOT NULL DEFAULT 0,"
     " record TEXT NOT NULL"
-    ") WITHOUT ROWID",
-    "CREATE INDEX IF NOT EXISTS records_version ON records (version)",
+    ")"
 )
+
+#: Reads filter on ``+version``: the unary plus keeps the term off any
+#: index, so an old-layout store's ``records_version`` index never
+#: displaces the hash index (whose order the pages need) from a plan.
+_AT_VERSION = "+version = ?"
 
 # The whole resolution rule in one statement: replace only when the
 # incoming version ties or beats the stored one (_supersedes in SQL).
@@ -78,10 +103,11 @@ def _rows(
     missing texts are encoded together in one
     :func:`~repro.dse.entry.canonical_texts` call, so a streamed record
     is encoded at most once on its way to the table and the wire.
-    Hash order: random 64-hex keys inserted as they come split pages
-    all over the WITHOUT ROWID B-tree; sorted, each batch walks it
-    once.  The sort is stable, so duplicates within one batch keep
-    their order and the last write still wins.
+    Hash order: random 64-hex keys inserted as they come touch pages
+    all over the hash index (and all over an old-layout store's
+    primary-key B-tree); sorted, each batch walks it once.  The sort is
+    stable, so duplicates within one batch keep their order and the
+    last write still wins.
     """
     entries = _as_entries(records, path, stacklevel=4)
     rows = [
@@ -108,44 +134,68 @@ class SQLiteStore(ResultStoreBase):
         except sqlite3.Error as error:
             raise OSError(f"sqlite store {self.path}: {error}") from None
 
-    def _connect(self) -> sqlite3.Connection:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self.path)
+    def _open(self) -> sqlite3.Connection:
         # Writers from merge/ingest can overlap a streaming appender;
-        # wait for the lock instead of failing fast.
-        connection.execute("PRAGMA busy_timeout = 10000")
+        # wait up to 10 s for the lock instead of failing fast.
+        return sqlite3.connect(self.path, timeout=10.0)
+
+    def _not_a_store(self) -> ValueError:
+        # E.g. --backend sqlite forced onto a JSONL file.
+        return ValueError(
+            f"{self.path} is not a SQLite store (open it with the "
+            "jsonl backend, or pick a fresh path)"
+        )
+
+    def _connect(self) -> sqlite3.Connection:
+        """A writer's connection, with the schema created if missing."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        connection = self._open()
         try:
-            for statement in _SCHEMA:
-                connection.execute(statement)
+            connection.execute(_SCHEMA)
         except sqlite3.OperationalError:
             # E.g. locked past the busy timeout: a real I/O failure,
             # mapped to OSError by the calling method's _guard.
             connection.close()
             raise
         except sqlite3.DatabaseError:
-            # E.g. --backend sqlite forced onto a JSONL file.
             connection.close()
-            raise ValueError(
-                f"{self.path} is not a SQLite store (open it with the "
-                "jsonl backend, or pick a fresh path)"
-            )
+            raise self._not_a_store() from None
         return connection
+
+    @contextmanager
+    def _reader(self) -> Iterator[sqlite3.Connection]:
+        """A read connection, with no DDL run on it.
+
+        Only writers create the table, so a reader can meet a store
+        file without one (a 0-byte file): the "no such table" error
+        ends the ``with`` block quietly and the caller's empty answer
+        after it stands.  A file that is not SQLite raises the same
+        ``ValueError`` a writer's :meth:`_connect` does.
+        """
+        with self._guard(), closing(self._open()) as db:
+            try:
+                yield db
+            except sqlite3.OperationalError as error:
+                if "no such table" not in str(error):
+                    raise
+            except sqlite3.DatabaseError:
+                raise self._not_a_store() from None
 
     def load(self) -> dict[str, dict]:
         """All stored records as ``{config_hash: record}`` (pre-resolved)."""
-        if not self.exists():
-            return {}
-        with self._guard(), closing(self._connect()) as db:
-            return {
-                key: json.loads(blob)
-                for key, blob in db.execute("SELECT hash, record FROM records")
-            }
+        if self.exists():
+            with self._reader() as db:
+                return {
+                    key: json.loads(blob)
+                    for key, blob in db.execute("SELECT hash, record FROM records")
+                }
+        return {}
 
     def iter_lines(self) -> Iterator[dict]:
         """One surviving record per hash (duplicates resolved on write)."""
         if not self.exists():
             return
-        with self._guard(), closing(self._connect()) as db:
+        with self._reader() as db:
             for (blob,) in db.execute("SELECT record FROM records"):
                 yield json.loads(blob)
 
@@ -214,14 +264,14 @@ class SQLiteStore(ResultStoreBase):
         if not keys or not self.exists():
             return []
         rows: list[tuple[str, str]] = []
-        with self._guard(), closing(self._connect()) as db:
+        with self._reader() as db:
             for start in range(0, len(keys), _SELECT_CHUNK):
                 chunk = keys[start : start + _SELECT_CHUNK]
                 marks = ",".join("?" * len(chunk))
                 sql = f"SELECT hash, record FROM records WHERE hash IN ({marks})"
                 params: list = list(chunk)
                 if version is not None:
-                    sql += " AND version = ?"
+                    sql += f" AND {_AT_VERSION}"
                     params.append(version)
                 rows.extend(db.execute(sql, params))
         return rows
@@ -247,25 +297,6 @@ class SQLiteStore(ResultStoreBase):
             for key, blob in self._rows_for(hashes, version)
         }
 
-    def iter_records(self, version: int | None = None) -> Iterator[dict]:
-        """Stream rows, with the version filter pushed into SQL.
-
-        ``WHERE version = ?`` rides the ``records_version`` index, so
-        serving the current-version dump of a store full of stale
-        versions never parses (or transfers) the rows it will drop --
-        unlike a Python-side post-filter of a full :meth:`load`.
-        """
-        if not self.exists():
-            return
-        sql = "SELECT record FROM records"
-        params: tuple = ()
-        if version is not None:
-            sql += " WHERE version = ?"
-            params = (version,)
-        with self._guard(), closing(self._connect()) as db:
-            for (blob,) in db.execute(sql, params):
-                yield json.loads(blob)
-
     def iter_page(
         self,
         after: str | None = None,
@@ -287,9 +318,11 @@ class SQLiteStore(ResultStoreBase):
     ) -> Iterator[tuple[str, str]]:
         """Keyset page of ``(hash, stored JSON text)``, never decoded.
 
-        ``hash`` is the WITHOUT ROWID primary key, so ``WHERE hash > ?
-        ORDER BY hash LIMIT ?`` walks the index from the cursor and
-        stops after one page -- no sort, no full scan, memory O(1).
+        ``hash`` is the primary key, so ``WHERE hash > ? ORDER BY hash
+        LIMIT ?`` walks its index from the cursor and stops after one
+        page -- no sort, no full scan, memory O(1).  ``version`` is a
+        residual filter on the rows the walk reaches (see
+        :data:`_AT_VERSION`).
         The ``record`` column already holds ``json.dumps(record,
         sort_keys=True)`` (see :func:`_rows`), so it is returned as is.
         """
@@ -304,7 +337,7 @@ class SQLiteStore(ResultStoreBase):
             clauses.append("hash > ?")
             params.append(after)
         if version is not None:
-            clauses.append("version = ?")
+            clauses.append(_AT_VERSION)
             params.append(version)
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
@@ -312,19 +345,8 @@ class SQLiteStore(ResultStoreBase):
         if limit is not None:
             sql += " LIMIT ?"
             params.append(limit)
-        with self._guard(), closing(self._connect()) as db:
+        with self._reader() as db:
             yield from db.execute(sql, params)
-
-    def hashes(self, version: int | None = None) -> set[str]:
-        if not self.exists():
-            return set()
-        sql = "SELECT hash FROM records"
-        params: tuple = ()
-        if version is not None:
-            sql += " WHERE version = ?"
-            params = (version,)
-        with self._guard(), closing(self._connect()) as db:
-            return {key for (key,) in db.execute(sql, params)}
 
     def merge(
         self,
@@ -361,7 +383,9 @@ class SQLiteStore(ResultStoreBase):
         Superseded duplicates never reach the table (the upsert resolves
         them), so compaction only removes records at versions other than
         the current ``EVAL_VERSION`` (when ``drop_stale``) and reclaims
-        the freed pages.
+        the freed pages.  With no version index the delete scans the
+        whole table; compaction is rare, and every write is cheaper for
+        the index it does not maintain.
         """
         if gzip:
             raise ValueError("SQLite stores do not support gzip")
@@ -384,16 +408,16 @@ class SQLiteStore(ResultStoreBase):
         return (kept, total - kept)
 
     def __len__(self) -> int:
-        if not self.exists():
-            return 0
-        with self._guard(), closing(self._connect()) as db:
-            return db.execute("SELECT COUNT(*) FROM records").fetchone()[0]
+        if self.exists():
+            with self._reader() as db:
+                return db.execute("SELECT COUNT(*) FROM records").fetchone()[0]
+        return 0
 
     def __contains__(self, config_hash: str) -> bool:
-        if not self.exists():
-            return False
-        with self._guard(), closing(self._connect()) as db:
-            row = db.execute(
-                "SELECT 1 FROM records WHERE hash = ?", (config_hash,)
-            ).fetchone()
-            return row is not None
+        if self.exists():
+            with self._reader() as db:
+                row = db.execute(
+                    "SELECT 1 FROM records WHERE hash = ?", (config_hash,)
+                ).fetchone()
+                return row is not None
+        return False

@@ -253,27 +253,6 @@ class ResultStoreBase:
         }
 
     # -- derived queries (overridden where the backend can do better) --
-    def hashes(self, version: int | None = None) -> set[str]:
-        """Every stored config hash (optionally at one version)."""
-        return {
-            key
-            for key, record in self.load().items()
-            if version is None or record.get("version", 0) == version
-        }
-
-    def iter_records(self, version: int | None = None) -> Iterator[dict]:
-        """Stream every surviving record, optionally at one version.
-
-        Post-resolution: exactly the values of :meth:`load`, but
-        yielded instead of materialized, and with the version filter
-        applied store-side -- the SQLite backend pushes it into SQL
-        (``WHERE version = ?``) so a huge store never parses rows it
-        will not serve.
-        """
-        for record in self.load().values():
-            if version is None or record.get("version", 0) == version:
-                yield record
-
     def stats(self) -> dict:
         """Store metadata for health/stats surfaces (no record bodies)."""
         exists = self.exists()

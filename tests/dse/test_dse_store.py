@@ -59,7 +59,6 @@ class TestStoreSemantics:
         assert store.load() == {}
         assert not store.exists()
         assert len(store) == 0
-        assert store.hashes() == set()
         assert store.records_for(["a"]) == {}
 
     def test_append_and_load(self, make_store):
@@ -128,14 +127,7 @@ class TestStoreSemantics:
         del record["version"]
         store.append([record])
         assert set(store.records_for(["a"], version=0)) == {"a"}
-        assert store.hashes(version=0) == {"a"}
         assert store.records_for(["a"], version=1) == {}
-
-    def test_hashes_by_version(self, make_store):
-        store = make_store()
-        store.append([_record("a", version=1), _record("b", version=2)])
-        assert store.hashes() == {"a", "b"}
-        assert store.hashes(version=2) == {"b"}
 
     def test_stats_shape(self, make_store):
         store = make_store()
@@ -197,14 +189,6 @@ class TestStoreSemantics:
                 persist([_record("a"), {"no_hash": True}])
         assert set(store.load()) == {"a"}
         assert sum(1 for _ in store.iter_lines()) == 1
-
-    def test_iter_records_streams_survivors(self, make_store):
-        store = make_store()
-        store.append([_record("a", 1.0), _record("b", version=2)])
-        store.append([_record("a", 2.0)])
-        by_hash = {record["hash"]: record for record in store.iter_records()}
-        assert by_hash == store.load()
-        assert [r["hash"] for r in store.iter_records(version=2)] == ["b"]
 
 
 class TestMerge:

@@ -188,7 +188,7 @@ class TestRecordsEndpoints:
         def locked(*args, **kwargs):
             raise OSError("sqlite store locked")
 
-        for primitive in ("load", "iter_records", "iter_page", "iter_page_json"):
+        for primitive in ("load", "iter_page", "iter_page_json"):
             monkeypatch.setattr(live_server.service.store, primitive, locked)
         with pytest.raises(ServeError, match="503"):
             client.records()
