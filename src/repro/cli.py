@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse_launch = sub.add_parser(
         "dse-launch",
-        help="run a sweep on N local fleet workers (--fleet N), or print "
+        help="run a sweep as N local shard processes (--fleet N), or print "
         "per-machine shard command lines and the merge line "
         "(--print-cmds)",
     )
@@ -632,16 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the points the store lacks on N local pull-based fleet "
-        "workers against an ephemeral in-process server "
-        "(work-stealing; a dead worker's leases requeue)",
-    )
-    dse_launch.add_argument(
-        "--chunks",
-        type=int,
-        default=None,
-        metavar="M",
-        help="with --fleet: lease-queue chunk count (default 4x workers)",
+        help="run the points the store lacks as N hash-range shards, one "
+        "local process each, writing straight into the SQLite store "
+        "(a shard whose process dies is re-run once)",
     )
     return parser
 
@@ -1164,23 +1157,20 @@ def _run_dse_launch(args) -> None:
             if args.print_cmds:
                 raise ValueError(
                     "--fleet is incompatible with --print-cmds "
-                    "(fleet workers pull from an embedded server)"
+                    "(--fleet runs the shards here, as local processes)"
                 )
             result = launch_fleet(
                 spec,
                 args.fleet,
                 args.store,
                 backend=args.backend,
-                chunks=args.chunks,
                 vectorize=not args.no_vectorize,
             )
             print(f"dse-launch: {result.summary()}")
             return
-        if args.chunks is not None:
-            raise ValueError("--chunks requires --fleet")
         if not args.print_cmds:
             raise ValueError(
-                "pick --fleet N to run the sweep on local workers, or "
+                "pick --fleet N to run the sweep as N local processes, or "
                 "--print-cmds to print per-machine shard command lines"
             )
         if args.shards < 1:
@@ -1194,8 +1184,6 @@ def _run_dse_launch(args) -> None:
             spec_path = dest.with_name(dest.name + ".spec.json")
             spec_path.parent.mkdir(parents=True, exist_ok=True)
             spec_path.write_text(json.dumps(spec.to_dict()))
-    except ServeError as error:
-        raise SystemExit(f"dse-launch: {error}")
     except (KeyError, TypeError, ValueError, OSError, RuntimeError) as error:
         raise SystemExit(f"dse-launch: {error}")
     commands = shard_commands(

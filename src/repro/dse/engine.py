@@ -282,8 +282,9 @@ def iter_sweep(
     a larger group splits, and each chunk is **one** kernel pass however
     many groups it spans.  ``vectorize=False`` is the scalar oracle, one
     point per pass; records are bit-identical either way.  The sweep
-    runs in this process: multi-process evaluation is the fleet's job
-    (``repro dse-launch --fleet N``, ``repro worker``).
+    runs in this process: multi-process evaluation is the launcher's
+    and the fleet's job (``repro dse-launch --fleet N`` shard
+    processes, ``repro worker``).
 
     ``should_cancel`` is polled at pass boundaries: before the first
     record, and before each cold pass.  When it turns true the

@@ -2,7 +2,8 @@
 
 The file-based DSE cache served as a system: a long-lived HTTP process
 that owns a warm result store and hands records, frontiers, and
-rankings to many clients, plus the local launcher that feeds it.
+rankings to many clients, plus the launcher that fills such a store
+from local cores.
 
 * :mod:`~repro.serve.server` -- the stdlib-only HTTP service
   (:class:`SweepService` state + :class:`SweepServer` +
@@ -24,9 +25,10 @@ rankings to many clients, plus the local launcher that feeds it.
   local run), with bounded-backoff retries on transient failures of
   idempotent requests;
 * :mod:`~repro.serve.launch` -- ``repro dse-launch``: ``--fleet N``
-  self-hosts a lease queue and N local pull workers over the points
-  the destination store lacks, and ``--print-cmds`` prints per-machine
-  shard command lines for ``repro dse-merge`` to union;
+  runs the points the destination store lacks as N local hash-range
+  shard processes writing straight into it, and ``--print-cmds``
+  prints per-machine shard command lines for ``repro dse-merge`` to
+  union;
 * :mod:`~repro.serve.serializers` -- the JSON shapes shared between
   the HTTP endpoints and the CLI's ``--format json``.
 """

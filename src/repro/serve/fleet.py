@@ -3,8 +3,9 @@
 A fixed shard plan (``repro dse --shard i/n`` per machine) loses a
 dead shard until a human re-runs it.  This module inverts the control
 flow: the sweep server owns a lease table and *workers pull* --
-remote ``repro worker`` processes, or the local workers
-``repro dse-launch --fleet N`` starts.
+``repro worker`` processes on any machine that reaches the server.
+(On one machine, ``repro dse-launch --fleet N`` needs none of this:
+see :mod:`repro.serve.launch`.)
 
 Coordinator side (embedded in
 :class:`~repro.serve.server.SweepService`):

@@ -1,12 +1,15 @@
 """``repro dse-launch``: run one sweep on local cores, or plan it for many.
 
 ``repro dse-launch --fleet N`` (:func:`launch_fleet`) runs the sweep
-locally as an elastic worker fleet: an ephemeral in-process sweep
-server chunks the points the destination store lacks into a lease
-queue, and N local workers (forked from the launcher, or spawned if it
-is threaded) pull, evaluate, ingest, and ack -- a dead worker's leases
-expire and requeue.  A re-launch after a partial run resumes warm: only
-the missing points are submitted.
+on local cores: one indexed lookup finds the points the destination
+SQLite store lacks, and N shard processes (forked from the launcher,
+or spawned if it is threaded) each sweep one hash-range shard of them
+straight into that store, one committed transaction per pass.  No
+server, lease or upload is involved.  A shard process that dies is
+re-run once; it resumes warm from the passes already committed, and a
+re-launch after a partial run likewise evaluates only what is missing.
+The elastic HTTP fleet (:mod:`repro.serve.fleet`: ``repro serve`` plus
+``repro worker``) is for workers on other machines.
 
 ``repro dse-launch --print-cmds`` (:func:`shard_commands`) turns the
 coordination-free hash-range partition (:meth:`SweepSpec.shard
@@ -18,16 +21,18 @@ coordination-free hash-range partition (:meth:`SweepSpec.shard
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import shlex
-import sys
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..dse.engine import iter_sweep
 from ..dse.evaluate import EVAL_VERSION
 from ..dse.spec import SweepSpec
+from ..dse.sqlite_store import SQLiteStore
 from ..dse.store import ResultStoreBase
 
 __all__ = [
@@ -37,11 +42,6 @@ __all__ = [
     "shard_commands",
     "shard_store_path",
 ]
-
-#: Seconds between the launch server's shutdown checks.  Every launch
-#: ends in ``server.shutdown()``, which waits for the serve loop's next
-#: check, so this bounds what each ``dse-launch --fleet`` adds on exit.
-_SERVE_POLL_SECONDS = 0.005
 
 
 def shard_store_path(dest: str | os.PathLike, index: int) -> Path:
@@ -80,26 +80,21 @@ def render_commands(commands: list[list[str]]) -> str:
 
 @dataclass
 class FleetLaunchResult:
-    """What one self-hosted fleet launch produced."""
+    """What one local fleet launch produced."""
 
-    workers: int
-    points: int  # points the fleet evaluated
-    chunks: dict  # the fleet job's final chunk counts
-    requeued: int
+    workers: int  # shard processes started, re-runs aside (0: nothing missing)
+    points: int  # points the shard processes added to the store
+    requeued: int  # shards re-run after their first process failed
     store_path: Path
-    job: str | None  # None when the store already held every point
-    stored: int  # points the destination store already held
+    stored: int  # points the store held before the shard processes ran them
 
     def summary(self) -> str:
         text = f"{self.points} evaluated, {self.stored} store hits"
-        if self.job is not None:
-            text += (
-                f"; {self.chunks.get('total', 0)} chunks pulled by "
-                f"{self.workers} workers"
-            )
+        if self.workers:
+            text += f"; {self.workers} shard processes"
         text += f" -> {self.store_path}"
         if self.requeued:
-            text += f" ({self.requeued} leases requeued)"
+            text += f" ({self.requeued} shards re-run)"
         return text
 
 
@@ -116,18 +111,10 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def _fleet_worker(url_reader, poll: float, vectorize: bool) -> None:
-    """One local fleet worker: wait for the server's URL, then pull."""
-    from .fleet import FleetWorker
-
-    worker = FleetWorker(
-        url_reader.recv(),
-        poll=poll,
-        vectorize=vectorize,
-        exit_when_drained=True,
-        log=lambda message: None,  # the launcher reports failures itself
-    )
-    sys.exit(worker.run())
+def _run_shard(path: Path, shard: SweepSpec, vectorize: bool) -> None:
+    """One shard process: sweep ``shard`` into the SQLite store at ``path``."""
+    for _ in iter_sweep(shard, store=SQLiteStore(path), vectorize=vectorize):
+        pass
 
 
 def launch_fleet(
@@ -135,141 +122,97 @@ def launch_fleet(
     workers: int,
     store: "ResultStoreBase | str | os.PathLike",
     backend: str | None = None,
-    chunks: int | None = None,
     vectorize: bool = True,
-    lease_ttl: float | None = None,
-    heartbeat_ttl: float | None = None,
-    poll: float = 0.2,
     timeout: float | None = None,
 ) -> FleetLaunchResult:
-    """Run one sweep as an elastic worker fleet, self-hosting the server.
+    """Run one sweep on ``workers`` local shard processes.
 
     The points ``store`` already holds at the current evaluator version
-    are store hits; only the rest are submitted.  An ephemeral
-    in-process sweep server over ``store`` takes them as a fleet job
-    split into ``chunks`` hash-range chunks (default ``4 * workers``,
-    so work-stealing has slack), and ``workers`` local processes --
-    forked from this one, or spawned if it is threaded (spawn needs an
-    import-safe ``__main__``) -- lease, evaluate, ingest, and ack over
-    HTTP until the job drains.  A worker that dies mid-chunk costs one
-    lease TTL -- survivors steal the requeued chunk.  When nothing is
-    missing no job is submitted and no server starts.
+    are store hits, found with one indexed lookup; when nothing else is
+    left, no process starts.  The missing points are split into
+    ``workers`` hash-range shards (:meth:`SweepSpec.chunks
+    <repro.dse.spec.SweepSpec.chunks>`; an empty shard gets no
+    process), and each shard runs :func:`~repro.dse.engine.iter_sweep`
+    in its own process -- forked from this one, or spawned if it is
+    threaded (spawn needs an import-safe ``__main__``) -- writing its
+    passes straight into the store.  SQLite's busy timeout serialises
+    the pass commits.
 
-    The launcher submits to the service directly and blocks on the job;
-    it checks worker liveness and ``timeout`` every ``poll`` seconds.
-    Each worker's ``poll`` is the longest its lease request waits
-    server-side for a chunk, and its local sleep only when no job is
-    active.  Raises ``RuntimeError`` if the job fails, times out, or
-    every worker exits while chunks remain.
+    A shard process that exits non-zero is re-run once in a fresh
+    process, which finds the passes its predecessor committed as store
+    hits and evaluates only the rest.  Raises ``RuntimeError`` naming
+    the exit codes if the re-run fails too, or if the shards have not
+    all finished ``timeout`` seconds after the launch began.
 
     ``store`` must open as SQLite: anything else raises the error of
-    :func:`~repro.serve.server.open_served_store` before any worker
+    :func:`~repro.serve.server.open_served_store` before any process
     starts, even when nothing is missing.
     """
-    from .fleet import DEFAULT_HEARTBEAT_TTL, DEFAULT_LEASE_TTL
-    from .server import SweepServer, SweepService, open_served_store
+    from .server import open_served_store
 
     if workers < 1:
         raise ValueError("fleet worker count must be >= 1")
-    if chunks is not None and chunks < 1:
-        raise ValueError("fleet chunk count must be >= 1")
     if len(spec) == 0:
         raise ValueError("the sweep has no points")
-    # Refused before any worker forks: the server only serves SQLite.
+    deadline = None if timeout is None else time.monotonic() + timeout
     dest = open_served_store(store, backend=backend)
-    context = _pool_context()
-    pipes = [context.Pipe(duplex=False) for _ in range(workers)]
-    processes = [
-        context.Process(target=_fleet_worker, args=(reader, poll, vectorize))
-        for reader, _ in pipes
-    ]
-    service = server = server_thread = None
+    # One indexed query on SQLite, proportional to the sweep, not the
+    # store; its connection is closed when it returns, so no process
+    # below inherits a SQLite handle (nor a socket or a thread).
+    by_hash = {point.config_hash(): point for point in spec}
+    hits = dest.entries_for(list(by_hash), version=EVAL_VERSION)
+    stored = len(hits)
+    missing = SweepSpec(points=tuple(p for h, p in by_hash.items() if h not in hits))
+    shards = missing.chunks(workers) if len(missing) else []
+    context = _pool_context() if shards else None
+    running: dict = {}  # process sentinel -> (shard index, shard, process)
+    failed: dict[int, list] = {}  # shard index -> exit codes
+
+    def start(index: int, shard: SweepSpec) -> None:
+        process = context.Process(
+            target=_run_shard,
+            args=(dest.path, shard, vectorize),
+            name=f"fleet-shard-{index}",
+        )
+        process.start()
+        running[process.sentinel] = (index, shard, process)
+
     try:
-        # Fork before any store connection, socket or thread exists.
-        for process in processes:
-            process.start()
-        # Resume warm with the engine store tier's lookup: one indexed
-        # query on SQLite, proportional to the sweep, not the store.
-        by_hash = {point.config_hash(): point for point in spec}
-        stored = dest.records_for(list(by_hash), version=EVAL_VERSION)
-        missing = SweepSpec(
-            points=tuple(p for h, p in by_hash.items() if h not in stored)
-        )
-        if len(missing) == 0:
-            # The idle workers are killed on the way out.
-            return FleetLaunchResult(
-                workers=workers,
-                points=0,
-                chunks={},
-                requeued=0,
-                store_path=dest.path,
-                job=None,
-                stored=len(stored),
-            )
-        if chunks is None:
-            chunks = min(len(missing), 4 * workers)
-        service = SweepService(
-            store=dest,
-            lease_ttl=lease_ttl or DEFAULT_LEASE_TTL,
-            heartbeat_ttl=heartbeat_ttl or DEFAULT_HEARTBEAT_TTL,
-        )
-        server = SweepServer(service, port=0)
-        server_thread = threading.Thread(
-            target=lambda: server.serve_forever(poll_interval=_SERVE_POLL_SECONDS),
-            name="fleet-launch-server",
-            daemon=True,
-        )
-        server_thread.start()
-        job = service.submit(
-            {"spec": missing.to_dict(), "fleet": {"chunks": chunks}}
-        )
-        # After the submit: a worker that leased earlier would exit drained.
-        for _, writer in pipes:
-            writer.send(server.url)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = poll if deadline is None else deadline - time.monotonic()
-            if job.wait(timeout=max(0.0, min(poll, remaining))):
-                break
-            if not any(process.is_alive() for process in processes):
-                codes = ", ".join(str(process.exitcode) for process in processes)
-                raise RuntimeError(
-                    "every fleet worker exited with the job unfinished "
-                    f"(exit codes {codes})"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"fleet sweep timed out after {timeout} seconds"
-                )
-        if job.state != "done":
-            raise RuntimeError(
-                f"fleet job {job.id} {job.state}"
-                + (f": {job.error}" if job.error else "")
-            )
-        # Drain the workers gracefully: the job is terminal, so their
-        # parked leases return zero active jobs and they exit themselves.
-        for process in processes:
-            process.join(timeout=30)
-        progress = job.progress()
-    finally:
-        for process in processes:
-            if process.is_alive():
-                process.kill()
+        for index, shard in shards:
+            start(index, shard)
+        while running:
+            remaining = None
+            if deadline is not None:
+                remaining = max(0.0, deadline - time.monotonic())
+            ready = multiprocessing.connection.wait(list(running), remaining)
+            if not ready:
+                raise RuntimeError(f"fleet sweep timed out after {timeout} seconds")
+            for sentinel in ready:
+                index, shard, process = running.pop(sentinel)
                 process.join()
-        if server_thread is not None:
-            server.shutdown()
-            server_thread.join(timeout=5)
-        if server is not None:
-            server.server_close()
-        if service is not None:
-            service.close()
-    chunk_counts = progress.get("chunks", {})
+                if process.exitcode == 0:
+                    continue
+                codes = failed.setdefault(index, [])
+                codes.append(process.exitcode)
+                if len(codes) > 1:
+                    raise RuntimeError(
+                        f"fleet shard {index} of {workers} failed twice "
+                        f"(exit codes {', '.join(map(str, codes))})"
+                    )
+                # The re-run reads what the dead process committed as
+                # store hits.  Like the first lookup, this one closes its
+                # connection before the re-run forks.
+                keys = [point.config_hash() for point in shard]
+                stored += len(dest.entries_for(keys, version=EVAL_VERSION))
+                start(index, shard)
+    finally:
+        for _, _, process in running.values():
+            process.kill()
+            process.join()
     return FleetLaunchResult(
-        workers=workers,
-        points=progress.get("points", 0),
-        chunks=chunk_counts,
-        requeued=chunk_counts.get("requeues", 0),
+        workers=len(shards),
+        points=len(by_hash) - stored,
+        requeued=len(failed),
         store_path=dest.path,
-        job=job.id,
-        stored=len(stored),
+        stored=stored,
     )

@@ -1502,7 +1502,7 @@ def serve(
     in_main_thread = threading.current_thread() is threading.main_thread()
     if in_main_thread:
         # Only the main thread may install signal handlers; embedded
-        # servers (tests, dse-launch --fleet) skip this quietly.
+        # servers (tests, say) skip this quietly.
         previous_sigterm = signal.signal(signal.SIGTERM, _handle_sigterm)
     if ready is not None:
         ready(server)

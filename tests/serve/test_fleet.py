@@ -917,18 +917,24 @@ class TestCliValidation:
         with pytest.raises(SystemExit, match="mutually exclusive"):
             main([*base, "--shard", "0/2"])
 
-    def test_launch_chunks_requires_fleet(self, tmp_path):
+    def test_launch_has_no_chunks_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--chunks"):
+        # dse-launch --fleet runs hash-range shards, not a lease queue.
+        with pytest.raises(SystemExit) as rejected:
             main(
                 [
                     "dse-launch",
                     "--workload",
                     "RNN",
+                    "--fleet",
+                    "2",
                     "--store",
-                    str(tmp_path / "s.jsonl"),
+                    str(tmp_path / "s.sqlite"),
                     "--chunks",
                     "4",
                 ]
             )
+        assert rejected.value.code == 2  # an argparse usage error
+        assert "--chunks" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ from the destination store) and the --print-cmds shard workflow."""
 
 import json
 import multiprocessing
+import os
 import shlex
 import threading
 import time
@@ -63,6 +64,39 @@ class TestShardCommands:
         assert "'my spec.json'" in lines[0]
 
 
+def _fork(monkeypatch, launch_module):
+    # Forked shard processes inherit the test's monkeypatches.
+    monkeypatch.setattr(
+        launch_module, "_pool_context", lambda: multiprocessing.get_context("fork")
+    )
+
+
+def _logged_evaluate(monkeypatch, log, before=None):
+    """Patch the engine's evaluator to log each evaluated hash to ``log``
+    (one line per point, from whichever process evaluates it), after
+    calling ``before(pass_number)`` with this process's pass count."""
+    import repro.dse.engine as engine_module
+
+    evaluate = engine_module.evaluate_points
+    passes = 0
+
+    def logged(chunk):
+        nonlocal passes
+        passes += 1
+        if before is not None:
+            before(passes)
+        with open(log, "a") as handle:
+            handle.write("".join(f"{point.config_hash()}\n" for point in chunk))
+        return evaluate(chunk)
+
+    monkeypatch.setattr(engine_module, "evaluate_points", logged)
+
+
+def _stored(path, spec):
+    by_hash = {r["hash"]: r for r in open_store(path).load().values()}
+    return [by_hash.get(p.config_hash()) for p in spec.points]
+
+
 class TestLaunchFleet:
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_fleet_launch_matches_local_run(
@@ -73,29 +107,18 @@ class TestLaunchFleet:
         monkeypatch.setattr(
             launch_module, "_pool_context", lambda: multiprocessing.get_context(method)
         )
-        # Slow the submit: a worker handed the URL before the job was
-        # queued would find nothing to lease and exit as drained.
-        submit = SweepService.submit
-
-        def slow_submit(self, *args, **kwargs):
-            time.sleep(0.3)
-            return submit(self, *args, **kwargs)
-
-        monkeypatch.setattr(SweepService, "submit", slow_submit)
         spec = _spec()
         local = run_sweep(spec)
-        clear_memo()  # forked workers must recompute, not inherit the memo
+        clear_memo()  # forked shards must recompute, not inherit the memo
 
         dest = tmp_path / "fleet.sqlite"
         result = launch_fleet(spec, workers=2, store=dest, timeout=120)
-        assert result.points == len(spec)
-        assert result.chunks["completed"] == result.chunks["total"]
+        assert result.points == len(spec) and result.stored == 0
+        assert result.workers == len(spec.chunks(2))
+        assert result.requeued == 0
         assert result.store_path == dest
-        assert "pulled by 2 workers" in result.summary()
-
-        merged = open_store(dest)
-        by_hash = {r["hash"]: r for r in merged.load().values()}
-        assert [by_hash[p.config_hash()] for p in spec.points] == local.records
+        assert f"; {result.workers} shard processes" in result.summary()
+        assert _stored(dest, spec) == local.records
 
     def test_threaded_caller_spawns_its_workers(
         self, tmp_path, monkeypatch, launch_module
@@ -134,28 +157,14 @@ class TestLaunchFleet:
                 SweepSpec(points=()), workers=1, store=tmp_path / "f.sqlite"
             )
 
-    def test_zero_chunks_rejected_before_any_process_starts(
-        self, tmp_path, monkeypatch, launch_module
-    ):
-        from repro.serve import launch_fleet
-
-        def no_processes():
-            raise AssertionError("a worker context was built")
-
-        monkeypatch.setattr(launch_module, "_pool_context", no_processes)
-        spec = _spec()
-        with pytest.raises(ValueError, match="chunk count"):
-            launch_fleet(spec, workers=1, store=tmp_path / "f.sqlite", chunks=0)
-        assert not (tmp_path / "f.sqlite").exists()
-
     def test_relaunch_resumes_warm_from_the_store(
         self, tmp_path, monkeypatch, launch_module
     ):
+        from multiprocessing.process import BaseProcess
+
         from repro.serve import launch_fleet
 
-        monkeypatch.setattr(
-            launch_module, "_pool_context", lambda: multiprocessing.get_context("fork")
-        )
+        _fork(monkeypatch, launch_module)
         spec = _spec()
         local = run_sweep(spec).records
         dest = tmp_path / "fleet.sqlite"
@@ -163,107 +172,149 @@ class TestLaunchFleet:
         prefilled = spec.shard(0, 2)
         assert 0 < len(prefilled) < len(spec)
         run_sweep(prefilled, store=dest)
-        clear_memo()  # forked workers must recompute, not inherit the memo
+        clear_memo()  # forked shards must recompute, not inherit the memo
 
-        submitted = []
-        submit = SweepService.submit
-
-        def spy(self, payload):
-            submitted.append(SweepSpec.from_dict(payload["spec"]))
-            return submit(self, payload)
-
-        monkeypatch.setattr(SweepService, "submit", spy)
+        log = tmp_path / "evaluated.txt"
+        _logged_evaluate(monkeypatch, log)
         result = launch_fleet(spec, workers=2, store=dest, timeout=120)
         missing = spec.shard(1, 2)
-        (job_spec,) = submitted
-        assert job_spec.to_dict() == missing.to_dict()
+        assert sorted(log.read_text().split()) == sorted(
+            point.config_hash() for point in missing
+        )
         assert result.points == len(missing)
         assert result.stored == len(prefilled)
-        by_hash = {r["hash"]: r for r in open_store(dest).load().values()}
-        assert [by_hash[p.config_hash()] for p in spec.points] == local
+        assert _stored(dest, spec) == local
 
-        # Fully warm: no job, no server, and the summary says why.
+        # Fully warm: no process starts, and the summary says why.
+        def refuse(self):
+            raise AssertionError("a shard process was started")
+
+        monkeypatch.setattr(BaseProcess, "start", refuse)
         warm = launch_fleet(spec, workers=2, store=dest, timeout=120)
-        assert len(submitted) == 1
-        assert warm.job is None and warm.points == 0
-        assert warm.stored == len(spec)
-        assert f"0 evaluated, {len(spec)} store hits" in warm.summary()
-        by_hash = {r["hash"]: r for r in open_store(dest).load().values()}
-        assert [by_hash[p.config_hash()] for p in spec.points] == local
+        assert (warm.workers, warm.points, warm.stored) == (0, 0, len(spec))
+        assert f"0 evaluated, {len(spec)} store hits ->" in warm.summary()
+        assert _stored(dest, spec) == local
 
     def test_fleet_launch_timeout_raises(self, tmp_path, monkeypatch):
+        import repro.dse.engine as engine_module
         from repro.serve import launch_fleet
-        from repro.serve.fleet import FleetWorker
 
-        # Forked workers inherit this patch and hold their first lease
-        # forever; spawned ones take longer than the timeout to start.
-        monkeypatch.setattr(FleetWorker, "_execute", lambda self, lease: time.sleep(60))
-        spec = _spec()
+        # Forked shards inherit this patch and hang in their first pass;
+        # spawned ones take longer than the timeout to start.
+        monkeypatch.setattr(
+            engine_module, "evaluate_points", lambda chunk: time.sleep(60)
+        )
         with pytest.raises(RuntimeError, match="timed out"):
             launch_fleet(
-                spec, workers=1, store=tmp_path / "f.sqlite", timeout=0.01
+                _spec(), workers=1, store=tmp_path / "f.sqlite", timeout=0.01
             )
 
-    def test_idle_workers_never_sleep_out_their_poll(
-        self, tmp_path, monkeypatch, launch_module
-    ):
-        from repro.serve import launch_fleet
-        from repro.serve.fleet import FleetWorker
-
-        # Forked, so the children inherit the slowed chunk: one worker
-        # holds the only chunk for a second while the other finds
-        # nothing to lease.  That one parks on the server and wakes when
-        # the job ends; a poll-timer sleep would cost it ~30 s.
-        monkeypatch.setattr(
-            launch_module, "_pool_context", lambda: multiprocessing.get_context("fork")
-        )
-        execute = FleetWorker._execute
-
-        def slow_execute(self, lease):
-            time.sleep(1.0)
-            return execute(self, lease)
-
-        monkeypatch.setattr(FleetWorker, "_execute", slow_execute)
-        started = time.monotonic()
-        result = launch_fleet(
-            _spec(), workers=2, store=tmp_path / "f.sqlite", chunks=1, poll=30,
-            timeout=120,
-        )
-        assert result.points == len(_spec())
-        assert time.monotonic() - started < 10
-
-    def test_server_bind_failure_closes_the_service(self, tmp_path, monkeypatch):
-        import repro.serve.server as server_module
+    def test_dead_shard_is_rerun_warm(self, tmp_path, monkeypatch, launch_module):
+        import repro.dse.engine as engine_module
         from repro.serve import launch_fleet
 
-        def refuse(service, port=0):
-            raise OSError("address in use")
+        _fork(monkeypatch, launch_module)
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 1)
+        spec = _spec()
+        local = run_sweep(spec).records
+        clear_memo()  # forked shards must recompute, not inherit the memo
 
-        closed = []
-        close = SweepService.close
+        # The first shard process to start a second pass dies there, its
+        # first pass committed; the marker file makes the hook inert in
+        # every later process, the re-run included.
+        marker = tmp_path / "killed"
 
-        def spy(self, *args, **kwargs):
-            closed.append(self)
-            return close(self, *args, **kwargs)
+        def kill_once(pass_number):
+            if pass_number == 2:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return
+                os._exit(7)
 
-        monkeypatch.setattr(server_module, "SweepServer", refuse)
-        monkeypatch.setattr(SweepService, "close", spy)
-        with pytest.raises(OSError, match="address in use"):
-            launch_fleet(_spec(), workers=1, store=tmp_path / "f.sqlite")
-        assert len(closed) == 1
+        log = tmp_path / "evaluated.txt"
+        _logged_evaluate(monkeypatch, log, before=kill_once)
+        result = launch_fleet(spec, workers=2, store=tmp_path / "f.sqlite", timeout=120)
+        assert marker.exists()
+        assert result.requeued == 1
+        assert _stored(tmp_path / "f.sqlite", spec) == local
+        # The killed process's committed pass is a store hit for the
+        # re-run, and no point is evaluated twice.
+        assert (result.stored, result.points) == (1, len(spec) - 1)
+        assert "(1 shards re-run)" in result.summary()
+        evaluated = log.read_text().split()
+        assert sorted(evaluated) == sorted(p.config_hash() for p in spec.points)
 
     def test_dead_fleet_reports_exit_codes(self, tmp_path, monkeypatch, launch_module):
+        import repro.dse.engine as engine_module
         from repro.serve import launch_fleet
-        from repro.serve.fleet import FleetWorker
 
-        # Forked, so the children inherit the patched worker loop.
-        monkeypatch.setattr(
-            launch_module, "_pool_context", lambda: multiprocessing.get_context("fork")
-        )
-        monkeypatch.setattr(FleetWorker, "run", lambda self: 3)
+        _fork(monkeypatch, launch_module)
+        monkeypatch.setattr(engine_module, "evaluate_points", lambda chunk: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"failed twice \(exit codes 3, 3\)"):
+            launch_fleet(_spec(), workers=2, store=tmp_path / "f.sqlite", timeout=60)
+
+    def test_no_server_client_or_lease_is_involved(
+        self, tmp_path, monkeypatch, capsys, launch_module
+    ):
+        from repro.serve import ServeClient, SweepServer, launch_fleet
+
+        _fork(monkeypatch, launch_module)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} was built")
+
+        for cls in (SweepServer, SweepService, ServeClient):
+            monkeypatch.setattr(cls, "__init__", refuse)
         spec = _spec()
-        with pytest.raises(RuntimeError, match=r"unfinished \(exit codes 3, 3\)"):
-            launch_fleet(spec, workers=2, store=tmp_path / "f.sqlite", timeout=60)
+        result = launch_fleet(spec, 2, tmp_path / "lib.sqlite", timeout=120)
+        assert result.points == len(open_store(tmp_path / "lib.sqlite")) == len(spec)
+        argv = ["dse-launch", "--workload", "RNN", "--fleet", "2"]
+        assert main([*argv, "--store", str(tmp_path / "cli.sqlite")]) == 0
+        assert "6 evaluated, 0 store hits;" in capsys.readouterr().out
+
+    def test_lookup_connection_is_closed_before_any_fork(
+        self, tmp_path, monkeypatch, launch_module
+    ):
+        import sqlite3
+        from multiprocessing.process import BaseProcess
+
+        from repro.dse import SQLiteStore
+        from repro.serve import launch_fleet
+
+        _fork(monkeypatch, launch_module)
+        connections = []
+        open_connection = SQLiteStore._open
+
+        def spy_open(self):
+            connections.append(open_connection(self))
+            return connections[-1]
+
+        def is_open(connection):
+            try:
+                connection.total_changes
+            except sqlite3.ProgrammingError:
+                return False
+            return True
+
+        open_at_start = []
+        start = BaseProcess.start
+
+        def spy_start(self):
+            open_at_start.append([is_open(c) for c in connections])
+            return start(self)
+
+        monkeypatch.setattr(SQLiteStore, "_open", spy_open)
+        monkeypatch.setattr(BaseProcess, "start", spy_start)
+        spec = _spec()
+        dest = tmp_path / "f.sqlite"
+        run_sweep(spec.shard(0, 2), store=dest)  # the lookup finds a file
+        clear_memo()
+        connections.clear()
+        launch_fleet(spec, workers=2, store=dest, timeout=120)
+        assert open_at_start and connections
+        assert all(not any(opened) for opened in open_at_start)
+        assert len(open_at_start[0]) >= 1  # the lookup ran before the fork
 
 
 class TestCliLaunch:
@@ -373,14 +424,11 @@ class TestCliLaunch:
             "bpvec",
             "--fleet",
             "1",
-            "--chunks",
-            "2",
             "--store",
             str(dest),
         ]
         out = self._run(capsys, *argv)
-        assert "2 evaluated, 0 store hits;" in out
-        assert "pulled by 1 workers" in out
+        assert "2 evaluated, 0 store hits; 1 shard processes ->" in out
         assert len(open_store(dest)) == 2
         clear_memo()
         warm = self._run(
