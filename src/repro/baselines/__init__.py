@@ -1,9 +1,6 @@
 """Comparison platforms: TPU-like, BitFusion, and the RTX 2080 Ti GPU."""
 
-from .bitfusion import BITFUSION, FusionUnit
-from .bitserial import LOOM, STRIPES, TAXONOMY
-from .gpu import GPUResult, GPUSpec, RTX_2080_TI, simulate_gpu
-from .tpu_like import TPU_LIKE, core_power_mw, supports_bitwidth_speedup
+from .._lazy import lazy_exports
 
 __all__ = [
     "BITFUSION",
@@ -19,3 +16,13 @@ __all__ = [
     "core_power_mw",
     "supports_bitwidth_speedup",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bitfusion": ("BITFUSION", "FusionUnit"),
+        "bitserial": ("LOOM", "STRIPES", "TAXONOMY"),
+        "gpu": ("GPUResult", "GPUSpec", "RTX_2080_TI", "simulate_gpu"),
+        "tpu_like": ("TPU_LIKE", "core_power_mw", "supports_bitwidth_speedup"),
+    },
+)

@@ -25,6 +25,13 @@ Examples
     python -m repro dse-launch --spec sweep.json --shards 4 --print-cmds --store m.jsonl
     python -m repro dse-launch --workload LSTM --fleet 4 --store merged.sqlite
     python -m repro chips
+
+Every command imports only what it runs.  The top-level imports are
+what :func:`build_parser` needs; each ``_run_*`` handler and each
+figure or table branch imports the modules it executes, and every
+package ``__init__`` re-exports its names lazily
+(:func:`repro._lazy.lazy_exports`).  So ``dse-launch --fleet`` never
+imports the HTTP server, and its forked shard processes import nothing.
 """
 
 from __future__ import annotations
@@ -35,77 +42,29 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dse import (
-    DEFAULT_RECORD_CACHE,
-    MEMORY_NAMES,
-    PLATFORM_NAMES,
-    SweepResult,
-    SweepSpec,
-    co_explore,
-    iter_sweep,
-    open_store,
-    pareto_frontier,
-    policy_name,
-    render_records,
-    run_sweep,
-    top_k,
-)
-from .obs.logs import configure_logging
-from .serve import (
-    FleetWorker,
-    JobJournal,
-    ServeClient,
-    ServeError,
-    default_journal_path,
-    launch_fleet,
-    render_commands,
-    serve,
-    shard_commands,
-    shard_store_path,
-)
-from .serve.fleet import (
+from .dse.evaluate import DEFAULT_RECORD_CACHE
+from .dse.spec import MEMORY_NAMES, PLATFORM_NAMES
+from .serve.defaults import (
+    DEFAULT_DRAIN_TIMEOUT,
     DEFAULT_HEARTBEAT_TTL,
+    DEFAULT_JOB_RETENTION,
     DEFAULT_LEASE_TTL,
     DEFAULT_RECONNECT_GRACE,
 )
-from .serve.server import (
-    DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_JOB_RETENTION,
-)
-from .serve.serializers import (
-    co_explore_payload,
-    records_payload,
-    result_summary,
-)
-from .serve.serializers import dumps as payload_json
-from .experiments import (
-    fig4_design_space,
-    fig5_homogeneous_ddr4,
-    fig6_homogeneous_hbm2,
-    fig7_heterogeneous_ddr4,
-    fig8_heterogeneous_hbm2,
-    fig9_gpu_comparison,
-    render_speedup_rows,
-    render_table1,
-    render_table2,
-)
-from .hw import BITFUSION, BPVEC, DDR4, HBM2, TPU_LIKE, all_chip_reports
-from .nn import WORKLOAD_BUILDERS, homogeneous_8bit, paper_heterogeneous
-from .sim import format_table, simulate_network
-from .sim.roofline import ridge_point, roofline_analysis
+
+if TYPE_CHECKING:
+    from .dse.engine import SweepResult
+    from .dse.spec import SweepSpec
 
 __all__ = ["main", "build_parser"]
 
-_PLATFORMS = {
-    "tpu": TPU_LIKE,
-    "bitfusion": BITFUSION,
-    "bpvec": BPVEC,
-}
-_MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
-
 
 def _workload(name: str, heterogeneous: bool, batch: int | None):
+    from .nn.bitwidths import homogeneous_8bit, paper_heterogeneous
+    from .nn.models import WORKLOAD_BUILDERS
+
     matches = {k.lower(): k for k in WORKLOAD_BUILDERS}
     key = matches.get(name.lower())
     if key is None:
@@ -216,15 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate one workload on one platform")
     sim.add_argument("--model", required=True)
-    sim.add_argument("--platform", choices=sorted(_PLATFORMS), default="bpvec")
-    sim.add_argument("--memory", choices=sorted(_MEMORIES), default="ddr4")
+    sim.add_argument("--platform", choices=sorted(PLATFORM_NAMES), default="bpvec")
+    sim.add_argument("--memory", choices=sorted(MEMORY_NAMES), default="ddr4")
     sim.add_argument("--heterogeneous", action="store_true")
     sim.add_argument("--batch", type=int, default=None)
 
     roof = sub.add_parser("roofline", help="per-layer roofline analysis")
     roof.add_argument("--model", required=True)
-    roof.add_argument("--platform", choices=sorted(_PLATFORMS), default="bpvec")
-    roof.add_argument("--memory", choices=sorted(_MEMORIES), default="ddr4")
+    roof.add_argument("--platform", choices=sorted(PLATFORM_NAMES), default="bpvec")
+    roof.add_argument("--memory", choices=sorted(MEMORY_NAMES), default="ddr4")
     roof.add_argument("--heterogeneous", action="store_true")
     roof.add_argument("--batch", type=int, default=None)
 
@@ -641,6 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _policy_axis(path: str) -> list[str]:
     """Load a JSON policy-axis file into canonical policy names."""
+    from .dse.policies import policy_name
+
     with open(path) as handle:
         entries = json.load(handle)
     if not isinstance(entries, list) or not entries:
@@ -649,6 +610,10 @@ def _policy_axis(path: str) -> list[str]:
 
 
 def _dse_spec(args) -> SweepSpec:
+    from .dse.policies import policy_name
+    from .dse.spec import SweepSpec
+    from .nn.models import WORKLOAD_BUILDERS
+
     if args.spec:
         if args.policy_axis:
             raise ValueError("--policy-axis cannot be combined with --spec")
@@ -678,6 +643,8 @@ def _open_cli_store(args):
     """The ``--store`` flag as a store object (honoring ``--backend``)."""
     if not args.store:
         return None
+    from .dse.store import open_store
+
     return open_store(args.store, backend=args.backend)
 
 
@@ -702,6 +669,13 @@ def _server_options(args) -> dict:
     return options
 
 
+def _client(args):
+    """The ``--server`` client; only remote runs load the HTTP client."""
+    from .serve.client import ServeClient
+
+    return ServeClient(args.server, timeout=args.timeout)
+
+
 def _fleet_payload(args):
     """The ``"fleet"`` field of a sweep submission, or ``None``."""
     if not getattr(args, "fleet", False):
@@ -720,9 +694,11 @@ def _fleet_sweep(args, spec) -> tuple[list[dict], dict]:
     spec's point order -- the same bit-identical records-out contract
     as ``--server`` sweeps.
     """
+    from .serve.client import ServeError
+
     if len(spec) == 0:
         raise ValueError("empty sweep")
-    client = ServeClient(args.server, timeout=args.timeout)
+    client = _client(args)
     job_id = client.submit_job(
         spec.to_dict(), fleet=_fleet_payload(args), **_server_options(args)
     )["job"]
@@ -792,10 +768,11 @@ def _server_sweep(args, spec) -> SweepResult:
     the local spec's config hashes reproduces ``run_sweep``'s
     point-order records exactly (the parity test pins bit-identity).
     """
+    from .dse.engine import SweepResult
+
     if len(spec) == 0:
         raise ValueError("empty sweep")  # parity with local run_sweep
-    client = ServeClient(args.server, timeout=args.timeout)
-    raw, summary = client.sweep(spec.to_dict(), **_server_options(args))
+    raw, summary = _client(args).sweep(spec.to_dict(), **_server_options(args))
     by_hash = {record["hash"]: record for record in raw}
     try:
         records = [by_hash[point.config_hash()] for point in spec.points]
@@ -844,6 +821,11 @@ def _run_dse(args) -> None:
             "dse: --fleet and --shard are mutually exclusive "
             "(the lease queue chunks the sweep itself)"
         )
+    errors: tuple = (KeyError, TypeError, ValueError, OSError)
+    if args.server:
+        from .serve.client import ServeError
+
+        errors += (ServeError,)
     try:
         spec = _dse_spec(args)
         if args.shard is not None:
@@ -859,8 +841,7 @@ def _run_dse(args) -> None:
         if args.detach:
             if len(spec) == 0:
                 raise ValueError("empty sweep")
-            client = ServeClient(args.server, timeout=args.timeout)
-            job = client.submit_job(
+            job = _client(args).submit_job(
                 spec.to_dict(),
                 fleet=_fleet_payload(args),
                 **_server_options(args),
@@ -877,10 +858,11 @@ def _run_dse(args) -> None:
             return
         if args.stream:
             if args.server:
-                client = ServeClient(args.server, timeout=args.timeout)
-                stream = client.submit(spec.to_dict(), **_server_options(args))
+                stream = _client(args).submit(spec.to_dict(), **_server_options(args))
                 lines = (json.dumps(record, sort_keys=True) for record in stream)
             else:
+                from .dse.engine import iter_sweep
+
                 # The records' canonical text, as stored: no re-encode.
                 lines = (
                     sweep_record.text
@@ -899,29 +881,37 @@ def _run_dse(args) -> None:
             result = _server_sweep(args, spec)
             records = result.records
         else:
+            from .dse.engine import run_sweep
+
             result = run_sweep(
                 spec, store=_open_cli_store(args), vectorize=vectorize
             )
             records = result.records
         if args.pareto:
+            from .dse.queries import pareto_frontier
+
             records = pareto_frontier(records)
         if args.top_k is not None:
+            from .dse.queries import top_k
+
             records = top_k(records, args.objective, k=args.top_k, sense=args.sense)
-    except ServeError as error:
-        raise SystemExit(f"dse: {error}")
-    except (KeyError, TypeError, ValueError, OSError) as error:
+    except errors as error:
         raise SystemExit(f"dse: {error}")
     if args.format == "jsonl":
         for record in records:
             print(json.dumps(record, sort_keys=True))
     elif args.format == "json":
+        from .serve.serializers import dumps, records_payload, result_summary
+
         summary = (
             result_summary(result)
             if result is not None
             else _fleet_summary(fleet_status)
         )
-        print(payload_json(records_payload(records, summary=summary)))
+        print(dumps(records_payload(records, summary=summary)))
     else:
+        from .dse.queries import render_records
+
         print(render_records(records))
         print()
         print(
@@ -939,6 +929,10 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
 
 
 def _run_quant_dse(args) -> None:
+    from .dse.policies import co_explore
+    from .serve.serializers import co_explore_payload, dumps
+    from .sim.report import format_table
+
     try:
         result = co_explore(
             args.workload,
@@ -958,11 +952,7 @@ def _run_quant_dse(args) -> None:
     emitted = result.frontier if args.frontier_only else result.records
 
     if args.format == "json":
-        print(
-            payload_json(
-                co_explore_payload(result, frontier_only=args.frontier_only)
-            )
-        )
+        print(dumps(co_explore_payload(result, frontier_only=args.frontier_only)))
         return
     if args.format == "jsonl":
         for record in emitted:
@@ -1030,6 +1020,8 @@ def _run_quant_dse(args) -> None:
 
 
 def _run_dse_merge(args) -> None:
+    from .dse.store import open_store
+
     try:
         dest = open_store(args.dest, backend=args.backend)
         total = dest.merge(args.sources, gzip=True if args.gzip else None)
@@ -1039,6 +1031,8 @@ def _run_dse_merge(args) -> None:
 
 
 def _run_dse_compact(args) -> None:
+    from .dse.store import open_store
+
     try:
         store = open_store(args.store)
         if not store.exists():
@@ -1068,6 +1062,11 @@ def _serve_journal(args):
 
 
 def _run_serve(args) -> int:
+    from .obs.logs import configure_logging
+    from .serve.journal import JobJournal, default_journal_path
+    from .serve.serializers import dumps
+    from .serve.server import serve
+
     configure_logging(args.log_level, json_lines=args.log_json)
     try:
         journal = _serve_journal(args)
@@ -1082,7 +1081,7 @@ def _run_serve(args) -> int:
                 journal = default_journal_path(args.store)
             reader = JobJournal(journal)
             try:
-                print(payload_json(reader.summary()))
+                print(dumps(reader.summary()))
             finally:
                 reader.close()
             return 0
@@ -1110,6 +1109,9 @@ def _run_serve(args) -> int:
 
 
 def _run_worker(args) -> int:
+    from .obs.logs import configure_logging
+    from .serve.fleet import FleetWorker
+
     configure_logging(args.log_level, json_lines=args.log_json)
     worker = FleetWorker(
         args.server,
@@ -1149,6 +1151,13 @@ def _run_watch(args) -> int:
 
 
 def _run_dse_launch(args) -> None:
+    from .serve.launch import (
+        launch_fleet,
+        render_commands,
+        shard_commands,
+        shard_store_path,
+    )
+
     try:
         spec = _dse_spec(args)
         if len(spec) == 0:
@@ -1198,19 +1207,32 @@ def _run_dse_launch(args) -> None:
 
 
 def _run_figure(command: str) -> str:
+    from .experiments import figures
+    from .sim.report import format_table
+
     if command == "fig4":
         rows = [
             (p.metric, f"{p.slice_width}-bit", p.lanes, p.total)
-            for p in fig4_design_space()
+            for p in figures.fig4_design_space()
         ]
         return format_table(["Metric", "Slicing", "L", "Total (vs conv. MAC)"], rows)
+    if command == "fig9":
+        rows = [
+            (r.workload, r.regime, r.ddr4_ratio, r.hbm2_ratio)
+            for r in figures.fig9_gpu_comparison()
+        ]
+        return format_table(
+            ["Workload", "Regime", "vs GPU (DDR4)", "vs GPU (HBM2)"],
+            rows,
+            precision=1,
+        )
     driver = {
-        "fig5": fig5_homogeneous_ddr4,
-        "fig6": fig6_homogeneous_hbm2,
-        "fig7": fig7_heterogeneous_ddr4,
-        "fig8": fig8_heterogeneous_hbm2,
+        "fig5": figures.fig5_homogeneous_ddr4,
+        "fig6": figures.fig6_homogeneous_hbm2,
+        "fig7": figures.fig7_heterogeneous_ddr4,
+        "fig8": figures.fig8_heterogeneous_hbm2,
     }[command]
-    return render_speedup_rows(driver())
+    return figures.render_speedup_rows(driver())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1228,24 +1250,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(text)
     elif command == "table1":
+        from .experiments.tables import render_table1
+
         print(render_table1())
     elif command == "table2":
+        from .experiments.tables import render_table2
+
         print(render_table2())
-    elif command in ("fig4", "fig5", "fig6", "fig7", "fig8"):
+    elif command in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9"):
         print(_run_figure(command))
-    elif command == "fig9":
-        rows = [
-            (r.workload, r.regime, r.ddr4_ratio, r.hbm2_ratio)
-            for r in fig9_gpu_comparison()
-        ]
-        print(
-            format_table(
-                ["Workload", "Regime", "vs GPU (DDR4)", "vs GPU (HBM2)"],
-                rows,
-                precision=1,
-            )
-        )
     elif command == "chips":
+        from .hw.chip import all_chip_reports
+
         for report in all_chip_reports():
             print(report)
     elif command == "dse":
@@ -1265,9 +1281,13 @@ def main(argv: list[str] | None = None) -> int:
     elif command == "dse-launch":
         _run_dse_launch(args)
     elif command == "simulate":
+        from .dse.spec import resolve_memory, resolve_platform
+        from .sim.report import format_table
+        from .sim.simulator import simulate_network
+
         net = _workload(args.model, args.heterogeneous, args.batch)
         result = simulate_network(
-            net, _PLATFORMS[args.platform], _MEMORIES[args.memory]
+            net, resolve_platform(args.platform), resolve_memory(args.memory)
         )
         print(result.summary())
         rows = [
@@ -1281,9 +1301,13 @@ def main(argv: list[str] | None = None) -> int:
         ]
         print(format_table(["Layer", "Bits", "Cycles", "Bound"], rows))
     elif command == "roofline":
+        from .dse.spec import resolve_memory, resolve_platform
+        from .sim.report import format_table
+        from .sim.roofline import ridge_point, roofline_analysis
+
         net = _workload(args.model, args.heterogeneous, args.batch)
-        spec = _PLATFORMS[args.platform]
-        memory = _MEMORIES[args.memory]
+        spec = resolve_platform(args.platform)
+        memory = resolve_memory(args.memory)
         ridge = ridge_point(spec, memory)
         print(f"ridge point: {ridge:.1f} MACs/byte on {spec.name} + {memory.name}")
         rows = [

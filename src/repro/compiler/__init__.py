@@ -1,8 +1,6 @@
 """Compiler stack: ISA, layer lowering, and program execution."""
 
-from .executor import ExecutionResult, Executor, functional_check
-from .isa import Barrier, GemmTile, Instruction, LoadTile, Program, SetMode, StoreTile
-from .lowering import lower_layer, lower_network
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExecutionResult",
@@ -18,3 +16,20 @@ __all__ = [
     "lower_layer",
     "lower_network",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "executor": ("ExecutionResult", "Executor", "functional_check"),
+        "isa": (
+            "Barrier",
+            "GemmTile",
+            "Instruction",
+            "LoadTile",
+            "Program",
+            "SetMode",
+            "StoreTile",
+        ),
+        "lowering": ("lower_layer", "lower_network"),
+    },
+)

@@ -40,56 +40,7 @@ Every figure driver (:mod:`repro.experiments.figures`), the scaling
 study, and the ``repro dse`` CLI subcommand run on this engine.
 """
 
-from .engine import SweepRecord, SweepResult, iter_sweep, run_sweep
-from .entry import RecordEntry
-from .evaluate import (
-    DEFAULT_RECORD_CACHE,
-    EVAL_VERSION,
-    clear_caches,
-    clear_memo,
-    evaluate_point,
-    evaluate_points,
-    lowered_for,
-)
-from .policies import (
-    PolicyAccuracy,
-    PolicySpec,
-    co_explore,
-    policy_name,
-    sensitivity_policies,
-)
-from .queries import (
-    QUERY_NAMES,
-    ParetoTracker,
-    accuracy_perf_frontier,
-    attach_policy_metric,
-    filter_records,
-    geomean_speedup,
-    metric,
-    pareto_frontier,
-    render_records,
-    run_query,
-    top_k,
-)
-from .spec import (
-    GPU_NAMES,
-    MEMORY_NAMES,
-    PLATFORM_NAMES,
-    POLICY_NAMES,
-    SweepPoint,
-    SweepSpec,
-    build_network,
-    cached_network,
-    expand_grid,
-    resolve_gpu,
-    resolve_memory,
-    resolve_platform,
-    resolve_policy,
-    resolve_workload,
-    shard_index,
-)
-from .sqlite_store import SQLiteStore
-from .store import ResultStore, ResultStoreBase, StoreWarning, open_store
+from .._lazy import lazy_exports
 
 __all__ = [
     "SweepRecord",
@@ -141,3 +92,59 @@ __all__ = [
     "StoreWarning",
     "open_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("SweepRecord", "SweepResult", "iter_sweep", "run_sweep"),
+        "entry": ("RecordEntry",),
+        "evaluate": (
+            "EVAL_VERSION",
+            "DEFAULT_RECORD_CACHE",
+            "clear_caches",
+            "clear_memo",
+            "evaluate_point",
+            "evaluate_points",
+            "lowered_for",
+        ),
+        "policies": (
+            "PolicyAccuracy",
+            "PolicySpec",
+            "co_explore",
+            "policy_name",
+            "sensitivity_policies",
+        ),
+        "queries": (
+            "QUERY_NAMES",
+            "ParetoTracker",
+            "accuracy_perf_frontier",
+            "attach_policy_metric",
+            "filter_records",
+            "geomean_speedup",
+            "metric",
+            "pareto_frontier",
+            "render_records",
+            "run_query",
+            "top_k",
+        ),
+        "spec": (
+            "GPU_NAMES",
+            "MEMORY_NAMES",
+            "PLATFORM_NAMES",
+            "POLICY_NAMES",
+            "SweepPoint",
+            "SweepSpec",
+            "build_network",
+            "cached_network",
+            "expand_grid",
+            "resolve_gpu",
+            "resolve_memory",
+            "resolve_platform",
+            "resolve_policy",
+            "resolve_workload",
+            "shard_index",
+        ),
+        "sqlite_store": ("SQLiteStore",),
+        "store": ("ResultStore", "ResultStoreBase", "StoreWarning", "open_store"),
+    },
+)

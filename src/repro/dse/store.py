@@ -57,14 +57,18 @@ import zlib
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Container, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping
 
 from .entry import RecordEntry, canonical_texts, entry_texts
+
+if TYPE_CHECKING:
+    from .sqlite_store import SQLiteStore
 
 __all__ = [
     "ResultStore",
     "ResultStoreBase",
     "StoreWarning",
+    "open_served_store",
     "open_store",
 ]
 
@@ -647,4 +651,29 @@ def open_store(
         return ResultStore(resolved)
     raise ValueError(
         f"unknown store backend {backend!r}; choose 'jsonl' or 'sqlite'"
+    )
+
+
+def open_served_store(
+    store: "ResultStoreBase | str | os.PathLike", backend: str | None = None
+) -> SQLiteStore:
+    """Open a store that must be SQLite: the sweep service's and the launcher's.
+
+    Anything that does not sniff as SQLite -- an existing JSONL file,
+    gzipped or not, a fresh path that :func:`open_store` would make a
+    JSONL store, or a JSONL store object -- raises one ``ValueError``
+    ending in the ``repro dse-merge`` command that converts it.  Only
+    the path is inspected, so a refusal writes no file.
+    """
+    from .sqlite_store import SQLiteStore
+
+    opened = open_store(store, backend=backend)
+    if isinstance(opened, SQLiteStore) and (
+        not opened.exists() or _sniff_backend(opened.path) == "sqlite"
+    ):
+        return opened
+    raise ValueError(
+        f"{opened.path} is not a SQLite store, and the sweep service "
+        "serves SQLite only; convert it with: "
+        f"repro dse-merge OUT.sqlite {shlex.quote(str(opened.path))}"
     )

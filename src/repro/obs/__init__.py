@@ -16,35 +16,7 @@
   fallback; ``--once --format json`` for scripts and CI).
 """
 
-from .logs import JsonLineFormatter, configure_logging, get_logger
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
-from .trace import Trace
-
-# ``watch`` pulls in ``repro.serve`` (for :class:`ServeClient`), and the
-# serve stack itself imports ``repro.obs.metrics`` -- which initializes
-# this package.  Re-export the dashboard lazily so instrumented modules
-# can import the registry without closing that cycle.
-_WATCH_EXPORTS = (
-    "build_snapshot",
-    "parse_prometheus_text",
-    "render_text",
-    "watch",
-)
-
-
-def __getattr__(name: str):
-    if name in _WATCH_EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module(f"{__name__}.watch"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .._lazy import lazy_exports
 
 __all__ = [
     "JsonLineFormatter",
@@ -62,3 +34,23 @@ __all__ = [
     "render_text",
     "watch",
 ]
+
+# ``watch`` pulls in ``repro.serve`` (for :class:`ServeClient`), and the
+# serve stack itself imports ``repro.obs.metrics``: only a lazy
+# re-export keeps instrumented modules from closing that cycle.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "logs": ("JsonLineFormatter", "configure_logging", "get_logger"),
+        "metrics": (
+            "DEFAULT_LATENCY_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "get_registry",
+        ),
+        "trace": ("Trace",),
+        "watch": ("build_snapshot", "parse_prometheus_text", "render_text", "watch"),
+    },
+)

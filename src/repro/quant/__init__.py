@@ -1,17 +1,6 @@
 """Quantization library and quantized inference on the composed arithmetic."""
 
-from .conv import QuantizedConv2D, avg_pool2d, im2col, max_pool2d
-from .inference import MLP, QuantizedLinear, make_two_spirals
-from .quantizer import LinearQuantizer, quantization_error
-from .sensitivity import (
-    BitwidthAssignment,
-    SensitivityRecord,
-    assign_bitwidths,
-    average_bitwidth,
-    footprint_reduction,
-    layer_sensitivity,
-)
-from .tensors import QTensor
+from .._lazy import lazy_exports
 
 __all__ = [
     "QuantizedConv2D",
@@ -31,3 +20,21 @@ __all__ = [
     "footprint_reduction",
     "layer_sensitivity",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "conv": ("QuantizedConv2D", "avg_pool2d", "im2col", "max_pool2d"),
+        "inference": ("MLP", "QuantizedLinear", "make_two_spirals"),
+        "quantizer": ("LinearQuantizer", "quantization_error"),
+        "sensitivity": (
+            "BitwidthAssignment",
+            "SensitivityRecord",
+            "assign_bitwidths",
+            "average_bitwidth",
+            "footprint_reduction",
+            "layer_sensitivity",
+        ),
+        "tensors": ("QTensor",),
+    },
+)

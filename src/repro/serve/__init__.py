@@ -30,34 +30,12 @@ from local cores.
   prints per-machine shard command lines for ``repro dse-merge`` to
   union;
 * :mod:`~repro.serve.serializers` -- the JSON shapes shared between
-  the HTTP endpoints and the CLI's ``--format json``.
+  the HTTP endpoints and the CLI's ``--format json``;
+* :mod:`~repro.serve.defaults` -- the ``repro serve`` / ``repro
+  worker`` flag defaults, importable without the server or the fleet.
 """
 
-from .client import ServeClient, ServeError
-from .fleet import Fleet, FleetJob, FleetWorker
-from .jobs import Job, JobManager
-from .journal import JobJournal, JournalWarning, default_journal_path
-from .launch import (
-    FleetLaunchResult,
-    launch_fleet,
-    render_commands,
-    shard_commands,
-    shard_store_path,
-)
-from .serializers import (
-    co_explore_payload,
-    dumps,
-    records_payload,
-    result_summary,
-    summary_payload,
-)
-from .server import (
-    DrainingError,
-    QueueFullError,
-    SweepServer,
-    SweepService,
-    serve,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ServeClient",
@@ -86,3 +64,34 @@ __all__ = [
     "SweepService",
     "serve",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ServeClient", "ServeError"),
+        "fleet": ("Fleet", "FleetJob", "FleetWorker"),
+        "jobs": ("Job", "JobManager"),
+        "journal": ("JobJournal", "JournalWarning", "default_journal_path"),
+        "launch": (
+            "FleetLaunchResult",
+            "launch_fleet",
+            "render_commands",
+            "shard_commands",
+            "shard_store_path",
+        ),
+        "serializers": (
+            "co_explore_payload",
+            "dumps",
+            "records_payload",
+            "result_summary",
+            "summary_payload",
+        ),
+        "server": (
+            "DrainingError",
+            "QueueFullError",
+            "SweepServer",
+            "SweepService",
+            "serve",
+        ),
+    },
+)

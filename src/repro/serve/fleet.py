@@ -55,6 +55,11 @@ from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import new_trace_id
 from .client import ServeClient, ServeError
+from .defaults import (
+    DEFAULT_HEARTBEAT_TTL,
+    DEFAULT_LEASE_TTL,
+    DEFAULT_RECONNECT_GRACE,
+)
 from .jobs import CANCELLED, DEFAULT_PRIORITY, DONE, FAILED, Job
 
 __all__ = [
@@ -75,13 +80,6 @@ PENDING = "pending"
 LEASED = "leased"
 COMPLETED = "completed"
 
-#: Default seconds a lease stays valid without an ack.
-DEFAULT_LEASE_TTL = 60.0
-
-#: Default seconds of heartbeat silence before a worker counts as dead
-#: (and every lease it holds requeues).
-DEFAULT_HEARTBEAT_TTL = 15.0
-
 #: Default chunk count for a fleet job that did not pick one.
 DEFAULT_FLEET_CHUNKS = 16
 
@@ -91,12 +89,6 @@ INGEST_CHUNK_RECORDS = 20_000
 
 #: Consecutive unexpected heartbeat failures before a worker gives up.
 HEARTBEAT_MAX_FAILURES = 5
-
-#: Default seconds a worker keeps retrying when the server is
-#: unreachable (a restart in progress) before giving up with exit 1.
-#: Spans a server redeploy comfortably; the client's own bounded
-#: backoff only covers a few seconds.
-DEFAULT_RECONNECT_GRACE = 60.0
 
 _LOG = get_logger(__name__)
 

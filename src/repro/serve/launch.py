@@ -33,7 +33,7 @@ from ..dse.engine import iter_sweep
 from ..dse.evaluate import EVAL_VERSION
 from ..dse.spec import SweepSpec
 from ..dse.sqlite_store import SQLiteStore
-from ..dse.store import ResultStoreBase
+from ..dse.store import ResultStoreBase, open_served_store
 
 __all__ = [
     "FleetLaunchResult",
@@ -145,11 +145,9 @@ def launch_fleet(
     all finished ``timeout`` seconds after the launch began.
 
     ``store`` must open as SQLite: anything else raises the error of
-    :func:`~repro.serve.server.open_served_store` before any process
+    :func:`~repro.dse.store.open_served_store` before any process
     starts, even when nothing is missing.
     """
-    from .server import open_served_store
-
     if workers < 1:
         raise ValueError("fleet worker count must be >= 1")
     if len(spec) == 0:

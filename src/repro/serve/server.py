@@ -116,7 +116,6 @@ import itertools
 import json
 import os
 import re
-import shlex
 import signal
 import threading
 import time
@@ -130,17 +129,17 @@ from ..dse.evaluate import _MEMO, DEFAULT_RECORD_CACHE, EVAL_VERSION
 from ..dse.queries import pareto_frontier, prepare_query
 from ..dse.spec import SweepSpec
 from ..dse.sqlite_store import SQLiteStore
-from ..dse.store import ResultStoreBase, _sniff_backend, open_store
+from ..dse.store import ResultStoreBase, open_served_store
 from ..obs.logs import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import Trace
-from .fleet import (
-    DEFAULT_FLEET_CHUNKS,
+from .defaults import (
+    DEFAULT_DRAIN_TIMEOUT,
     DEFAULT_HEARTBEAT_TTL,
+    DEFAULT_JOB_RETENTION,
     DEFAULT_LEASE_TTL,
-    Fleet,
-    FleetJob,
 )
+from .fleet import DEFAULT_FLEET_CHUNKS, Fleet, FleetJob
 from .jobs import (
     CANCELLED,
     DEFAULT_PRIORITY,
@@ -173,18 +172,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: with ``repro serve --client-timeout``.
 DEFAULT_CLIENT_TIMEOUT = 600.0
 
-#: Default seconds a graceful drain waits for running jobs before
-#: cancelling the stragglers (``repro serve --drain-timeout``).
-DEFAULT_DRAIN_TIMEOUT = 30.0
-
 #: The ``Retry-After`` a 429 queue-full rejection advertises.  Queue
 #: depth turns over at job, not request, cadence; one second is a
 #: polite first retry for both humans and ServeClient's backoff.
 DEFAULT_RETRY_AFTER = 1.0
-
-#: Default number of terminal jobs the retention policy keeps
-#: (``repro serve --job-retention``; ``0`` disables the count bound).
-DEFAULT_JOB_RETENTION = 1000
 
 #: Default ``limit`` for ``GET /records?after=``: big enough that a
 #: full dump of a small store is one page, small enough that a page
@@ -257,30 +248,6 @@ def _chunks(items, size: int) -> Iterator[list]:
 def _ndjson_block(texts) -> bytes:
     """JSON texts as one NDJSON byte block, one line per text."""
     return ("\n".join(texts) + "\n").encode()
-
-
-def open_served_store(
-    store: ResultStoreBase | str | os.PathLike, backend: str | None = None
-) -> SQLiteStore:
-    """Open the store a sweep service serves; only SQLite is served.
-
-    Anything that does not sniff as SQLite -- an existing JSONL file,
-    gzipped or not, a fresh path that :func:`~repro.dse.store.open_store`
-    would make a JSONL store, or a JSONL store object -- raises one
-    ``ValueError`` ending in the ``repro dse-merge`` command that
-    converts it.  Only the path is inspected, so a refusal writes no
-    file.
-    """
-    opened = open_store(store, backend=backend)
-    if isinstance(opened, SQLiteStore) and (
-        not opened.exists() or _sniff_backend(opened.path) == "sqlite"
-    ):
-        return opened
-    raise ValueError(
-        f"{opened.path} is not a SQLite store, and the sweep service "
-        "serves SQLite only; convert it with: "
-        f"repro dse-merge OUT.sqlite {shlex.quote(str(opened.path))}"
-    )
 
 
 class DrainingError(RuntimeError):

@@ -1,25 +1,6 @@
 """Tiled systolic-accelerator performance and energy simulator."""
 
-from .lowered import (
-    LoweredNetwork,
-    compute_cycles_batch,
-    evaluate_lowered,
-    evaluate_lowered_groups,
-    evaluate_lowered_many,
-    lower_network,
-    traffic_batch,
-)
-from .performance import (
-    LayerResult,
-    factor_pairs,
-    gemm_compute_cycles,
-    simulate_layer,
-)
-from .report import Comparison, compare, format_table, geomean
-from .roofline import RooflinePoint, ridge_point, roofline_analysis
-from .simulator import NetworkResult, sequential_sum, simulate_network
-from .systolic import SystolicArray, SystolicTileResult
-from .tiling import BufferSplit, TrafficPlan, buffer_partition, plan_traffic
+from .._lazy import lazy_exports
 
 __all__ = [
     "LayerResult",
@@ -50,3 +31,29 @@ __all__ = [
     "ridge_point",
     "roofline_analysis",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "lowered": (
+            "LoweredNetwork",
+            "lower_network",
+            "compute_cycles_batch",
+            "traffic_batch",
+            "evaluate_lowered",
+            "evaluate_lowered_many",
+            "evaluate_lowered_groups",
+        ),
+        "performance": (
+            "LayerResult",
+            "simulate_layer",
+            "factor_pairs",
+            "gemm_compute_cycles",
+        ),
+        "report": ("Comparison", "compare", "format_table", "geomean"),
+        "roofline": ("RooflinePoint", "ridge_point", "roofline_analysis"),
+        "simulator": ("NetworkResult", "sequential_sum", "simulate_network"),
+        "systolic": ("SystolicArray", "SystolicTileResult"),
+        "tiling": ("BufferSplit", "TrafficPlan", "plan_traffic", "buffer_partition"),
+    },
+)

@@ -337,7 +337,9 @@ def _compute_cycles(
     cols = np.array([s.array_cols for s in specs], dtype=np.int64)[rows]
     work = gemms.count * gemms.m
     best = np.empty_like(mult)
-    for value in np.unique(mult):
+    # Not np.unique: numpy 2 imports numpy.ma on its first call, a cost
+    # every fresh process (each dse-launch shard) would pay again.
+    for value in sorted(set(mult.tolist())):
         at = np.flatnonzero(mult == value)
         k, n, lanes, width = gemms.k[at], gemms.n[at], reduction[at], cols[at]
         steps = work[at]
